@@ -16,11 +16,12 @@ inside [0, phi_max] it falls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_map import EvolutionTrace, KrausSet, apply_dual_kraus
+from .dual_map import EvolutionTrace, KrausSet, _validate_times, apply_dual_kraus
 from .errors import DimensionError, DomainError
 from .linalg import ensure_density_matrix, max_abs
 
@@ -48,11 +49,12 @@ class EnvState:
             raise DimensionError(
                 f"spectrum/basis shapes {sig.shape}/{v.shape} do not match d={self.dim}"
             )
-        if abs(float(sig.sum()) - 1.0) > SPECTRUM_SUM_TOL:
+        # each test is phrased so that a NaN entry fails it
+        if not abs(float(sig.sum()) - 1.0) <= SPECTRUM_SUM_TOL:
             raise DomainError(f"spectrum sums to {sig.sum()!r}, expected 1")
-        if float(sig.min()) < -SPECTRUM_NEG_TOL:
+        if not float(sig.min()) >= -SPECTRUM_NEG_TOL:
             raise DomainError(f"spectrum has negative weight {sig.min()!r}")
-        if max_abs(v.conj().T @ v - np.eye(self.dim)) > UNITARITY_TOL:
+        if not max_abs(v.conj().T @ v - np.eye(self.dim)) <= UNITARITY_TOL:
             raise DomainError("basis is not unitary within 1e-9")
         object.__setattr__(self, "spectrum", sig)
         object.__setattr__(self, "basis", v)
@@ -78,8 +80,8 @@ class BatteryConfig:
     def __post_init__(self):
         if self.env.dim != self.d:
             raise DimensionError(f"env dim {self.env.dim} does not match d={self.d}")
-        if self.rate <= 0:
-            raise DomainError(f"rate must be positive, got {self.rate}")
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise DomainError(f"rate must be positive and finite, got {self.rate}")
         rho = ensure_density_matrix(self.rho0)
         if rho.shape != (self.d, self.d):
             raise DimensionError(f"rho0 shape {rho.shape} does not match d={self.d}")
@@ -113,14 +115,12 @@ def env_kraus(env: EnvState) -> KrausSet:
     """
     d = env.dim
     sig = np.clip(env.spectrum, 0.0, None)
-    ops: list[tuple[str, np.ndarray]] = []
-    for i in range(d):
-        ei = np.zeros(d, dtype=complex)
-        ei[i] = 1.0
-        for j in range(d):
-            op = np.sqrt(sig[j]) * np.outer(ei, env.basis[:, j].conj())
-            ops.append((f"E{i},{j}", op))
-    return KrausSet(dim=d, ops=tuple(ops))
+    stack = np.zeros((d, d, d, d), dtype=complex)   # stack[i, j] = E_{i,j}
+    levels = np.arange(d)
+    # row i of E_{i,j} is sqrt(sigma_j) <j| in Fock coordinates
+    stack[levels, :, levels, :] = np.sqrt(sig)[:, None] * env.basis.conj().T
+    tags = tuple(f"E{i},{j}" for i in range(d) for j in range(d))
+    return KrausSet(dim=d, stack=stack.reshape(d * d, d, d), tags=tags)
 
 
 def phi(env: EnvState) -> float:
@@ -141,11 +141,7 @@ def simulate_charging(cfg: BatteryConfig, times) -> EvolutionTrace:
     Phi[N] is proportional to the identity, so the slope is independent of
     the initial state; rho0 is validated but does not enter the values.
     """
-    t = np.asarray(times, dtype=float).reshape(-1)
-    if t.size == 0:
-        raise DomainError("times vector is empty")
-    if t[0] < 0 or np.any(np.diff(t) < 0):
-        raise DomainError("times must be ascending and nonnegative")
+    t = _validate_times(times)
     slope = cfg.rate * phi(cfg.env)
     return EvolutionTrace(times=t, values=slope * t, phi_fit=slope, rho=cfg.rho0)
 

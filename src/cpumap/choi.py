@@ -65,7 +65,7 @@ class FixedPointSpec:
                 f"v has length {v.shape[0]} but A is {a.shape[0]}x{a.shape[0]}"
             )
         nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > V_NORM_SLACK:
+        if not abs(nrm - 1.0) <= V_NORM_SLACK:  # NaN fails
             raise DimensionError(f"||v|| = {nrm} is not within 1e-6 of 1")
         v = v / nrm
         object.__setattr__(self, "a", a)

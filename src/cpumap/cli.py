@@ -58,8 +58,11 @@ def parse_grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) != 3:
         raise DomainError(f"grid must be start:stop:count, got {spec!r}")
-    start, stop = float(parts[0]), float(parts[1])
-    count = int(parts[2])
+    try:
+        start, stop = float(parts[0]), float(parts[1])
+        count = int(parts[2])
+    except ValueError:
+        raise DomainError(f"grid must be start:stop:count numbers, got {spec!r}") from None
     if count < 1:
         raise DomainError(f"grid count must be >= 1, got {count}")
     if count == 1:

@@ -26,30 +26,54 @@ GS_DROP_TOL = 1e-8    # Gram-Schmidt candidates below this norm are dropped
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Tagged dual Kraus operators of one map.
+    """Tagged dual Kraus operators of one map, stacked in one array.
 
-    Tags follow the family each operator belongs to: ``B{i}`` for the
-    reference-vector rays, ``C{i},{j}`` for the completed-basis rays and
-    ``E{i},{j}`` for environment-interaction operators.
+    ``stack[k]`` is the operator tagged ``tags[k]``.  Tags follow the
+    family each operator belongs to: ``B{i}`` for the reference-vector
+    rays, ``C{i},{j}`` for the completed-basis rays and ``E{i},{j}`` for
+    environment-interaction operators.
     """
 
     dim: int
-    ops: tuple[tuple[str, np.ndarray], ...]
+    stack: np.ndarray
+    tags: tuple[str, ...]
 
     def __post_init__(self):
-        checked = []
-        for tag, op in self.ops:
-            m = as_matrix(op)
-            if m.shape != (self.dim, self.dim):
+        s = np.asarray(self.stack, dtype=complex)
+        tags = tuple(str(tag) for tag in self.tags)
+        if s.shape != (len(tags), self.dim, self.dim):
+            raise DimensionError(
+                f"stack has shape {s.shape}, expected "
+                f"{(len(tags), self.dim, self.dim)} for {len(tags)} tags"
+            )
+        if not np.all(np.isfinite(s)):
+            raise DimensionError("Kraus operators contain NaN or Inf entries")
+        s = s.view()
+        s.flags.writeable = False
+        object.__setattr__(self, "stack", s)
+        object.__setattr__(self, "tags", tags)
+
+    @classmethod
+    def from_ops(cls, dim: int, pairs) -> "KrausSet":
+        """Stack ``(tag, matrix)`` pairs into one set."""
+        pairs = tuple(pairs)
+        stack = np.empty((len(pairs), dim, dim), dtype=complex)
+        for k, (tag, op) in enumerate(pairs):
+            m = np.asarray(op, dtype=complex)
+            if m.shape != (dim, dim):
                 raise DimensionError(
-                    f"operator {tag!r} has shape {m.shape}, expected "
-                    f"{(self.dim, self.dim)}"
+                    f"operator {tag!r} has shape {m.shape}, expected {(dim, dim)}"
                 )
-            checked.append((str(tag), m))
-        object.__setattr__(self, "ops", tuple(checked))
+            stack[k] = m
+        return cls(dim=dim, stack=stack, tags=tuple(tag for tag, _ in pairs))
+
+    @property
+    def ops(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """``(tag, operator)`` pairs; each operator is a view into ``stack``."""
+        return tuple(zip(self.tags, self.stack))
 
     def matrices(self) -> list[np.ndarray]:
-        return [op for _, op in self.ops]
+        return list(self.stack)
 
 
 @dataclass(frozen=True)
@@ -87,17 +111,15 @@ def apply_dual_kraus(k: KrausSet, b) -> np.ndarray:
     if b.shape != (k.dim, k.dim):
         raise DimensionError(f"observable shape {b.shape} does not match dim {k.dim}")
     out = np.zeros_like(b)
-    for op in k.matrices():
+    for op in k.stack:
         out = out + op @ b @ op.conj().T
     return out
 
 
 def unitality_residual(k: KrausSet) -> float:
     """Residual ||Phi[I] - I||_max = ||sum D D^dagger - I||_max."""
-    acc = np.zeros((k.dim, k.dim), dtype=complex)
-    for op in k.matrices():
-        acc += op @ op.conj().T
-    return max_abs(acc - np.eye(k.dim))
+    s = k.stack
+    return max_abs((s @ s.conj().transpose(0, 2, 1)).sum(axis=0) - np.eye(k.dim))
 
 
 def idempotence_residual(z: ChoiMatrix, b) -> float:
@@ -168,26 +190,25 @@ def kraus_from_fixed_point(spec: FixedPointSpec) -> KrausSet:
         )
     z = np.clip(z, 0.0, None)
     w = np.clip(w, 0.0, None)
-    basis = complete_basis(spec.v)
-    ops: list[tuple[str, np.ndarray]] = []
-    for i in range(n):
-        ops.append((f"B{i}", np.sqrt(z[i]) * np.outer(avecs[:, i], basis[0].conj())))
-    for i in range(n):
-        for j in range(1, n):
-            ops.append(
-                (f"C{i},{j}", np.sqrt(w[i]) * np.outer(avecs[:, i], basis[j].conj()))
-            )
-    return KrausSet(dim=n, ops=tuple(ops))
+    a = avecs.T                           # row i is a_i
+    g = np.conj(complete_basis(spec.v))   # row j is conj(g_j)
+    stack = np.empty((n * n, n, n), dtype=complex)
+    b_ops = stack[:n]                           # B_i = sqrt(z_i) |a_i><v|
+    c_ops = stack[n:].reshape(n, n - 1, n, n)  # C_ij = sqrt(w_i) |a_i><g_j|
+    np.multiply(a[:, :, None], g[0][None, None, :], out=b_ops)
+    np.multiply(a[:, None, :, None], g[1:][None, :, None, :], out=c_ops)
+    b_ops *= np.sqrt(z)[:, None, None]
+    c_ops *= np.sqrt(w)[:, None, None, None]
+    tags = [f"B{i}" for i in range(n)]
+    tags += [f"C{i},{j}" for i in range(n) for j in range(1, n)]
+    return KrausSet(dim=n, stack=stack, tags=tuple(tags))
 
 
 def choi_from_kraus(k: KrausSet) -> ChoiMatrix:
     """Rebuild the Choi matrix Z = sum_k vec(D_k) vec(D_k)^dagger."""
     n = k.dim
-    z = np.zeros((n * n, n * n), dtype=complex)
-    for op in k.matrices():
-        u = op.reshape(-1)
-        z += np.outer(u, u.conj())
-    return ChoiMatrix(dim=n, matrix=z)
+    v = k.stack.reshape(len(k.tags), n * n)  # row k is vec(D_k)
+    return ChoiMatrix(dim=n, matrix=v.T @ v.conj())
 
 
 def _validate_times(times) -> np.ndarray:

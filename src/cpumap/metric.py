@@ -28,16 +28,16 @@ class MetricParams:
     r_grid: np.ndarray
 
     def __post_init__(self):
-        if self.M <= 0:
-            raise DomainError(f"mass must be positive, got {self.M}")
-        if self.r0 <= 0:
-            raise DomainError(f"offset r0 must be positive, got {self.r0}")
+        if not (math.isfinite(self.M) and self.M > 0):
+            raise DomainError(f"mass must be positive and finite, got {self.M}")
+        if not (math.isfinite(self.r0) and self.r0 > 0):
+            raise DomainError(f"offset r0 must be positive and finite, got {self.r0}")
         if self.d < 2:
             raise DimensionError(f"need truncation d >= 2, got {self.d}")
         grid = np.asarray(self.r_grid, dtype=float).reshape(-1)
         if grid.size == 0:
             raise DomainError("radial grid is empty")
-        if grid[0] < 0 or np.any(np.diff(grid) < 0):
+        if not (grid[0] >= 0 and np.all(np.diff(grid) >= 0)):  # NaN fails
             raise DomainError("radial grid must be ascending and nonnegative")
         object.__setattr__(self, "r_grid", grid)
 

@@ -113,10 +113,17 @@ def kraus_to_json(k: KrausSet) -> dict:
 
 
 def kraus_from_json(obj: dict) -> KrausSet:
-    ops = tuple(
-        (entry["tag"], matrix_from_json(entry["matrix"])) for entry in obj["ops"]
-    )
-    return KrausSet(dim=int(obj["dim"]), ops=ops)
+    n = int(obj["dim"])
+    entries = obj["ops"]
+    stack = np.empty((len(entries), n, n), dtype=complex)
+    for k, entry in enumerate(entries):
+        m = matrix_from_json(entry["matrix"])
+        if m.shape != (n, n):
+            raise DimensionError(
+                f"operator {entry['tag']!r} has shape {m.shape}, expected {(n, n)}"
+            )
+        stack[k] = m
+    return KrausSet(dim=n, stack=stack, tags=tuple(entry["tag"] for entry in entries))
 
 
 def env_to_json(env: EnvState) -> dict:

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -233,8 +234,11 @@ def test_criterion_9_selftest_determinism():
     first = subprocess.run(cmd, capture_output=True)
     second = subprocess.run(cmd, capture_output=True)
     identical = first.stdout == second.stdout
+    committed = (Path(__file__).parent / "data" / "selftest_seed42.txt").read_bytes()
+    unchanged = first.stdout == committed
     report(
-        first.returncode == 0 and second.returncode == 0 and identical,
+        first.returncode == 0 and second.returncode == 0 and identical and unchanged,
         "criterion-9 selftest determinism",
-        f"exit codes {first.returncode}/{second.returncode}, byte-identical={identical}",
+        f"exit codes {first.returncode}/{second.returncode}, byte-identical={identical}, "
+        f"matches tests/data/selftest_seed42.txt={unchanged}",
     )

@@ -133,6 +133,22 @@ def test_env_kraus_aligned_structure():
         assert max_abs(op - expected) < 1e-12
 
 
+def test_env_kraus_equals_outer_product_loop():
+    rng = rng_for(419)
+    for d in (2, 3, 4, 8):
+        env = random_env(rng, d)
+        kset = env_kraus(env)
+        tags, want = [], []
+        for i in range(d):
+            ei = np.zeros(d, dtype=complex)
+            ei[i] = 1.0
+            for j in range(d):
+                tags.append(f"E{i},{j}")
+                want.append(np.sqrt(env.spectrum[j]) * np.outer(ei, env.basis[:, j].conj()))
+        assert kset.tags == tuple(tags)
+        assert all(np.array_equal(op, m) for op, m in zip(kset.stack, want))
+
+
 def test_env_kraus_completeness():
     rng = rng_for(405)
     for d in (2, 4, 8):
@@ -247,6 +263,8 @@ def test_battery_config_validation():
     with pytest.raises(DomainError):
         BatteryConfig(d=3, env=env, rho0=random_density(rng_for(416), 3), rate=0.0)
     with pytest.raises(DomainError):
+        BatteryConfig(d=3, env=env, rho0=random_density(rng_for(416), 3), rate=float("nan"))
+    with pytest.raises(DomainError):
         simulate_charging(
             BatteryConfig(d=3, env=env, rho0=random_density(rng_for(417), 3)),
             [1.0, 0.0],
@@ -304,3 +322,14 @@ def test_env_state_validation():
         EnvState(dim=d, spectrum=np.array([0.5, 0.3, 0.2]), basis=2.0 * np.eye(d, dtype=complex))
     with pytest.raises(DimensionError):
         EnvState(dim=d, spectrum=np.array([0.5, 0.5]), basis=np.eye(d, dtype=complex))
+    nan_basis = np.eye(d, dtype=complex)
+    nan_basis[1, 2] = np.nan
+    with pytest.raises(DomainError):
+        EnvState(dim=d, spectrum=np.array([0.5, 0.3, 0.2]), basis=nan_basis)
+
+
+def test_env_state_rejects_nan_spectrum():
+    # abs(nan - 1) > tol is False, so a NaN weight once slipped through
+    with pytest.raises(DomainError):
+        EnvState(dim=3, spectrum=np.array([0.5, np.nan, 0.5]), basis=np.eye(3, dtype=complex))
+

@@ -167,6 +167,12 @@ def test_degenerate_denominator_rejected():
         FixedPointSpec(a=np.diag([2.0, 0.0]).astype(complex), v=v)
 
 
+def test_nan_reference_vector_rejected():
+    # abs(nan - 1) > slack is False, so a NaN v once passed the norm check
+    with pytest.raises(DimensionError):
+        FixedPointSpec(a=np.eye(2, dtype=complex), v=np.array([np.nan, 0.0], dtype=complex))
+
+
 def test_scalar_observable_is_allowed():
     # A = c*I hits the degenerate denominator but the singular term vanishes
     v = random_unit(rng_for(208), 3)

@@ -2,8 +2,9 @@ import json
 import math
 
 import numpy as np
+import pytest
 
-from cpumap import serialize as ser
+from cpumap import DomainError, serialize as ser
 from cpumap.cli import main, parse_grid
 
 from conftest import random_density, rng_for
@@ -220,6 +221,26 @@ def test_bad_grid_is_validation_error(tmp_path, capsys):
     assert code == 2
     err, _ = read_error(capsys)
     assert err["error"] == "domain"
+
+
+def test_non_numeric_grid_is_validation_error(capsys):
+    with pytest.raises(DomainError):
+        parse_grid("a:b:3")
+    with pytest.raises(DomainError):
+        parse_grid("0:1:2.5")
+    code = main(["metric-profile", "--M", "1", "--grid", "a:b:3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "domain"
+    assert captured.out == ""
+
+
+def test_nan_mass_is_validation_error(capsys):
+    code = main(["metric-profile", "--M", "nan", "--grid", "0:1:3"])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "domain"
 
 
 def test_output_determinism(tmp_path):

@@ -19,7 +19,7 @@ from cpumap import (
     unitality_residual,
 )
 from cpumap.dual_map import complete_basis
-from cpumap.linalg import max_abs
+from cpumap.linalg import eig_hermitian, max_abs
 
 from conftest import (
     hermitian_basis,
@@ -161,7 +161,7 @@ def test_representation_equivalence_on_basis():
 
 
 def test_choi_from_kraus_identity_channel():
-    k = KrausSet(dim=3, ops=(("B0", np.eye(3, dtype=complex)),))
+    k = KrausSet.from_ops(3, [("B0", np.eye(3, dtype=complex))])
     z = choi_from_kraus(k)
     rng = rng_for(311)
     b = random_hermitian(rng, 3)
@@ -176,7 +176,7 @@ def test_choi_from_kraus_replacement_family():
         m = np.zeros((n, n), dtype=complex)
         m[k_idx, 0] = 1.0
         ops.append((f"E{k_idx},0", m))
-    kset = KrausSet(dim=n, ops=tuple(ops))
+    kset = KrausSet.from_ops(n, ops)
     rng = rng_for(312)
     b = random_hermitian(rng, n)
     # explicit loop oracle
@@ -292,4 +292,61 @@ def test_evolve_linear_validates_inputs():
 
 def test_kraus_set_validates_shapes():
     with pytest.raises(DimensionError):
-        KrausSet(dim=2, ops=(("B0", np.eye(3)),))
+        KrausSet.from_ops(2, [("B0", np.eye(3))])
+    with pytest.raises(DimensionError):
+        KrausSet(dim=2, stack=np.zeros((2, 2, 2)), tags=("B0",))  # one tag, two ops
+    with pytest.raises(DimensionError):
+        KrausSet.from_ops(2, [("B0", np.array([[np.nan, 0.0], [0.0, 1.0]]))])
+
+
+def test_kraus_set_ops_are_views_of_the_stack():
+    k = kraus_from_fixed_point(pencil_spec(rng_for(321), 3))
+    assert k.stack.shape == (9, 3, 3) and len(k.tags) == 9
+    for (tag, op), want_tag, want_op in zip(k.ops, k.tags, k.stack):
+        assert tag == want_tag
+        assert np.shares_memory(op, k.stack) and np.array_equal(op, want_op)
+    assert all(np.shares_memory(m, k.stack) for m in k.matrices())
+    with pytest.raises(ValueError):
+        k.stack[0, 0, 0] = 1.0
+
+
+def loop_kraus_from_fixed_point(spec):
+    """The per-operator construction: one outer product per (tag, operator)."""
+    n, e, t = spec.dim, spec.expectation, spec.trace
+    avals, avecs = eig_hermitian(spec.a)
+    if spec.is_scalar:
+        z, w = np.ones(n), np.zeros(n)
+    else:
+        denom = n / t - 1.0 / e
+        z = avals / e + (1.0 - avals / e) * (1.0 / t - 1.0 / e) / denom
+        w = (1.0 - avals / e) / (denom * t)
+    z, w = np.clip(z, 0.0, None), np.clip(w, 0.0, None)
+    basis = complete_basis(spec.v)
+    ops = [(f"B{i}", np.sqrt(z[i]) * np.outer(avecs[:, i], basis[0].conj())) for i in range(n)]
+    for i in range(n):
+        for j in range(1, n):
+            ops.append((f"C{i},{j}", np.sqrt(w[i]) * np.outer(avecs[:, i], basis[j].conj())))
+    return ops
+
+
+def test_kraus_from_fixed_point_equals_outer_product_loop():
+    rng = rng_for(322)
+    for n in (2, 3, 4, 8):
+        specs = [pencil_spec(rng, n), pencil_spec(rng, n, bottom=True),
+                 FixedPointSpec(a=2.0 * np.eye(n, dtype=complex), v=random_unit(rng, n))]
+        for spec in specs:
+            k = kraus_from_fixed_point(spec)
+            want = loop_kraus_from_fixed_point(spec)
+            assert k.tags == tuple(tag for tag, _ in want)
+            assert all(np.array_equal(op, m) for op, (_, m) in zip(k.stack, want))
+
+
+def test_choi_from_kraus_equals_outer_product_sum():
+    rng = rng_for(323)
+    for n in (2, 3, 5, 8, 16):
+        k = kraus_from_fixed_point(pencil_spec(rng, n))
+        oracle = np.zeros((n * n, n * n), dtype=complex)
+        for op in k.matrices():
+            u = op.reshape(-1)
+            oracle += np.outer(u, u.conj())
+        assert max_abs(choi_from_kraus(k).matrix - oracle) < 1e-12

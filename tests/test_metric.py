@@ -123,6 +123,24 @@ def test_metric_params_validation():
         make_params(grid=(-1.0, 1.0))
 
 
+def test_metric_params_rejects_nan_mass():
+    with pytest.raises(DomainError):
+        make_params(M=float("nan"))
+
+
+def test_metric_params_rejects_infinite_offset():
+    # r0 = inf once gave an all-zero profile without complaint
+    with pytest.raises(DomainError):
+        make_params(r0=float("inf"))
+
+
+def test_metric_params_rejects_nan_grid():
+    with pytest.raises(DomainError):
+        make_params(grid=(0.0, float("nan"), 2.0))
+    with pytest.raises(DomainError):
+        make_params(grid=(float("nan"), 1.0))
+
+
 def test_build_profile_basic():
     params = make_params()
     profile = build_profile(params)
