@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -23,6 +24,8 @@ from .choi import ChoiMatrix, FixedPointSpec, build_fixed_point_choi, check_fixe
 from .dual_map import apply_dual_choi, apply_dual_kraus, evolve_linear, kraus_from_fixed_point, unitality_residual
 from .errors import CpuMapError, DomainError
 from .serialize import dumps, fmt
+
+MAX_GRID_POINTS = 10**7
 
 
 class _UsageError(Exception):
@@ -63,8 +66,10 @@ def parse_grid(spec: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError:
         raise DomainError(f"grid must be start:stop:count numbers, got {spec!r}") from None
-    if count < 1:
-        raise DomainError(f"grid count must be >= 1, got {count}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise DomainError(f"grid endpoints must be finite, got {spec!r}")
+    if not 1 <= count <= MAX_GRID_POINTS:
+        raise DomainError(f"grid count must be in [1, {MAX_GRID_POINTS}], got {count}")
     if count == 1:
         return np.array([start])
     return np.linspace(start, stop, count)

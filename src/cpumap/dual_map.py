@@ -215,8 +215,8 @@ def _validate_times(times) -> np.ndarray:
     t = np.asarray(times, dtype=float).reshape(-1)
     if t.size == 0:
         raise DomainError("times vector is empty")
-    if t[0] < 0 or np.any(np.diff(t) < 0):
-        raise DomainError("times must be ascending and nonnegative")
+    if not (np.all(np.isfinite(t)) and t[0] >= 0 and np.all(np.diff(t) >= 0)):
+        raise DomainError("times must be finite, ascending and nonnegative")
     return t
 
 

@@ -1,16 +1,12 @@
 """Deterministic self-test suite behind the ``cpumap selftest`` command.
 
-Every check is seeded, so two runs with the same seed produce
-byte-identical reports.  Worker parallelism (capped by CPUMAP_THREADS)
-only distributes independent instances; results are aggregated in
-instance order and do not depend on scheduling.
+Every check is seeded and runs its instances serially in a fixed order,
+so two runs with the same seed produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -42,14 +38,6 @@ EQUIVALENCE_DIMS = (2, 3, 4, 8)
 EQUIVALENCE_PER_DIM = 260
 BATTERY_DIMS = (4, 8, 16)
 BATTERY_PAIRS_PER_DIM = 34
-
-
-def thread_count() -> int:
-    """Worker cap from CPUMAP_THREADS (default 1: fully serial)."""
-    try:
-        return max(1, int(os.environ.get("CPUMAP_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _rng(*key: int) -> np.random.Generator:
@@ -117,8 +105,7 @@ def equivalence_spec(seed: int, n: int, idx: int) -> FixedPointSpec:
     raise RuntimeError(f"no valid instance for seed={seed} n={n} idx={idx}")
 
 
-def _equivalence_instance(args):
-    seed, n, idx = args
+def _equivalence_instance(seed: int, n: int, idx: int):
     spec = equivalence_spec(seed, n, idx)
     z = build_fixed_point_choi(spec)
     lower_ok, upper_ok = positivity_bounds(spec)
@@ -126,27 +113,19 @@ def _equivalence_instance(args):
     return agree, check_unital(z), max_abs(apply_dual_choi(z, spec.a) - spec.a)
 
 
-def _map_ordered(fn, items, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def check_equivalence(seed: int, threads: int):
-    jobs = [
-        (seed, n, idx)
+def check_equivalence(seed: int):
+    results = [
+        _equivalence_instance(seed, n, idx)
         for n in EQUIVALENCE_DIMS
         for idx in range(EQUIVALENCE_PER_DIM)
     ]
-    results = _map_ordered(_equivalence_instance, jobs, threads)
     bad = sum(1 for agree, _, _ in results if not agree)
     max_unital = max(r[1] for r in results)
     max_fixed = max(r[2] for r in results)
     lines = [
         _line(
             bad == 0,
-            f"positivity-equivalence instances={len(jobs)} counterexamples={bad}",
+            f"positivity-equivalence instances={len(results)} counterexamples={bad}",
         ),
         _line(
             max_unital < 1e-9 and max_fixed < 1e-9,
@@ -322,11 +301,10 @@ def _line(ok: bool, detail: str) -> str:
     return f"{'PASS' if ok else 'FAIL'} {detail}"
 
 
-def run_selftest(seed: int = 42, threads: int | None = None) -> tuple[str, bool]:
+def run_selftest(seed: int = 42) -> tuple[str, bool]:
     """Run every check; returns (report text, all passed)."""
-    threads = thread_count() if threads is None else max(1, threads)
     lines: list[str] = [f"cpumap selftest seed={seed}"]
-    lines += check_equivalence(seed, threads)
+    lines += check_equivalence(seed)
     lines += check_idempotence(seed)
     lines += check_kraus_roundtrip(seed)
     lines += check_battery_oracle(seed)

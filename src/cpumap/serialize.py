@@ -15,13 +15,16 @@ import numpy as np
 from .battery import EnvState
 from .choi import ChoiMatrix, FixedPointSpec
 from .dual_map import EvolutionTrace, KrausSet
-from .errors import DimensionError
+from .errors import CpuMapError, DimensionError
 from .metric import MetricProfile
+
+
+FLOAT_FORMAT = "%.17g"
 
 
 def fmt(x: float) -> str:
     """17-significant-digit decimal form of a float."""
-    return format(float(x), ".17g")
+    return FLOAT_FORMAT % float(x)
 
 
 def _emit(obj) -> str:
@@ -30,13 +33,16 @@ def _emit(obj) -> str:
         inner = ",".join(f"{json.dumps(k)}:{_emit(v)}" for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) == {float}:
+            # a run of plain floats is formatted by one C-level call
+            return "[" + ",".join([FLOAT_FORMAT] * len(obj)) % tuple(obj) + "]"
         return "[" + ",".join(_emit(v) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return fmt(float(obj))
+        return fmt(obj)
     if obj is None:
         return "null"
     return json.dumps(obj)
@@ -49,6 +55,33 @@ def dumps(obj) -> str:
 
 # --- matrices and vectors ------------------------------------------------
 
+def _field(obj, field: str):
+    try:
+        return obj[field]
+    except TypeError:
+        raise CpuMapError(f"payload holding {field!r} must be a JSON object") from None
+
+
+def _count(obj, field: str) -> int:
+    """Decode a nonnegative integer field such as ``rows`` or ``dim``."""
+    value = _field(obj, field)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise CpuMapError(f"{field!r} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def _floats(obj, field: str) -> np.ndarray:
+    """Decode a numeric list field; a string, null or ragged entry is a CpuMapError."""
+    value = _field(obj, field)
+    try:
+        a = np.asarray(value)
+    except ValueError:
+        a = None
+    if a is None or a.dtype.kind not in "biuf":
+        raise CpuMapError(f"{field!r} holds a non-numeric or null entry")
+    return a.astype(float, copy=False)
+
+
 def matrix_to_json(m) -> dict:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
@@ -56,15 +89,14 @@ def matrix_to_json(m) -> dict:
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "re": [float(x) for x in a.real.reshape(-1)],
-        "im": [float(x) for x in a.imag.reshape(-1)],
+        "re": a.real.reshape(-1).tolist(),
+        "im": a.imag.reshape(-1).tolist(),
     }
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    rows, cols = _count(obj, "rows"), _count(obj, "cols")
+    re, im = _floats(obj, "re"), _floats(obj, "im")
     if re.size != rows * cols or im.size != rows * cols:
         raise DimensionError(
             f"matrix payload has {re.size}/{im.size} entries, expected {rows * cols}"
@@ -74,12 +106,11 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 def vector_to_json(v) -> dict:
     a = np.asarray(v, dtype=complex).reshape(-1)
-    return {"re": [float(x) for x in a.real], "im": [float(x) for x in a.imag]}
+    return {"re": a.real.tolist(), "im": a.imag.tolist()}
 
 
 def vector_from_json(obj: dict) -> np.ndarray:
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    re, im = _floats(obj, "re"), _floats(obj, "im")
     if re.size != im.size:
         raise DimensionError("vector re/im lengths differ")
     return re + 1j * im
@@ -102,7 +133,7 @@ def choi_to_json(z: ChoiMatrix) -> dict:
 
 
 def choi_from_json(obj: dict) -> ChoiMatrix:
-    return ChoiMatrix(dim=int(obj["dim"]), matrix=matrix_from_json(obj))
+    return ChoiMatrix(dim=_count(obj, "dim"), matrix=matrix_from_json(obj))
 
 
 def kraus_to_json(k: KrausSet) -> dict:
@@ -113,11 +144,13 @@ def kraus_to_json(k: KrausSet) -> dict:
 
 
 def kraus_from_json(obj: dict) -> KrausSet:
-    n = int(obj["dim"])
-    entries = obj["ops"]
+    n = _count(obj, "dim")
+    entries = _field(obj, "ops")
+    if not isinstance(entries, list):
+        raise CpuMapError(f"'ops' must be a list of operators, got {type(entries).__name__}")
     stack = np.empty((len(entries), n, n), dtype=complex)
     for k, entry in enumerate(entries):
-        m = matrix_from_json(entry["matrix"])
+        m = matrix_from_json(_field(entry, "matrix"))
         if m.shape != (n, n):
             raise DimensionError(
                 f"operator {entry['tag']!r} has shape {m.shape}, expected {(n, n)}"
@@ -129,15 +162,15 @@ def kraus_from_json(obj: dict) -> KrausSet:
 def env_to_json(env: EnvState) -> dict:
     return {
         "d": int(env.dim),
-        "spectrum": [float(s) for s in env.spectrum],
+        "spectrum": env.spectrum.tolist(),
         "V": matrix_to_json(env.basis),
     }
 
 
 def env_from_json(obj: dict) -> EnvState:
     return EnvState(
-        dim=int(obj["d"]),
-        spectrum=np.asarray(obj["spectrum"], dtype=float),
+        dim=_count(obj, "d"),
+        spectrum=_floats(obj, "spectrum"),
         basis=matrix_from_json(obj["V"]),
     )
 
@@ -153,8 +186,8 @@ def trace_to_csv(trace: EvolutionTrace) -> str:
 
 def trace_to_json(trace: EvolutionTrace) -> dict:
     return {
-        "times": [float(t) for t in trace.times],
-        "values": [float(x) for x in trace.values],
+        "times": trace.times.tolist(),
+        "values": trace.values.tolist(),
         "phi": float(trace.phi_fit),
     }
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,13 @@ def test_battery_config_validation():
             BatteryConfig(d=3, env=env, rho0=random_density(rng_for(417), 3)),
             [1.0, 0.0],
         )
+
+
+@pytest.mark.parametrize("times", [[0.0, math.nan], [math.nan, 1.0], [0.0, math.inf]])
+def test_simulate_charging_rejects_non_finite_times(times):
+    cfg = BatteryConfig(d=3, env=random_env(rng_for(418), 3), rho0=random_density(rng_for(419), 3))
+    with pytest.raises(DomainError):
+        simulate_charging(cfg, times)
 
 
 def test_alignment_unitary_endpoints():

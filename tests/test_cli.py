@@ -1,11 +1,12 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from cpumap import DomainError, serialize as ser
-from cpumap.cli import main, parse_grid
+from cpumap.cli import MAX_GRID_POINTS, main, parse_grid
 
 from conftest import random_density, rng_for
 
@@ -250,3 +251,81 @@ def test_output_determinism(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def test_choi_and_kraus_outputs_match_golden_files(tmp_path):
+    a_path, v_path = str(DATA / "golden_n3_A.json"), str(DATA / "golden_n3_v.json")
+    z_path, k_path = tmp_path / "z.json", tmp_path / "k.json"
+    assert main(["choi-build", "--A", a_path, "--v", v_path, "--out", str(z_path)]) == 0
+    assert main(["kraus-extract", "--A", a_path, "--v", v_path, "--out", str(k_path)]) == 0
+    assert z_path.read_bytes() == (DATA / "golden_n3_choi.json").read_bytes()
+    assert k_path.read_bytes() == (DATA / "golden_n3_kraus.json").read_bytes()
+
+
+def assert_one_error_line(capsys, code):
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == code
+    assert captured.out == ""
+
+
+def cli_inputs(tmp_path):
+    """Valid files for map-apply, battery-sim and evolve on a 2-level system."""
+    a_path, v_path = write_spec_files(
+        tmp_path, np.diag([2.0, 1.0]).astype(complex), np.array([1.0, 0.0], dtype=complex)
+    )
+    z_path = tmp_path / "z.json"
+    assert main(["choi-build", "--A", a_path, "--v", v_path, "--out", str(z_path)]) == 0
+    env_path = tmp_path / "env.json"
+    write_json(env_path, {"d": 2, "spectrum": [0.0, 1.0], "V": ser.matrix_to_json(np.eye(2))})
+    rho_path = tmp_path / "rho.json"
+    write_json(rho_path, ser.matrix_to_json(random_density(rng_for(703), 2)))
+    return {"A": a_path, "Z": str(z_path), "env": str(env_path), "rho": str(rho_path)}
+
+
+def payload_commands(paths, bad, times="0:1:3"):
+    """Each command that reads a user matrix, with ``bad`` as that matrix."""
+    return {
+        "map-apply": ["map-apply", "--Z", paths["Z"], "--B", bad],
+        "battery-sim": ["battery-sim", "--env", paths["env"], "--rho0", bad, "--times", times],
+        "evolve": ["evolve", "--Z", paths["Z"], "--A0", paths["A"], "--rho", bad, "--times", times],
+    }
+
+
+@pytest.mark.parametrize("command", ["map-apply", "battery-sim", "evolve"])
+@pytest.mark.parametrize(
+    "change",
+    [{"re": ["x", 0.0, 0.0, 0.5]}, {"im": [0.0, None, 0.0, 0.0]}, {"rows": "x"}],
+    ids=["string-entry", "null-entry", "string-rows"],
+)
+def test_non_numeric_payload_is_one_json_line(tmp_path, capsys, command, change):
+    paths = cli_inputs(tmp_path)
+    bad_path = tmp_path / "bad.json"
+    write_json(bad_path, dict(ser.matrix_to_json(np.diag([0.5, 0.5])), **change))
+    capsys.readouterr()
+    assert main(payload_commands(paths, str(bad_path))[command]) == 2
+    assert_one_error_line(capsys, "invalid")
+
+
+@pytest.mark.parametrize("command", ["battery-sim", "evolve"])
+@pytest.mark.parametrize("times", ["nan:1:3", "0:inf:3", "0:1:100000000000"])
+def test_bad_time_grid_is_domain_error_before_allocation(tmp_path, capsys, monkeypatch, command, times):
+    paths = cli_inputs(tmp_path)
+    capsys.readouterr()
+
+    def no_linspace(*args, **kwargs):
+        raise AssertionError("grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", no_linspace)
+    assert main(payload_commands(paths, paths["rho"], times)[command]) == 2
+    assert_one_error_line(capsys, "domain")
+
+
+def test_parse_grid_caps_count():
+    with pytest.raises(DomainError):
+        parse_grid(f"0:1:{MAX_GRID_POINTS + 1}")
+    with pytest.raises(DomainError):
+        parse_grid("-inf:1:1")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,19 @@ def test_evolve_linear_validates_inputs():
         evolve_linear(z, a0, rho, [1.0, 0.5])
     with pytest.raises(DomainError):
         evolve_linear(z, a0, rho, [-1.0, 0.5])
+
+
+@pytest.mark.parametrize("times", [[0.0, math.nan], [math.nan, 1.0], [0.0, math.inf]])
+def test_evolve_rejects_non_finite_times(times):
+    rng = rng_for(321)
+    spec = random_spec(rng, 2)
+    z = build_fixed_point_choi(spec)
+    a0 = random_hermitian(rng, 2)
+    rho = random_density(rng, 2)
+    with pytest.raises(DomainError):
+        evolve_linear(z, a0, rho, times)
+    with pytest.raises(DomainError):
+        evolve_linear_euler(z, a0, rho, times)
 
 
 def test_kraus_set_validates_shapes():

@@ -5,6 +5,7 @@ import pytest
 
 from cpumap import (
     BatteryConfig,
+    CpuMapError,
     DimensionError,
     EnvState,
     FixedPointSpec,
@@ -136,3 +137,73 @@ def test_dumps_deterministic_and_parseable():
     assert s1 == s2
     parsed = json.loads(s1)
     assert parsed["b"]["c"] == 1.0 / 3.0
+
+
+def _per_element_dumps(values):
+    """The per-float emission that the array fast path replaces."""
+    return "[" + ",".join(
+        "null" if x is None
+        else ("true" if x else "false") if isinstance(x, bool)
+        else str(int(x)) if isinstance(x, (int, np.integer))
+        else ser.fmt(x)
+        for x in values
+    ) + "]\n"
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [-0.0, 5e-324, 1e17, 1.0 / 3.0, 1e300],
+        [-1e300, 0.0, -5e-324, 2.0**0.5, -1.0 / 3.0, 1e16, 123456789.0],
+        (0.1, 0.2, 0.30000000000000004),
+        [1, 0.5, True, np.float64(1.0 / 3.0), None, -0.0, False, np.float64(-0.0)],
+        [np.float64(5e-324), np.float64(1e17)],
+        [],
+    ],
+)
+def test_dumps_matches_per_element_reference(values):
+    assert ser.dumps(values) == _per_element_dumps(values)
+
+
+def test_matrix_json_bytes_match_per_element_reference():
+    rng = rng_for(603)
+    m = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+    m[0, 0] = complex(-0.0, 5e-324)
+    m[1, 2] = complex(1e17, 1e300)
+    s = ser.dumps(ser.matrix_to_json(m))
+    re = _per_element_dumps([float(x) for x in m.real.reshape(-1)]).rstrip("\n")
+    im = _per_element_dumps([float(x) for x in m.imag.reshape(-1)]).rstrip("\n")
+    assert s == f'{{"rows":4,"cols":5,"re":{re},"im":{im}}}\n'
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"rows": 1, "cols": 2, "re": ["x", 1.0], "im": [0.0, 0.0]}, "re"),
+        ({"rows": 1, "cols": 2, "re": [1.0, 1.0], "im": [0.0, None]}, "im"),
+        ({"rows": "x", "cols": 2, "re": [1.0, 1.0], "im": [0.0, 0.0]}, "rows"),
+        ({"rows": 1, "cols": 2.5, "re": [1.0, 1.0], "im": [0.0, 0.0]}, "cols"),
+        ({"rows": 1, "cols": 2, "re": [[1.0], [1.0, 2.0]], "im": [0.0, 0.0]}, "re"),
+    ],
+)
+def test_matrix_rejects_non_numeric_payload(payload, field):
+    with pytest.raises(CpuMapError, match=repr(field)):
+        ser.matrix_from_json(payload)
+
+
+def test_decoders_reject_malformed_fields():
+    with pytest.raises(CpuMapError, match="'re'"):
+        ser.vector_from_json({"re": [1.0, None], "im": [0.0, 0.0]})
+    env = {"d": 2, "spectrum": [1.0, "0"], "V": ser.matrix_to_json(np.eye(2))}
+    with pytest.raises(CpuMapError, match="'spectrum'"):
+        ser.env_from_json(env)
+    with pytest.raises(CpuMapError, match="'d'"):
+        ser.env_from_json(dict(env, d=None))
+    with pytest.raises(CpuMapError, match="'dim'"):
+        ser.kraus_from_json({"dim": -1, "ops": []})
+    with pytest.raises(CpuMapError, match="JSON object"):
+        ser.matrix_from_json([1.0, 2.0])
+    with pytest.raises(CpuMapError, match="'ops'"):
+        ser.kraus_from_json({"dim": 2, "ops": 5})
+    with pytest.raises(CpuMapError, match="'matrix'"):
+        ser.kraus_from_json({"dim": 2, "ops": [5]})
