@@ -143,7 +143,7 @@ def simulate_charging(cfg: BatteryConfig, times) -> EvolutionTrace:
     """
     t = _validate_times(times)
     slope = cfg.rate * phi(cfg.env)
-    return EvolutionTrace(times=t, values=slope * t, phi_fit=slope, rho=cfg.rho0)
+    return EvolutionTrace.linear(t, slope, cfg.rho0)
 
 
 def alignment_unitary(d: int, theta: float) -> np.ndarray:

@@ -19,6 +19,7 @@ whenever <v|A|v> > tr(A)/N, to the two-sided spectral bound checked by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .linalg import (
     as_matrix,
     ensure_hermitian,
     is_psd,
-    kron,
     max_abs,
     partial_trace_second,
 )
@@ -52,6 +52,9 @@ class FixedPointSpec:
     a degenerate denominator <v|A|v> = tr(A)/N is rejected unless ``a`` is
     itself a multiple of the identity (where the singular term vanishes
     identically).
+
+    The spec owns ``a`` and ``v`` as read-only arrays, so ``trace``,
+    ``expectation`` and ``is_scalar`` are derived once and cannot go stale.
     """
 
     a: np.ndarray
@@ -59,6 +62,8 @@ class FixedPointSpec:
 
     def __post_init__(self):
         a = ensure_hermitian(self.a)
+        if isinstance(self.a, np.ndarray) and np.may_share_memory(a, self.a):
+            a = a.copy()
         v = np.asarray(self.v, dtype=complex).reshape(-1)
         if v.shape[0] != a.shape[0]:
             raise DimensionError(
@@ -68,11 +73,13 @@ class FixedPointSpec:
         if not abs(nrm - 1.0) <= V_NORM_SLACK:  # NaN fails
             raise DimensionError(f"||v|| = {nrm} is not within 1e-6 of 1")
         v = v / nrm
+        a.flags.writeable = False
+        v.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "v", v)
         n = a.shape[0]
-        t = float(np.real(np.trace(a)))
-        e = float(np.real(np.conj(v) @ a @ v))
+        t = self.trace
+        e = self.expectation
         if abs(t) <= SCALAR_TOL:
             raise ZeroTrace("tr(A) is numerically zero")
         if abs(e) <= SCALAR_TOL:
@@ -86,20 +93,20 @@ class FixedPointSpec:
     def dim(self) -> int:
         return self.a.shape[0]
 
-    @property
+    @cached_property
     def trace(self) -> float:
         return float(np.real(np.trace(self.a)))
 
-    @property
+    @cached_property
     def expectation(self) -> float:
         """<v|A|v> (real for Hermitian A)."""
         return float(np.real(np.conj(self.v) @ self.a @ self.v))
 
-    @property
+    @cached_property
     def is_scalar(self) -> bool:
         """True when A is numerically a multiple of the identity."""
         n = self.a.shape[0]
-        t = float(np.real(np.trace(self.a)))
+        t = self.trace
         return max_abs(self.a - (t / n) * np.eye(n)) <= SCALAR_TOL * max(1.0, abs(t))
 
 
@@ -139,12 +146,19 @@ def build_fixed_point_choi(spec: FixedPointSpec) -> ChoiMatrix:
     e = spec.expectation
     t = spec.trace
     proj_t = np.outer(spec.v, spec.v.conj()).T
-    first = kron(spec.a / e, proj_t)
-    if spec.is_scalar:
-        return ChoiMatrix(dim=n, matrix=first, source=spec)
-    denom = n / t - 1.0 / e
-    second = kron((np.eye(n) - spec.a / e) / denom, np.eye(n) / t - proj_t / e)
-    return ChoiMatrix(dim=n, matrix=first + second, source=spec)
+    z = _kron(spec.a / e, proj_t)
+    if not spec.is_scalar:
+        denom = n / t - 1.0 / e
+        # a new sum, not +=: at N = 16 the in-place form left later steps
+        # page-faulting on fresh memory and ran slower
+        z = z + _kron((np.eye(n) - spec.a / e) / denom, np.eye(n) / t - proj_t / e)
+    return ChoiMatrix(dim=n, matrix=z, source=spec)
+
+
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.kron of two N x N arrays as one broadcast: z[i, k, j, l] = x[i, j] * y[k, l]."""
+    n = x.shape[0]
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(n * n, n * n)
 
 
 def check_unital(z: ChoiMatrix) -> float:
@@ -181,11 +195,11 @@ def positivity_bounds(spec: FixedPointSpec, tol: float = BOUND_TOL) -> tuple[boo
     e = spec.expectation
     t = spec.trace
     lower_shift = (t - e) / (n - 1)
-    lower_ok = bool(
-        np.min(np.linalg.eigvalsh(spec.a - lower_shift * np.eye(n))) >= -tol
-    )
-    upper_ok = bool(np.min(np.linalg.eigvalsh(e * np.eye(n) - spec.a)) >= -tol)
-    return lower_ok, upper_ok
+    pair = np.empty((2, n, n), dtype=complex)
+    pair[0] = spec.a - lower_shift * np.eye(n)
+    pair[1] = e * np.eye(n) - spec.a
+    lower_min, upper_min = np.min(np.linalg.eigvalsh(pair), axis=1)
+    return bool(lower_min >= -tol), bool(upper_min >= -tol)
 
 
 def choi_is_psd(z: ChoiMatrix, tol: float = 1e-8) -> bool:

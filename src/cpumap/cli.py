@@ -26,6 +26,7 @@ from .errors import CpuMapError, DomainError
 from .serialize import dumps, fmt
 
 MAX_GRID_POINTS = 10**7
+FLOAT_FLAGS = ("tolerance", "rate", "M", "r0")
 
 
 class _UsageError(Exception):
@@ -73,6 +74,14 @@ def parse_grid(spec: str) -> np.ndarray:
     if count == 1:
         return np.array([start])
     return np.linspace(start, stop, count)
+
+
+def _check_finite_flags(args) -> None:
+    """Reject a non-finite value of any float flag the subcommand has."""
+    for name in FLOAT_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"--{name} must be finite, got {value}")
 
 
 def _load_spec(a_path: str, v_path: str) -> FixedPointSpec:
@@ -251,6 +260,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_finite_flags(args)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         _emit_error("usage", str(exc))

@@ -95,6 +95,15 @@ class EvolutionTrace:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def linear(cls, times: np.ndarray, slope: float, rho: np.ndarray) -> "EvolutionTrace":
+        """The trace <A(t)> = slope * t; DomainError where a value overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = slope * times
+        if not np.all(np.isfinite(values)):
+            raise DomainError(f"slope {slope} over times up to {times[-1]} overflows the float range")
+        return cls(times=times, values=values, phi_fit=slope, rho=rho)
+
 
 def apply_dual_choi(z: ChoiMatrix, b) -> np.ndarray:
     """Evaluate tr_2[Z (I (x) B^T)]; Hermitian output for Hermitian input."""
@@ -233,7 +242,7 @@ def evolve_linear(z: ChoiMatrix, a0, rho, times, rate: float = 1.0) -> Evolution
     t = _validate_times(times)
     generator = apply_dual_choi(z, a0)
     slope = rate * float(np.real(np.trace(rho @ generator)))
-    return EvolutionTrace(times=t, values=slope * t, phi_fit=slope, rho=rho)
+    return EvolutionTrace.linear(t, slope, rho)
 
 
 def evolve_linear_euler(z: ChoiMatrix, a0, rho, times, rate: float = 1.0) -> np.ndarray:

@@ -17,6 +17,8 @@ import numpy as np
 from .battery import EnvState
 from .errors import DimensionError, DomainError
 
+MAX_TRUNCATION = 1024  # largest d; each grid point allocates d x d matrices
+
 
 @dataclass(frozen=True)
 class MetricParams:
@@ -32,14 +34,20 @@ class MetricParams:
             raise DomainError(f"mass must be positive and finite, got {self.M}")
         if not (math.isfinite(self.r0) and self.r0 > 0):
             raise DomainError(f"offset r0 must be positive and finite, got {self.r0}")
-        if self.d < 2:
-            raise DimensionError(f"need truncation d >= 2, got {self.d}")
+        _check_truncation(self.d)
         grid = np.asarray(self.r_grid, dtype=float).reshape(-1)
         if grid.size == 0:
             raise DomainError("radial grid is empty")
         if not (grid[0] >= 0 and np.all(np.diff(grid) >= 0)):  # NaN fails
             raise DomainError("radial grid must be ascending and nonnegative")
         object.__setattr__(self, "r_grid", grid)
+
+
+def _check_truncation(d: int) -> None:
+    if d < 2:
+        raise DimensionError(f"need truncation d >= 2, got {d}")
+    if d > MAX_TRUNCATION:
+        raise DimensionError(f"truncation d must be at most {MAX_TRUNCATION}, got {d}")
 
 
 def default_r0(M: float) -> float:
@@ -65,10 +73,20 @@ class MetricProfile:
 
 
 def dilation_factor(r: float, M: float) -> float:
-    """Kruskal-form dilation factor 32 M^3 exp(-r/2M) / r."""
+    """Kruskal-form dilation factor 32 M^3 exp(-r/2M) / r.
+
+    Raises DomainError where the factor overflows the float range.
+    """
     if r <= 0 or M <= 0:
         raise DomainError(f"need r > 0 and M > 0, got r={r}, M={M}")
-    return 32.0 * M**3 * math.exp(-r / (2.0 * M)) / r
+    try:
+        cube = M**3
+    except OverflowError:
+        cube = math.inf
+    factor = 32.0 * cube * math.exp(-r / (2.0 * M)) / r
+    if not math.isfinite(factor):
+        raise DomainError(f"dilation factor at r={r}, M={M} is not finite")
+    return factor
 
 
 def offset_factor(r: float, params: MetricParams) -> float:
@@ -86,8 +104,7 @@ def synth_env(target_phi: float, d: int) -> tuple[EnvState, bool]:
     """
     if target_phi < 0:
         raise DomainError(f"target phi must be nonnegative, got {target_phi}")
-    if d < 2:
-        raise DimensionError(f"need d >= 2, got {d}")
+    _check_truncation(d)
     spectrum = np.zeros(d)
     eye = np.eye(d, dtype=complex)
     if target_phi > d - 1:

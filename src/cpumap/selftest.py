@@ -192,6 +192,19 @@ def check_kraus_roundtrip(seed: int):
     ]
 
 
+def swap_conjugate(u: np.ndarray, joint: np.ndarray) -> np.ndarray:
+    """U J U^dagger for the real swap unitary U, in real arithmetic.
+
+    The real and imaginary parts of J are conjugated separately into one
+    complex array; since U's entries are 0 and 1 this equals the complex
+    product entry for entry.
+    """
+    out = np.empty(joint.shape, dtype=complex)
+    out.real = u @ joint.real @ u.T
+    out.imag = u @ joint.imag @ u.T
+    return out
+
+
 def check_battery_oracle(seed: int):
     worst = 0.0
     pairs = 0
@@ -203,7 +216,7 @@ def check_battery_oracle(seed: int):
             env = _random_env(rng, d)
             rho = _random_density(rng, d)
             sigma = env.sigma_fock()
-            oracle = partial_trace_second(u @ np.kron(rho, sigma) @ u.conj().T, d, d)
+            oracle = partial_trace_second(swap_conjugate(u, np.kron(rho, sigma)), d, d)
             k = env_kraus(env)
             primal = np.zeros((d, d), dtype=complex)
             for op in k.matrices():

@@ -34,7 +34,7 @@ from cpumap import (
     unitality_residual,
 )
 from cpumap.linalg import max_abs
-from cpumap.selftest import equivalence_spec, pencil_spec
+from cpumap.selftest import equivalence_spec, pencil_spec, run_selftest
 
 from conftest import random_density, random_hermitian, rng_for
 
@@ -230,15 +230,16 @@ def test_criterion_8_metric_profile():
 
 
 def test_criterion_9_selftest_determinism():
+    report_text, passed = run_selftest(42)
+    in_process = report_text.encode()
     cmd = [sys.executable, "-m", "cpumap", "selftest", "--seed", "42"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
-    identical = first.stdout == second.stdout
+    run = subprocess.run(cmd, capture_output=True)
+    identical = run.stdout == in_process
     committed = (Path(__file__).parent / "data" / "selftest_seed42.txt").read_bytes()
-    unchanged = first.stdout == committed
+    unchanged = run.stdout == committed
     report(
-        first.returncode == 0 and second.returncode == 0 and identical and unchanged,
+        passed and run.returncode == 0 and identical and unchanged,
         "criterion-9 selftest determinism",
-        f"exit codes {first.returncode}/{second.returncode}, byte-identical={identical}, "
+        f"in-process passed={passed}, exit code {run.returncode}, byte-identical={identical}, "
         f"matches tests/data/selftest_seed42.txt={unchanged}",
     )

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,16 @@ def test_swap_unitary_involution():
         u = swap_unitary(d)
         assert np.array_equal(u @ u, np.eye(d * d))
         assert np.array_equal(u, u.conj().T)
+
+
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_swap_conjugate_equals_complex_product(d):
+    from cpumap.selftest import swap_conjugate
+
+    rng = rng_for(331, d)
+    u = swap_unitary(d)
+    joint = np.kron(random_density(rng, d), random_env(rng, d).sigma_fock())
+    assert np.array_equal(swap_conjugate(u, joint), u @ joint @ u.conj().T)
 
 
 def test_env_kraus_pure_aligned_replacement():
@@ -278,6 +289,16 @@ def test_simulate_charging_rejects_non_finite_times(times):
     cfg = BatteryConfig(d=3, env=random_env(rng_for(418), 3), rho0=random_density(rng_for(419), 3))
     with pytest.raises(DomainError):
         simulate_charging(cfg, times)
+
+
+def test_simulate_charging_rejects_overflowing_trajectory():
+    cfg = BatteryConfig(
+        d=3, env=random_env(rng_for(418), 3), rho0=random_density(rng_for(419), 3), rate=1e300
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            simulate_charging(cfg, [0.0, 1e300])
 
 
 def test_alignment_unitary_endpoints():

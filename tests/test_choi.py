@@ -197,3 +197,71 @@ def test_v_length_mismatch():
             a=np.diag([2.0, 1.0]).astype(complex),
             v=np.array([1.0, 0.0, 0.0], dtype=complex),
         )
+
+
+def kron_reference_choi(spec):
+    """The Choi matrix as two np.kron terms, the form the broadcast replaces."""
+    n, e, t = spec.dim, spec.expectation, spec.trace
+    proj_t = np.outer(spec.v, spec.v.conj()).T
+    first = np.kron(spec.a / e, proj_t)
+    if spec.is_scalar:
+        return first
+    denom = n / t - 1.0 / e
+    return first + np.kron((np.eye(n) - spec.a / e) / denom, np.eye(n) / t - proj_t / e)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+@pytest.mark.parametrize("kind", ["pencil", "scalar", "random"])
+def test_build_matches_kron_reference_bitwise(n, kind):
+    rng = rng_for(251, n)
+    if kind == "pencil":
+        spec = pencil_spec(rng, n)
+    elif kind == "scalar":
+        spec = FixedPointSpec(a=1.7 * np.eye(n, dtype=complex), v=random_unit(rng, n))
+    else:
+        spec = random_spec(rng, n)
+    assert spec.is_scalar == (kind == "scalar")
+    assert np.array_equal(build_fixed_point_choi(spec).matrix, kron_reference_choi(spec))
+
+
+def test_spec_derived_values_equal_formulas():
+    rng = rng_for(252)
+    for n in (2, 3, 8):
+        for spec in (random_spec(rng, n), pencil_spec(rng, n)):
+            a, v = spec.a, spec.v
+            t = float(np.real(np.trace(a)))
+            assert spec.trace == t
+            assert spec.expectation == float(np.real(np.conj(v) @ a @ v))
+            assert spec.is_scalar == (
+                max_abs(a - (t / n) * np.eye(n)) <= 1e-12 * max(1.0, abs(t))
+            )
+
+
+def test_spec_owns_read_only_arrays():
+    rng = rng_for(253)
+    a = random_hermitian(rng, 3)
+    v = random_unit(rng, 3)
+    spec = FixedPointSpec(a=a, v=v)
+    before = (spec.a.copy(), spec.trace, spec.expectation, spec.is_scalar)
+    a[:] = np.eye(3)
+    v[:] = 0.0
+    assert np.array_equal(spec.a, before[0])
+    assert (spec.trace, spec.expectation, spec.is_scalar) == before[1:]
+    assert np.array_equal(build_fixed_point_choi(spec).matrix, kron_reference_choi(spec))
+    with pytest.raises(ValueError):
+        spec.a[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        spec.v[0] = 1.0
+
+
+def test_bounds_equal_separate_eigvalsh_calls():
+    from cpumap.selftest import EQUIVALENCE_DIMS, EQUIVALENCE_PER_DIM, equivalence_spec
+
+    for n in EQUIVALENCE_DIMS:
+        for idx in range(EQUIVALENCE_PER_DIM):
+            spec = equivalence_spec(42, n, idx)
+            e, t = spec.expectation, spec.trace
+            shift = (t - e) / (n - 1)
+            lower = np.min(np.linalg.eigvalsh(spec.a - shift * np.eye(n))) >= -1e-9
+            upper = np.min(np.linalg.eigvalsh(e * np.eye(n) - spec.a)) >= -1e-9
+            assert positivity_bounds(spec) == (bool(lower), bool(upper))

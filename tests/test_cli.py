@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from cpumap import DomainError, serialize as ser
+from cpumap import ChoiMatrix, DomainError, serialize as ser
 from cpumap.cli import MAX_GRID_POINTS, main, parse_grid
 
 from conftest import random_density, rng_for
@@ -329,3 +329,57 @@ def test_parse_grid_caps_count():
         parse_grid(f"0:1:{MAX_GRID_POINTS + 1}")
     with pytest.raises(DomainError):
         parse_grid("-inf:1:1")
+
+
+def flag_commands(paths):
+    """One command per float flag, each valid apart from that flag."""
+    return {
+        "tolerance": ["choi-check", "--Z", paths["Z"], "--A", paths["A"]],
+        "evolve-rate": ["evolve", "--Z", paths["Z"], "--A0", paths["A"], "--rho", paths["rho"], "--times", "0:1:3"],
+        "battery-sim-rate": ["battery-sim", "--env", paths["env"], "--times", "0:1:3"],
+        "M": ["metric-profile", "--grid", "0:1:3"],
+        "r0": ["metric-profile", "--M", "1", "--grid", "0:1:3"],
+    }
+
+
+@pytest.mark.parametrize(
+    "case, flag",
+    [
+        ("tolerance", "--tolerance"),
+        ("evolve-rate", "--rate"),
+        ("battery-sim-rate", "--rate"),
+        ("M", "--M"),
+        ("r0", "--r0"),
+    ],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_flag_is_one_domain_line(tmp_path, capsys, case, flag, value):
+    paths = cli_inputs(tmp_path)
+    # a Choi matrix with unitality residual 1e-3: a NaN tolerance used to pass it
+    z = ser.choi_from_json(json.loads(pathlib.Path(paths["Z"]).read_text()))
+    perturbed = z.matrix.copy()
+    perturbed[0, 0] += 1e-3
+    write_json(pathlib.Path(paths["Z"]), ser.choi_to_json(ChoiMatrix(dim=z.dim, matrix=perturbed)))
+    capsys.readouterr()
+    assert main(flag_commands(paths)[case] + [f"{flag}={value}"]) == 2
+    assert_one_error_line(capsys, "domain")
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--M", "1e300"], ["--M", "1e100", "--r0", "1e-300", "--format", "json"]],
+    ids=["mass-cubed-overflows", "factor-overflows"],
+)
+def test_overflowing_dilation_factor_is_one_domain_line(capsys, extra):
+    assert main(["metric-profile", "--grid", "0:10:5"] + extra) == 2
+    assert_one_error_line(capsys, "domain")
+
+
+def test_truncation_above_cap_is_rejected_before_allocation(capsys, monkeypatch):
+    def no_eye(*args, **kwargs):
+        raise AssertionError("an environment was allocated")
+
+    monkeypatch.setattr(np, "eye", no_eye)
+    code = main(["metric-profile", "--M", "1", "--d", "100000000000", "--grid", "0:10:5"])
+    assert code == 2
+    assert_one_error_line(capsys, "dimension")

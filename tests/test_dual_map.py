@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -303,6 +304,17 @@ def test_evolve_rejects_non_finite_times(times):
         evolve_linear(z, a0, rho, times)
     with pytest.raises(DomainError):
         evolve_linear_euler(z, a0, rho, times)
+
+
+def test_evolve_rejects_overflowing_trajectory():
+    rng = rng_for(322)
+    z = build_fixed_point_choi(pencil_spec(rng, 2))
+    a0 = np.eye(2)
+    rho = random_density(rng, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            evolve_linear(z, a0, rho, [0.0, 1e300], rate=1e300)
 
 
 def test_kraus_set_validates_shapes():

@@ -46,6 +46,22 @@ def test_dilation_factor_domain():
         dilation_factor(2.0, 0.0)
 
 
+def test_dilation_factor_rejects_overflow():
+    with pytest.raises(DomainError):
+        dilation_factor(1.0, 1e300)  # M**3 overflows
+    with pytest.raises(DomainError):
+        dilation_factor(1e-300, 1e100)  # the factor overflows to inf
+
+
+def test_truncation_cap():
+    from cpumap.metric import MAX_TRUNCATION
+
+    with pytest.raises(DimensionError):
+        make_params(d=MAX_TRUNCATION + 1)
+    with pytest.raises(DimensionError):
+        synth_env(1.0, MAX_TRUNCATION + 1)
+
+
 def make_params(M=1.0, r0=0.1, d=16, grid=(0.5, 2.0, 10.0)):
     return MetricParams(M=M, r0=r0, d=d, r_grid=np.asarray(grid, dtype=float))
 
