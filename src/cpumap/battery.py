@@ -30,6 +30,24 @@ SPECTRUM_NEG_TOL = 1e-15
 UNITARITY_TOL = 1e-9
 
 
+def _validate_env(spectra: np.ndarray, basis: np.ndarray) -> None:
+    """Check float spectra of shape (..., d) against one complex (d, d) basis.
+
+    Every row must sum to 1 within SPECTRUM_SUM_TOL and weigh at least
+    -SPECTRUM_NEG_TOL everywhere; the basis must be unitary within
+    UNITARITY_TOL.  Each test is phrased so that a NaN entry fails it.
+    """
+    rows = spectra.reshape(-1, spectra.shape[-1])
+    sums = rows.sum(axis=1)
+    bad = ~(np.abs(sums - 1.0) <= SPECTRUM_SUM_TOL)
+    if bad.any():
+        raise DomainError(f"spectrum sums to {sums[bad][0]!r}, expected 1")
+    if not float(rows.min()) >= -SPECTRUM_NEG_TOL:
+        raise DomainError(f"spectrum has negative weight {rows.min()!r}")
+    if not max_abs(basis.conj().T @ basis - np.eye(basis.shape[0])) <= UNITARITY_TOL:
+        raise DomainError("basis is not unitary within 1e-9")
+
+
 @dataclass(frozen=True)
 class EnvState:
     """Environment state: spectrum {sigma_j} and eigenbasis-to-Fock unitary.
@@ -49,15 +67,18 @@ class EnvState:
             raise DimensionError(
                 f"spectrum/basis shapes {sig.shape}/{v.shape} do not match d={self.dim}"
             )
-        # each test is phrased so that a NaN entry fails it
-        if not abs(float(sig.sum()) - 1.0) <= SPECTRUM_SUM_TOL:
-            raise DomainError(f"spectrum sums to {sig.sum()!r}, expected 1")
-        if not float(sig.min()) >= -SPECTRUM_NEG_TOL:
-            raise DomainError(f"spectrum has negative weight {sig.min()!r}")
-        if not max_abs(v.conj().T @ v - np.eye(self.dim)) <= UNITARITY_TOL:
-            raise DomainError("basis is not unitary within 1e-9")
+        _validate_env(sig, v)
         object.__setattr__(self, "spectrum", sig)
         object.__setattr__(self, "basis", v)
+
+    @classmethod
+    def _prevalidated(cls, dim: int, spectrum: np.ndarray, basis: np.ndarray) -> EnvState:
+        """EnvState from arrays that already passed _validate_env, not checked again."""
+        env = object.__new__(cls)
+        object.__setattr__(env, "dim", dim)
+        object.__setattr__(env, "spectrum", spectrum)
+        object.__setattr__(env, "basis", basis)
+        return env
 
     def sigma_fock(self) -> np.ndarray:
         """The state V diag(sigma) V^dagger in the Fock basis."""
@@ -99,10 +120,9 @@ def swap_unitary(d: int) -> np.ndarray:
     """Permutation exchanging the two tensor factors; U^2 = I and U = U^dagger."""
     if d < 2:
         raise DimensionError(f"need d >= 2, got {d}")
+    n, r = np.divmod(np.arange(d * d), d)
     u = np.zeros((d * d, d * d))
-    for n in range(d):
-        for r in range(d):
-            u[n * d + r, r * d + n] = 1.0
+    u[n * d + r, r * d + n] = 1.0
     return u
 
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .battery import EnvState
+from .battery import EnvState, _validate_env
 from .errors import DimensionError, DomainError
 
-MAX_TRUNCATION = 1024  # largest d; each grid point allocates d x d matrices
+MAX_TRUNCATION = 1024  # largest d; a profile allocates one d x d basis and P x d spectra
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,31 @@ def offset_factor(r: float, params: MetricParams) -> float:
     return dilation_factor(r + params.r0, params.M)
 
 
+def _spectra(targets: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra (P, d) with phi equal to each target, and the clipped flags (P,).
+
+    Targets above d - 1 get the maximal state |d-1><d-1| and the clipped
+    flag; a zero target gets |0><0|; every other target t gets the
+    two-level mixture (1-p)|0><0| + p|n><n| with n = max(1, ceil(t)) and
+    p = t/n.
+    """
+    bad = ~(targets >= 0)  # NaN is bad too
+    if bad.any():
+        raise DomainError(f"target phi must be nonnegative, got {float(targets[bad][0])}")
+    _check_truncation(d)
+    clipped = targets > d - 1
+    spectra = np.zeros((targets.size, d))
+    spectra[clipped, d - 1] = 1.0
+    spectra[targets == 0.0, 0] = 1.0
+    mixed = np.flatnonzero(~clipped & (targets > 0.0))
+    t = targets[mixed]
+    level = np.maximum(1.0, np.ceil(t))
+    p = t / level
+    spectra[mixed, 0] = 1.0 - p
+    spectra[mixed, level.astype(np.intp)] = p
+    return spectra, clipped
+
+
 def synth_env(target_phi: float, d: int) -> tuple[EnvState, bool]:
     """Environment state with phi equal to ``target_phi``, clipping at d - 1.
 
@@ -102,41 +127,40 @@ def synth_env(target_phi: float, d: int) -> tuple[EnvState, bool]:
     p = target/n, aligned basis V = I.  Targets above d - 1 return the
     maximal state |d-1><d-1| with the clipped flag set.
     """
-    if target_phi < 0:
-        raise DomainError(f"target phi must be nonnegative, got {target_phi}")
-    _check_truncation(d)
-    spectrum = np.zeros(d)
-    eye = np.eye(d, dtype=complex)
-    if target_phi > d - 1:
-        spectrum[d - 1] = 1.0
-        return EnvState(dim=d, spectrum=spectrum, basis=eye), True
-    if target_phi == 0.0:
-        spectrum[0] = 1.0
-        return EnvState(dim=d, spectrum=spectrum, basis=eye), False
-    level = max(1, math.ceil(target_phi))
-    p = target_phi / level
-    spectrum[0] = 1.0 - p
-    spectrum[level] += p
-    return EnvState(dim=d, spectrum=spectrum, basis=eye), False
+    spectra, clipped = _spectra(np.array([target_phi], dtype=float), d)
+    env = EnvState(dim=d, spectrum=spectra[0], basis=np.eye(d, dtype=complex))
+    return env, bool(clipped[0])
 
 
 def build_profile(params: MetricParams) -> MetricProfile:
     """Evaluate the offset dilation factor over the grid and synthesize
     one environment per point; clipped exactly where the target exceeds
-    the truncation bound d - 1."""
-    from .battery import phi as phi_of
+    the truncation bound d - 1.
 
-    records = []
-    for r in params.r_grid:
-        target = offset_factor(float(r), params)
-        env, clipped = synth_env(target, params.d)
-        records.append(
-            ProfileRecord(
-                r=float(r),
-                target_factor=target,
-                phi_achieved=phi_of(env),
-                clipped=clipped,
-                env=env,
-            )
+    The records share one read-only identity basis and read-only rows of
+    one spectrum array, validated together once.
+    """
+    d = params.d
+    r_values = params.r_grid.tolist()
+    targets = [offset_factor(r, params) for r in r_values]
+    spectra, clipped = _spectra(np.array(targets), d)
+    basis = np.eye(d, dtype=complex)
+    _validate_env(spectra, basis)
+    spectra.flags.writeable = False
+    basis.flags.writeable = False
+    # phi of every row at once; exact because the basis is the identity
+    levels = np.arange(d, dtype=float)
+    achieved = (levels @ (np.abs(basis) ** 2) @ spectra.T).tolist()
+    records = tuple(
+        ProfileRecord(
+            r=r,
+            target_factor=target,
+            phi_achieved=phi,
+            clipped=flag,
+            env=EnvState._prevalidated(d, spectrum, basis),
         )
-    return MetricProfile(records=tuple(records), params=params)
+        for r, target, phi, flag, spectrum in zip(
+            r_values, targets, achieved, clipped.tolist(), spectra
+        )
+    )
+    return MetricProfile(records=records, params=params)

@@ -72,6 +72,15 @@ def test_swap_unitary_d2():
     assert np.array_equal(swap_unitary(2), expected)
 
 
+def test_swap_unitary_equals_loop():
+    for d in range(2, 33):
+        loop = np.zeros((d * d, d * d))
+        for n in range(d):
+            for r in range(d):
+                loop[n * d + r, r * d + n] = 1.0
+        assert np.array_equal(swap_unitary(d), loop)
+
+
 def test_swap_unitary_swaps_vectors():
     rng = rng_for(401)
     for d in (2, 3, 5):

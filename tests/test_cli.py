@@ -265,6 +265,14 @@ def test_choi_and_kraus_outputs_match_golden_files(tmp_path):
     assert k_path.read_bytes() == (DATA / "golden_n3_kraus.json").read_bytes()
 
 
+@pytest.mark.parametrize("ext, extra", [("csv", []), ("json", ["--format", "json", "--verbose"])])
+def test_profile_output_matches_golden_file(tmp_path, ext, extra):
+    out = tmp_path / f"profile.{ext}"
+    args = ["metric-profile", "--M", "1", "--r0", "0.1", "--d", "16", "--grid", "0:10:200"]
+    assert main(args + extra + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"golden_profile_M1_d16.{ext}").read_bytes()
+
+
 def assert_one_error_line(capsys, code):
     captured = capsys.readouterr()
     lines = captured.err.splitlines()

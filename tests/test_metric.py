@@ -7,6 +7,7 @@ from cpumap import (
     BatteryConfig,
     DimensionError,
     DomainError,
+    EnvState,
     MetricParams,
     build_profile,
     dilation_factor,
@@ -15,6 +16,7 @@ from cpumap import (
     simulate_charging,
     synth_env,
 )
+from cpumap import metric
 
 from conftest import random_density, rng_for
 
@@ -118,6 +120,12 @@ def test_synth_env_negative_target():
         synth_env(-0.5, 8)
 
 
+def test_synth_env_rejects_nan_target():
+    # nan < 0 is False, so NaN once reached math.ceil and raised ValueError
+    with pytest.raises(DomainError):
+        synth_env(float("nan"), 8)
+
+
 def test_synth_env_round_trip():
     d = 8
     for x in np.linspace(0.0, 2.0 * (d - 1), 57):
@@ -202,3 +210,91 @@ def test_build_profile_charging_consistency():
         cfg = BatteryConfig(d=params.d, env=rec.env, rho0=random_density(rng, params.d))
         trace = simulate_charging(cfg, np.array([0.0, 1.0]))
         assert abs(trace.phi_fit - rec.target_factor) < 1e-9
+
+
+def loop_synth_env(target_phi, d):
+    """The scalar synthesis build_profile once ran per grid point."""
+    spectrum = np.zeros(d)
+    eye = np.eye(d, dtype=complex)
+    if target_phi > d - 1:
+        spectrum[d - 1] = 1.0
+        return EnvState(dim=d, spectrum=spectrum, basis=eye), True
+    if target_phi == 0.0:
+        spectrum[0] = 1.0
+        return EnvState(dim=d, spectrum=spectrum, basis=eye), False
+    level = max(1, math.ceil(target_phi))
+    p = target_phi / level
+    spectrum[0] = 1.0 - p
+    spectrum[level] += p
+    return EnvState(dim=d, spectrum=spectrum, basis=eye), False
+
+
+def assert_profile_equals_loop(params):
+    profile = build_profile(params)
+    assert len(profile.records) == params.r_grid.size
+    for r, rec in zip(params.r_grid, profile.records):
+        target = metric.offset_factor(float(r), params)
+        env, clipped = loop_synth_env(target, params.d)
+        assert rec.r == float(r)
+        assert rec.target_factor == target
+        assert rec.phi_achieved == phi(env)
+        assert rec.phi_achieved == phi(rec.env)
+        assert rec.clipped == clipped
+        assert np.array_equal(rec.env.spectrum, env.spectrum)
+        assert np.array_equal(rec.env.basis, env.basis)
+        one_row, one_clipped = synth_env(target, params.d)
+        assert np.array_equal(one_row.spectrum, env.spectrum) and one_clipped == clipped
+    return profile
+
+
+@pytest.mark.parametrize("d", [2, 3, 12, 16, 20, 32])
+def test_build_profile_equals_per_point_loop(d):
+    rng = rng_for(700 + d)
+    for m in (0.5, 1.0, 2.5):
+        grid = np.sort(rng.uniform(0.0, 20.0 * m, 60))
+        grid[0] = 0.0
+        assert_profile_equals_loop(make_params(M=m, r0=0.1 * m, d=d, grid=grid))
+    assert_profile_equals_loop(make_params(d=d, grid=(3.0,)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 12, 16, 20, 32])
+def test_build_profile_equals_loop_on_exact_targets(monkeypatch, d):
+    # the target at r is r itself: integers, exactly d - 1, and just above it
+    monkeypatch.setattr(metric, "offset_factor", lambda r, params: r)
+    top = float(d - 1)
+    grid = sorted({0.0, 0.25, 1.0, 2.0, top - 0.5, top, math.nextafter(top, math.inf), top + 3.0})
+    profile = assert_profile_equals_loop(make_params(d=d, grid=grid))
+    by_target = {rec.target_factor: rec for rec in profile.records}
+    assert not by_target[top].clipped and by_target[top].phi_achieved == top
+    assert by_target[math.nextafter(top, math.inf)].clipped
+
+
+def test_build_profile_shares_read_only_arrays():
+    profile = build_profile(make_params(grid=np.linspace(0.0, 10.0, 40)))
+    basis = profile.records[0].env.basis
+    for rec in profile.records:
+        assert rec.env.basis is basis
+        assert not rec.env.spectrum.flags.writeable
+        assert np.shares_memory(rec.env.spectrum, profile.records[0].env.spectrum.base)
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        profile.records[3].env.spectrum[0] = 0.5
+
+
+def test_shared_validator_rejects_bad_row_like_env_state():
+    from cpumap.battery import _validate_env as validate_env
+
+    d = 4
+    spectra, _ = metric._spectra(np.array([0.0, 1.5, 2.0, 9.0]), d)
+    eye = np.eye(d, dtype=complex)
+    validate_env(spectra, eye)
+    for bad in ([0.5, 0.4, 0.2, 0.0], [1.2, -0.2, 0.0, 0.0], [0.5, np.nan, 0.5, 0.0]):
+        rows = spectra.copy()
+        rows[2] = bad
+        with pytest.raises(DomainError) as batched:
+            validate_env(rows, eye)
+        with pytest.raises(DomainError) as single:
+            EnvState(dim=d, spectrum=np.array(bad), basis=eye)
+        assert str(batched.value) == str(single.value)
+    with pytest.raises(DomainError):
+        validate_env(spectra, 2.0 * eye)
