@@ -16,14 +16,20 @@ inside [0, phi_max] it falls.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_map import EvolutionTrace, KrausSet, _validate_times, apply_dual_kraus
+from .dual_map import EvolutionTrace, KrausSet, apply_dual_kraus
 from .errors import DimensionError, DomainError
-from .linalg import ensure_density_matrix, max_abs
+from .linalg import (
+    _ensure_dim,
+    _ensure_grid,
+    _ensure_min_dim,
+    _ensure_positive,
+    ensure_density_matrix,
+    max_abs,
+)
 
 SPECTRUM_SUM_TOL = 1e-12
 SPECTRUM_NEG_TOL = 1e-15
@@ -101,25 +107,20 @@ class BatteryConfig:
     def __post_init__(self):
         if self.env.dim != self.d:
             raise DimensionError(f"env dim {self.env.dim} does not match d={self.d}")
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise DomainError(f"rate must be positive and finite, got {self.rate}")
-        rho = ensure_density_matrix(self.rho0)
-        if rho.shape != (self.d, self.d):
-            raise DimensionError(f"rho0 shape {rho.shape} does not match d={self.d}")
+        _ensure_positive(self.rate, "rate")
+        rho = _ensure_dim(ensure_density_matrix(self.rho0), self.d, "rho0")
         object.__setattr__(self, "rho0", rho)
 
 
 def number_operator(d: int) -> np.ndarray:
     """diag(0, 1, ..., d-1): the excitation-number observable."""
-    if d < 2:
-        raise DimensionError(f"need d >= 2, got {d}")
+    _ensure_min_dim(d)
     return np.diag(np.arange(d, dtype=float)).astype(complex)
 
 
 def swap_unitary(d: int) -> np.ndarray:
     """Permutation exchanging the two tensor factors; U^2 = I and U = U^dagger."""
-    if d < 2:
-        raise DimensionError(f"need d >= 2, got {d}")
+    _ensure_min_dim(d)
     n, r = np.divmod(np.arange(d * d), d)
     u = np.zeros((d * d, d * d))
     u[n * d + r, r * d + n] = 1.0
@@ -161,7 +162,7 @@ def simulate_charging(cfg: BatteryConfig, times) -> EvolutionTrace:
     Phi[N] is proportional to the identity, so the slope is independent of
     the initial state; rho0 is validated but does not enter the values.
     """
-    t = _validate_times(times)
+    t = _ensure_grid(times, "times")
     slope = cfg.rate * phi(cfg.env)
     return EvolutionTrace.linear(t, slope, cfg.rho0)
 
@@ -175,8 +176,7 @@ def alignment_unitary(d: int, theta: float) -> np.ndarray:
     nondecreasing in theta; a spectrum concentrated on the top eigenvector
     gives phi(0) = 0 and phi(1) = d - 1.
     """
-    if d < 2:
-        raise DimensionError(f"need d >= 2, got {d}")
+    _ensure_min_dim(d)
     if not 0.0 <= theta <= 1.0:
         raise DomainError(f"theta must lie in [0, 1], got {theta}")
     angle = (1.0 - theta) * np.pi / 2.0

@@ -18,7 +18,7 @@ import numpy as np
 
 from .choi import ChoiMatrix, FixedPointSpec
 from .errors import DimensionError, DomainError, NegativeSqrtArgument
-from .linalg import as_matrix, eig_hermitian, ensure_density_matrix, max_abs
+from .linalg import _ensure_dim, _ensure_grid, as_matrix, eig_hermitian, ensure_density_matrix, max_abs
 
 SQRT_TOL = 1e-12      # coefficient squares below -SQRT_TOL are positivity errors
 GS_DROP_TOL = 1e-8    # Gram-Schmidt candidates below this norm are dropped
@@ -55,17 +55,19 @@ class KrausSet:
 
     @classmethod
     def from_ops(cls, dim: int, pairs) -> "KrausSet":
-        """Stack ``(tag, matrix)`` pairs into one set."""
-        pairs = tuple(pairs)
-        stack = np.empty((len(pairs), dim, dim), dtype=complex)
-        for k, (tag, op) in enumerate(pairs):
+        """Stack ``(tag, matrix)`` pairs into one set; each shape is checked
+        as its pair is drawn, before a lazy ``pairs`` produces the next."""
+        tags, ops = [], []
+        for tag, op in pairs:
             m = np.asarray(op, dtype=complex)
             if m.shape != (dim, dim):
                 raise DimensionError(
                     f"operator {tag!r} has shape {m.shape}, expected {(dim, dim)}"
                 )
-            stack[k] = m
-        return cls(dim=dim, stack=stack, tags=tuple(tag for tag, _ in pairs))
+            tags.append(tag)
+            ops.append(m)
+        stack = np.array(ops, dtype=complex).reshape(len(ops), dim, dim)
+        return cls(dim=dim, stack=stack, tags=tuple(tags))
 
     @property
     def ops(self) -> tuple[tuple[str, np.ndarray], ...]:
@@ -100,29 +102,34 @@ class EvolutionTrace:
         """The trace <A(t)> = slope * t; DomainError where a value overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
             values = slope * times
-        if not np.all(np.isfinite(values)):
-            raise DomainError(f"slope {slope} over times up to {times[-1]} overflows the float range")
+        _ensure_no_overflow(values, f"slope {slope} over times up to {times[-1]}")
         return cls(times=times, values=values, phi_fit=slope, rho=rho)
 
 
+def _ensure_no_overflow(out: np.ndarray, what: str) -> np.ndarray:
+    """Raise DomainError when a result computed under np.errstate holds NaN or Inf."""
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"{what} overflows the float range")
+    return out
+
+
 def apply_dual_choi(z: ChoiMatrix, b) -> np.ndarray:
-    """Evaluate tr_2[Z (I (x) B^T)]; Hermitian output for Hermitian input."""
-    b = as_matrix(b)
+    """Evaluate tr_2[Z (I (x) B^T)], Hermitian for Hermitian B; DomainError on overflow."""
     n = z.dim
-    if b.shape != (n, n):
-        raise DimensionError(f"observable shape {b.shape} does not match dim {n}")
-    return np.einsum("ikjq,kq->ij", z.matrix.reshape(n, n, n, n), b)
+    b = _ensure_dim(as_matrix(b), n, "observable")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.einsum("ikjq,kq->ij", z.matrix.reshape(n, n, n, n), b)
+    return _ensure_no_overflow(out, "dual action")
 
 
 def apply_dual_kraus(k: KrausSet, b) -> np.ndarray:
-    """Evaluate sum_k D_k B D_k^dagger."""
-    b = as_matrix(b)
-    if b.shape != (k.dim, k.dim):
-        raise DimensionError(f"observable shape {b.shape} does not match dim {k.dim}")
+    """Evaluate sum_k D_k B D_k^dagger; DomainError on overflow."""
+    b = _ensure_dim(as_matrix(b), k.dim, "observable")
     out = np.zeros_like(b)
-    for op in k.stack:
-        out = out + op @ b @ op.conj().T
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for op in k.stack:
+            out = out + op @ b @ op.conj().T
+    return _ensure_no_overflow(out, "dual action")
 
 
 def unitality_residual(k: KrausSet) -> float:
@@ -220,15 +227,6 @@ def choi_from_kraus(k: KrausSet) -> ChoiMatrix:
     return ChoiMatrix(dim=n, matrix=v.T @ v.conj())
 
 
-def _validate_times(times) -> np.ndarray:
-    t = np.asarray(times, dtype=float).reshape(-1)
-    if t.size == 0:
-        raise DomainError("times vector is empty")
-    if not (np.all(np.isfinite(t)) and t[0] >= 0 and np.all(np.diff(t) >= 0)):
-        raise DomainError("times must be finite, ascending and nonnegative")
-    return t
-
-
 def evolve_linear(z: ChoiMatrix, a0, rho, times, rate: float = 1.0) -> EvolutionTrace:
     """Closed-form linear growth <A(t)> = rate * tr[rho Phi[A0]] * t.
 
@@ -236,10 +234,8 @@ def evolve_linear(z: ChoiMatrix, a0, rho, times, rate: float = 1.0) -> Evolution
     the generator is the constant observable Phi[A0] and the expectation
     grows exactly linearly from <A(0)> = 0.
     """
-    rho = ensure_density_matrix(rho)
-    if rho.shape != (z.dim, z.dim):
-        raise DimensionError(f"rho shape {rho.shape} does not match dim {z.dim}")
-    t = _validate_times(times)
+    rho = _ensure_dim(ensure_density_matrix(rho), z.dim, "rho")
+    t = _ensure_grid(times, "times")
     generator = apply_dual_choi(z, a0)
     slope = rate * float(np.real(np.trace(rho @ generator)))
     return EvolutionTrace.linear(t, slope, rho)
@@ -251,8 +247,8 @@ def evolve_linear_euler(z: ChoiMatrix, a0, rho, times, rate: float = 1.0) -> np.
     Independent verification route for :func:`evolve_linear`; grid point k
     is reached by stepping the operator accumulator from grid point k-1.
     """
-    rho = ensure_density_matrix(rho)
-    t = _validate_times(times)
+    rho = _ensure_dim(ensure_density_matrix(rho), z.dim, "rho")
+    t = _ensure_grid(times, "times")
     generator = rate * apply_dual_choi(z, a0)
     acc = t[0] * generator
     values = [float(np.real(np.trace(rho @ acc)))]

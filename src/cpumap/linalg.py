@@ -1,21 +1,22 @@
 """Dense complex-matrix substrate: Kronecker products, partial traces,
-Hermitian eigendecomposition with a deterministic phase convention, and
-tolerance-based predicates.
+Hermitian eigendecomposition with a deterministic phase convention,
+tolerance-based predicates, and the input checks every module shares.
 
 Conventions used throughout the package:
   * tensor index: |i> (x) |k| maps to flat index i*d2 + k (numpy kron order);
-  * default Hermiticity / eigenvalue tolerance 1e-9, reconstruction 1e-8;
+  * default Hermiticity / eigenvalue tolerance 1e-9;
   * all functions are pure and never mutate their arguments.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DimensionError, HermiticityError
+from .errors import DimensionError, DomainError, HermiticityError
 
 HERM_TOL = 1e-9
-RECON_TOL = 1e-8
 
 
 def as_matrix(m) -> np.ndarray:
@@ -32,12 +33,6 @@ def max_abs(m) -> float:
     """Entrywise max-norm ||M||_max."""
     a = np.asarray(m)
     return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-def hermiticity_residual(m) -> float:
-    """||M - M^dagger||_max."""
-    a = as_matrix(m)
-    return max_abs(a - a.conj().T)
 
 
 def ensure_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
@@ -127,3 +122,30 @@ def ensure_density_matrix(rho, tol: float = HERM_TOL) -> np.ndarray:
     if np.min(np.linalg.eigvalsh(a)) < -tol:
         raise InvalidDensityMatrix("density matrix has a negative eigenvalue")
     return a
+
+
+def _ensure_dim(a: np.ndarray, n: int, name: str) -> np.ndarray:
+    """Check that an observable or state already coerced to 2-D is n x n."""
+    if a.shape != (n, n):
+        raise DimensionError(f"{name} shape {a.shape} does not match dim {n}")
+    return a
+
+
+def _ensure_min_dim(d: int, name: str = "d") -> None:
+    if d < 2:
+        raise DimensionError(f"need {name} >= 2, got {d}")
+
+
+def _ensure_positive(x: float, name: str) -> None:
+    if not (math.isfinite(x) and x > 0):
+        raise DomainError(f"{name} must be positive and finite, got {x}")
+
+
+def _ensure_grid(values, name: str) -> np.ndarray:
+    """A nonempty, finite, ascending and nonnegative float vector."""
+    t = np.asarray(values, dtype=float).reshape(-1)
+    if t.size == 0:
+        raise DomainError(f"{name} is empty")
+    if not (np.all(np.isfinite(t)) and t[0] >= 0 and np.all(np.diff(t) >= 0)):
+        raise DomainError(f"{name} must be finite, ascending and nonnegative")
+    return t

@@ -16,6 +16,7 @@ import numpy as np
 
 from .battery import EnvState, _validate_env
 from .errors import DimensionError, DomainError
+from .linalg import _ensure_grid, _ensure_min_dim, _ensure_positive
 
 MAX_TRUNCATION = 1024  # largest d; a profile allocates one d x d basis and P x d spectra
 
@@ -30,22 +31,14 @@ class MetricParams:
     r_grid: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.M) and self.M > 0):
-            raise DomainError(f"mass must be positive and finite, got {self.M}")
-        if not (math.isfinite(self.r0) and self.r0 > 0):
-            raise DomainError(f"offset r0 must be positive and finite, got {self.r0}")
+        _ensure_positive(self.M, "mass")
+        _ensure_positive(self.r0, "offset r0")
         _check_truncation(self.d)
-        grid = np.asarray(self.r_grid, dtype=float).reshape(-1)
-        if grid.size == 0:
-            raise DomainError("radial grid is empty")
-        if not (grid[0] >= 0 and np.all(np.diff(grid) >= 0)):  # NaN fails
-            raise DomainError("radial grid must be ascending and nonnegative")
-        object.__setattr__(self, "r_grid", grid)
+        object.__setattr__(self, "r_grid", _ensure_grid(self.r_grid, "radial grid"))
 
 
 def _check_truncation(d: int) -> None:
-    if d < 2:
-        raise DimensionError(f"need truncation d >= 2, got {d}")
+    _ensure_min_dim(d, "truncation d")
     if d > MAX_TRUNCATION:
         raise DimensionError(f"truncation d must be at most {MAX_TRUNCATION}, got {d}")
 

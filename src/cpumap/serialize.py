@@ -1,5 +1,5 @@
-"""File formats: matrix-json, vectors, specs, Kraus sets, environment
-states, evolution traces and dilation profiles.
+"""File formats: matrix-json, vectors, Choi matrices, Kraus sets,
+environment states, evolution traces and dilation profiles.
 
 All floating-point output is printed with 17 significant digits so that
 every value round-trips exactly; emission order is fixed, making outputs
@@ -13,9 +13,10 @@ import json
 import numpy as np
 
 from .battery import EnvState
-from .choi import ChoiMatrix, FixedPointSpec
+from .choi import ChoiMatrix
 from .dual_map import EvolutionTrace, KrausSet
 from .errors import CpuMapError, DimensionError
+from .linalg import as_matrix
 from .metric import MetricProfile
 
 
@@ -83,9 +84,7 @@ def _floats(obj, field: str) -> np.ndarray:
 
 
 def matrix_to_json(m) -> dict:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got ndim={a.ndim}")
+    a = as_matrix(m)
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
@@ -118,14 +117,6 @@ def vector_from_json(obj: dict) -> np.ndarray:
 
 # --- composite objects ----------------------------------------------------
 
-def spec_to_json(spec: FixedPointSpec) -> dict:
-    return {"A": matrix_to_json(spec.a), "v": vector_to_json(spec.v)}
-
-
-def spec_from_json(obj: dict) -> FixedPointSpec:
-    return FixedPointSpec(a=matrix_from_json(obj["A"]), v=vector_from_json(obj["v"]))
-
-
 def choi_to_json(z: ChoiMatrix) -> dict:
     payload = {"dim": int(z.dim)}
     payload.update(matrix_to_json(z.matrix))
@@ -148,15 +139,15 @@ def kraus_from_json(obj: dict) -> KrausSet:
     entries = _field(obj, "ops")
     if not isinstance(entries, list):
         raise CpuMapError(f"'ops' must be a list of operators, got {type(entries).__name__}")
-    stack = np.empty((len(entries), n, n), dtype=complex)
-    for k, entry in enumerate(entries):
+    return KrausSet.from_ops(n, _kraus_pairs(entries))
+
+
+def _kraus_pairs(entries):
+    """Decode ``(tag, matrix)`` lazily, so from_ops checks each shape before
+    the next entry is read."""
+    for entry in entries:
         m = matrix_from_json(_field(entry, "matrix"))
-        if m.shape != (n, n):
-            raise DimensionError(
-                f"operator {entry['tag']!r} has shape {m.shape}, expected {(n, n)}"
-            )
-        stack[k] = m
-    return KrausSet(dim=n, stack=stack, tags=tuple(entry["tag"] for entry in entries))
+        yield entry["tag"], m
 
 
 def env_to_json(env: EnvState) -> dict:

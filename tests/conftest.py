@@ -3,26 +3,12 @@
 import numpy as np
 
 from cpumap import FixedPointSpec
-
-
-def rng_for(*key):
-    return np.random.default_rng(list(key))
-
-
-def random_hermitian(rng, n):
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (g + g.conj().T) / 2.0
-
-
-def random_unit(rng, n):
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return v / np.linalg.norm(v)
-
-
-def random_density(rng, n):
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+from cpumap.selftest import (
+    _random_density as random_density,
+    _random_hermitian as random_hermitian,
+    _random_unit as random_unit,
+    _rng as rng_for,
+)
 
 
 def random_spec(rng, n):

@@ -1,12 +1,14 @@
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
-from cpumap import ChoiMatrix, DomainError, serialize as ser
+from cpumap import ChoiMatrix, DomainError, build_fixed_point_choi, kraus_from_fixed_point, serialize as ser
 from cpumap.cli import MAX_GRID_POINTS, main, parse_grid
+from cpumap.selftest import pencil_spec
 
 from conftest import random_density, rng_for
 
@@ -380,6 +382,24 @@ def test_non_finite_float_flag_is_one_domain_line(tmp_path, capsys, case, flag, 
 )
 def test_overflowing_dilation_factor_is_one_domain_line(capsys, extra):
     assert main(["metric-profile", "--grid", "0:10:5"] + extra) == 2
+    assert_one_error_line(capsys, "domain")
+
+
+@pytest.mark.parametrize("source", ["--Z", "--kraus"])
+def test_overflowing_dual_action_is_one_domain_line(tmp_path, capsys, source):
+    # both paths once wrote "re":[inf,...] and exited 0; --kraus also warned
+    spec = pencil_spec(42, 3, 0)
+    map_path = tmp_path / "map.json"
+    if source == "--Z":
+        write_json(map_path, ser.choi_to_json(build_fixed_point_choi(spec)))
+    else:
+        write_json(map_path, ser.kraus_to_json(kraus_from_fixed_point(spec)))
+    b_path = tmp_path / "b.json"
+    write_json(b_path, ser.matrix_to_json(np.full((3, 3), 1.7e308)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["map-apply", source, str(map_path), "--B", str(b_path)]) == 2
+    assert caught == []
     assert_one_error_line(capsys, "domain")
 
 

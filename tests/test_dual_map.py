@@ -306,6 +306,14 @@ def test_evolve_rejects_non_finite_times(times):
         evolve_linear_euler(z, a0, rho, times)
 
 
+@pytest.mark.parametrize("evolve", [evolve_linear, evolve_linear_euler])
+def test_evolve_rejects_rho_of_wrong_dimension(evolve):
+    rng = rng_for(323)
+    z = build_fixed_point_choi(random_spec(rng, 2))
+    with pytest.raises(DimensionError, match="rho shape"):
+        evolve(z, random_hermitian(rng, 2), random_density(rng, 3), [0.0, 1.0])
+
+
 def test_evolve_rejects_overflowing_trajectory():
     rng = rng_for(322)
     z = build_fixed_point_choi(pencil_spec(rng, 2))

@@ -165,6 +165,13 @@ def test_metric_params_rejects_nan_grid():
         make_params(grid=(float("nan"), 1.0))
 
 
+@pytest.mark.parametrize("grid", [(0.0, math.inf), (math.inf,), (0.0, math.nan)], ids=["zero-inf", "inf", "zero-nan"])
+def test_metric_params_rejects_non_finite_grid(grid):
+    # an infinite radius once gave the CSV row "inf,0,0,false"
+    with pytest.raises(DomainError):
+        make_params(grid=grid)
+
+
 def test_build_profile_basic():
     params = make_params()
     profile = build_profile(params)

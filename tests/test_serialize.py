@@ -32,18 +32,18 @@ def test_matrix_rejects_bad_payload():
         ser.matrix_from_json({"rows": 2, "cols": 2, "re": [1.0, 2.0], "im": [0.0, 0.0]})
 
 
+@pytest.mark.parametrize(
+    "m", [np.array([[1.0, np.inf]]), np.array([[np.nan]]), np.ones(3)], ids=["inf", "nan", "vector"]
+)
+def test_matrix_to_json_rejects_non_finite_or_non_matrix(m):
+    with pytest.raises(DimensionError):
+        ser.matrix_to_json(m)
+
+
 def test_vector_round_trip():
     rng = rng_for(602)
     v = rng.normal(size=5) + 1j * rng.normal(size=5)
     assert np.array_equal(ser.vector_from_json(ser.vector_to_json(v)), v)
-
-
-def test_spec_round_trip():
-    spec = pencil_spec(rng_for(603), 3)
-    back = ser.spec_from_json(ser.spec_to_json(spec))
-    assert np.array_equal(back.a, spec.a)
-    # v is renormalized on reconstruction; exact up to one ulp of the norm
-    assert np.max(np.abs(back.v - spec.v)) < 1e-15
 
 
 def test_choi_round_trip():
@@ -207,3 +207,16 @@ def test_decoders_reject_malformed_fields():
         ser.kraus_from_json({"dim": 2, "ops": 5})
     with pytest.raises(CpuMapError, match="'matrix'"):
         ser.kraus_from_json({"dim": 2, "ops": [5]})
+
+
+def test_kraus_decoder_reports_first_bad_entry():
+    """Entries are decoded and shape-checked in order: a wrong shape in
+    entry 0 is reported before a non-numeric entry 1 is read."""
+    ops = [
+        {"tag": "B0", "matrix": ser.matrix_to_json(np.eye(3))},
+        {"tag": "B1", "matrix": {"rows": 2, "cols": 2, "re": ["x"] * 4, "im": [0.0] * 4}},
+    ]
+    with pytest.raises(DimensionError, match="'B0'"):
+        ser.kraus_from_json({"dim": 2, "ops": ops})
+    with pytest.raises(CpuMapError, match="'re'"):
+        ser.kraus_from_json({"dim": 2, "ops": ops[1:]})
