@@ -50,7 +50,9 @@ def _validate_env(spectra: np.ndarray, basis: np.ndarray) -> None:
         raise DomainError(f"spectrum sums to {sums[bad][0]!r}, expected 1")
     if not float(rows.min()) >= -SPECTRUM_NEG_TOL:
         raise DomainError(f"spectrum has negative weight {rows.min()!r}")
-    if not max_abs(basis.conj().T @ basis - np.eye(basis.shape[0])) <= UNITARITY_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = max_abs(basis.conj().T @ basis - np.eye(basis.shape[0]))
+    if not residual <= UNITARITY_TOL:
         raise DomainError("basis is not unitary within 1e-9")
 
 

@@ -18,6 +18,7 @@ whenever <v|A|v> > tr(A)/N, to the two-sided spectral bound checked by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,10 +27,11 @@ import numpy as np
 from .errors import (
     DegenerateDenominator,
     DimensionError,
+    DomainError,
     ZeroExpectation,
     ZeroTrace,
 )
-from .linalg import _ensure_min_dim, ensure_hermitian, max_abs, partial_trace_second
+from .linalg import _ensure_min_dim, ensure_hermitian, max_abs
 
 SCALAR_TOL = 1e-12     # |<v|A|v> - trA/N| below this is treated as degenerate
 V_NORM_SLACK = 1e-6    # silently renormalize v when this close to unit norm
@@ -62,17 +64,22 @@ class FixedPointSpec:
             raise DimensionError(
                 f"v has length {v.shape[0]} but A is {a.shape[0]}x{a.shape[0]}"
             )
-        nrm = float(np.linalg.norm(v))
-        if not abs(nrm - 1.0) <= V_NORM_SLACK:  # NaN fails
-            raise DimensionError(f"||v|| = {nrm} is not within 1e-6 of 1")
-        v = v / nrm
-        a.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "v", v)
+        # a norm, trace or expectation beyond the float range is inf (or NaN),
+        # which the checks below reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            nrm = float(np.linalg.norm(v))
+            if not abs(nrm - 1.0) <= V_NORM_SLACK:
+                raise DimensionError(f"||v|| = {nrm} is not within 1e-6 of 1")
+            v = v / nrm
+            a.flags.writeable = False
+            v.flags.writeable = False
+            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "v", v)
+            t = self.trace
+            e = self.expectation
         n = a.shape[0]
-        t = self.trace
-        e = self.expectation
+        if not (math.isfinite(t) and math.isfinite(e)):
+            raise DomainError(f"tr(A) = {t} or <v|A|v> = {e} overflows the float range")
         if abs(t) <= SCALAR_TOL:
             raise ZeroTrace("tr(A) is numerically zero")
         if abs(e) <= SCALAR_TOL:
@@ -134,29 +141,13 @@ def build_fixed_point_choi(spec: FixedPointSpec) -> ChoiMatrix:
     the singular second term has an identically zero numerator and is
     dropped, leaving Z = I (x) |v*><v*|.
     """
-    n = spec.dim
-    e = spec.expectation
-    t = spec.trace
-    proj_t = np.outer(spec.v, spec.v.conj()).T
-    z = _kron(spec.a / e, proj_t)
-    if not spec.is_scalar:
-        denom = n / t - 1.0 / e
-        # a new sum, not +=: at N = 16 the in-place form left later steps
-        # page-faulting on fresh memory and ran slower
-        z = z + _kron((np.eye(n) - spec.a / e) / denom, np.eye(n) / t - proj_t / e)
-    return ChoiMatrix(dim=n, matrix=z)
-
-
-def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.kron of two N x N arrays as one broadcast: z[i, k, j, l] = x[i, j] * y[k, l]."""
-    n = x.shape[0]
-    return (x[:, None, :, None] * y[None, :, None, :]).reshape(n * n, n * n)
+    z = _choi_stack(spec.a[None], spec.v[None], spec.expectation, spec.trace, spec.is_scalar)
+    return ChoiMatrix(dim=spec.dim, matrix=z[0])
 
 
 def check_unital(z: ChoiMatrix) -> float:
     """Residual ||tr_2[Z] - I||_max of the unitality condition."""
-    reduced = partial_trace_second(z.matrix, z.dim, z.dim)
-    return max_abs(reduced - np.eye(z.dim))
+    return float(_unital_residuals(z.matrix[None])[0])
 
 
 def check_fixed_point(z: ChoiMatrix, a) -> float:
@@ -178,19 +169,96 @@ def positivity_bounds(spec: FixedPointSpec, tol: float = BOUND_TOL) -> tuple[boo
     slack ``-tol``.  Together they are equivalent to positivity of the
     constructed Choi matrix on the domain <v|A|v> > tr(A)/N.
     """
-    n = spec.dim
-    _ensure_min_dim(n, "dimension N")  # the lower bound divides by N - 1
-    e = spec.expectation
-    t = spec.trace
-    lower_shift = (t - e) / (n - 1)
-    pair = np.empty((2, n, n), dtype=complex)
-    pair[0] = spec.a - lower_shift * np.eye(n)
-    pair[1] = e * np.eye(n) - spec.a
-    lower_min, upper_min = np.min(np.linalg.eigvalsh(pair), axis=1)
+    lower_min, upper_min = _bound_minima(spec.a[None], spec.expectation, spec.trace)[0]
     return bool(lower_min >= -tol), bool(upper_min >= -tol)
 
 
 def choi_is_psd(z: ChoiMatrix, tol: float = 1e-8) -> bool:
     """Direct positivity check of the Choi matrix; ``ChoiMatrix`` validated
     it as Hermitian at construction, so only the minimum eigenvalue is taken."""
-    return bool(np.min(np.linalg.eigvalsh(z.matrix)) >= -tol)
+    return bool(_min_eigenvalues(z.matrix[None])[0] >= -tol)
+
+
+# --- batched kernels ---------------------------------------------------------
+#
+# Each kernel works on a leading instance axis of B specs of one dimension N
+# and gives, instance for instance, the same bits as a call per instance; the
+# public functions above are the B = 1 case.  Expectations ``e`` and traces
+# ``t`` are (B, 1, 1) arrays, or plain floats when B = 1.
+
+_BATCH_BYTES = 2**20  # Choi data per batch: one N = 16 Choi matrix
+
+
+def _batches(specs):
+    """Split specs of one dimension into batches holding at most _BATCH_BYTES
+    of Choi data, each all scalar or all non-scalar (a scalar spec drops the
+    second term of the build)."""
+    n = specs[0].dim
+    size = max(1, _BATCH_BYTES // (16 * n**4))
+    for scalar in (False, True):
+        group = [spec for spec in specs if spec.is_scalar == scalar]
+        for start in range(0, len(group), size):
+            yield group[start:start + size]
+
+
+def _spec_arrays(specs):
+    """``a`` (B, N, N), ``v`` (B, N) and the expectations and traces as
+    (B, 1, 1) arrays, ready to broadcast against ``a``."""
+    a = np.array([spec.a for spec in specs])
+    v = np.array([spec.v for spec in specs])
+    e = np.array([spec.expectation for spec in specs])[:, None, None]
+    t = np.array([spec.trace for spec in specs])[:, None, None]
+    return a, v, e, t
+
+
+def _choi_stack(a, v, e, t, scalar: bool) -> np.ndarray:
+    """The (B, N^2, N^2) Choi matrices; ``scalar`` drops the second term."""
+    n = a.shape[-1]
+    proj_t = (v[:, :, None] * v.conj()[:, None, :]).transpose(0, 2, 1)
+    z = _kron(a / e, proj_t)
+    if not scalar:
+        denom = n / t - 1.0 / e
+        # a new sum, not +=: at N = 16 the in-place form left later steps
+        # page-faulting on fresh memory and ran slower
+        z = z + _kron((np.eye(n) - a / e) / denom, np.eye(n) / t - proj_t / e)
+    return z
+
+
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.kron of each pair in two (B, N, N) stacks as one broadcast:
+    z[b, i, k, j, l] = x[b, i, j] * y[b, k, l]."""
+    b, n = x.shape[:2]
+    return (x[:, :, None, :, None] * y[:, None, :, None, :]).reshape(b, n * n, n * n)
+
+
+def _min_eigenvalues(z: np.ndarray) -> np.ndarray:
+    """Minimum eigenvalue of each Hermitian matrix in a (B, M, M) stack."""
+    return np.min(np.linalg.eigvalsh(z), axis=-1)
+
+
+def _bound_minima(a, e, t) -> np.ndarray:
+    """(B, 2) minimum eigenvalues of A - I (trA - e)/(N - 1) and e I - A."""
+    n = a.shape[-1]
+    _ensure_min_dim(n, "dimension N")  # the lower bound divides by N - 1
+    pair = np.empty((a.shape[0], 2, n, n), dtype=complex)
+    pair[:, 0] = a - (t - e) / (n - 1) * np.eye(n)
+    pair[:, 1] = e * np.eye(n) - a
+    return _min_eigenvalues(pair)
+
+
+def _unital_residuals(z: np.ndarray) -> np.ndarray:
+    """||tr_2[Z_b] - I||_max for each matrix of a (B, N^2, N^2) stack."""
+    b, n = z.shape[0], math.isqrt(z.shape[1])
+    reduced = np.einsum("bikjk->bij", z.reshape(b, n, n, n, n))
+    return np.max(np.abs(reduced - np.eye(n)), axis=(1, 2))
+
+
+def _dual_action(z: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr_2[Z_b (I (x) B_b^T)] for a (B, N^2, N^2) and a (B, N, N) stack."""
+    n = b.shape[-1]
+    return np.einsum("bikjq,bkq->bij", z.reshape(b.shape[0], n, n, n, n), b)
+
+
+def _fixed_point_residuals(z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """||tr_2[Z_b (I (x) A_b^T)] - A_b||_max for each instance."""
+    return np.max(np.abs(_dual_action(z, a) - a), axis=(1, 2))

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import battery, metric, selftest as selftest_mod, serialize
-from .choi import ChoiMatrix, FixedPointSpec, build_fixed_point_choi, check_fixed_point, check_unital
+from .choi import FixedPointSpec, build_fixed_point_choi, check_fixed_point, check_unital
 from .dual_map import apply_dual_choi, apply_dual_kraus, evolve_linear, kraus_from_fixed_point, unitality_residual
 from .errors import CpuMapError, DomainError
 from .serialize import dumps, fmt
@@ -46,7 +46,10 @@ def _emit_error(code: str, detail: str) -> None:
 
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise json.JSONDecodeError("nesting too deep", "", 0) from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -268,7 +271,7 @@ def main(argv=None) -> int:
     except CpuMapError as exc:
         _emit_error(exc.code, str(exc))
         return 2
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         _emit_error("io", f"{type(exc).__name__}: {exc}")
         return 1
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .choi import ChoiMatrix, FixedPointSpec
+from .choi import ChoiMatrix, FixedPointSpec, _dual_action
 from .errors import DimensionError, DomainError, NegativeSqrtArgument
 from .linalg import _ensure_dim, _ensure_grid, as_matrix, eig_hermitian, ensure_density_matrix, max_abs
 
@@ -118,7 +118,7 @@ def apply_dual_choi(z: ChoiMatrix, b) -> np.ndarray:
     n = z.dim
     b = _ensure_dim(as_matrix(b), n, "observable")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.einsum("ikjq,kq->ij", z.matrix.reshape(n, n, n, n), b)
+        out = _dual_action(z.matrix[None], b[None])[0]
     return _ensure_no_overflow(out, "dual action")
 
 

@@ -15,15 +15,25 @@ from .battery import (
     EnvState,
     aligned_env,
     env_kraus,
-    number_operator,
     phi,
     simulate_charging,
     swap_unitary,
 )
-from .choi import FixedPointSpec, build_fixed_point_choi, check_unital, choi_is_psd, positivity_bounds
+from .choi import (
+    BOUND_TOL,
+    FixedPointSpec,
+    _batches,
+    _bound_minima,
+    _choi_stack,
+    _fixed_point_residuals,
+    _min_eigenvalues,
+    _spec_arrays,
+    _unital_residuals,
+    build_fixed_point_choi,
+)
 from .dual_map import (
+    KrausSet,
     apply_dual_choi,
-    apply_dual_kraus,
     choi_from_kraus,
     evolve_linear,
     evolve_linear_euler,
@@ -105,27 +115,25 @@ def equivalence_spec(seed: int, n: int, idx: int) -> FixedPointSpec:
     raise RuntimeError(f"no valid instance for seed={seed} n={n} idx={idx}")
 
 
-def _equivalence_instance(seed: int, n: int, idx: int):
-    spec = equivalence_spec(seed, n, idx)
-    z = build_fixed_point_choi(spec)
-    lower_ok, upper_ok = positivity_bounds(spec)
-    agree = (lower_ok and upper_ok) == choi_is_psd(z, 1e-8)
-    return agree, check_unital(z), max_abs(apply_dual_choi(z, spec.a) - spec.a)
-
-
 def check_equivalence(seed: int):
-    results = [
-        _equivalence_instance(seed, n, idx)
-        for n in EQUIVALENCE_DIMS
-        for idx in range(EQUIVALENCE_PER_DIM)
-    ]
-    bad = sum(1 for agree, _, _ in results if not agree)
-    max_unital = max(r[1] for r in results)
-    max_fixed = max(r[2] for r in results)
+    agree, unital, fixed = [], [], []
+    for n in EQUIVALENCE_DIMS:
+        specs = [equivalence_spec(seed, n, idx) for idx in range(EQUIVALENCE_PER_DIM)]
+        for batch in _batches(specs):
+            a, v, e, t = _spec_arrays(batch)
+            z = _choi_stack(a, v, e, t, batch[0].is_scalar)
+            bounds_ok = np.all(_bound_minima(a, e, t) >= -BOUND_TOL, axis=1)
+            agree.append(bounds_ok == (_min_eigenvalues(z) >= -1e-8))
+            unital.append(_unital_residuals(z))
+            fixed.append(_fixed_point_residuals(z, a))
+    agree = np.concatenate(agree)
+    bad = int(np.count_nonzero(~agree))
+    max_unital = float(np.max(np.concatenate(unital)))
+    max_fixed = float(np.max(np.concatenate(fixed)))
     lines = [
         _line(
             bad == 0,
-            f"positivity-equivalence instances={len(results)} counterexamples={bad}",
+            f"positivity-equivalence instances={agree.size} counterexamples={bad}",
         ),
         _line(
             max_unital < 1e-9 and max_fixed < 1e-9,
@@ -205,6 +213,12 @@ def swap_conjugate(u: np.ndarray, joint: np.ndarray) -> np.ndarray:
     return out
 
 
+def _primal(k: KrausSet, rho: np.ndarray) -> np.ndarray:
+    """The primal channel sum_k S_k^dagger rho S_k as one ordered sum over the stack."""
+    s = k.stack
+    return (s.conj().transpose(0, 2, 1) @ rho @ s).sum(axis=0)
+
+
 def check_battery_oracle(seed: int):
     worst = 0.0
     pairs = 0
@@ -217,10 +231,7 @@ def check_battery_oracle(seed: int):
             rho = _random_density(rng, d)
             sigma = env.sigma_fock()
             oracle = partial_trace_second(swap_conjugate(u, np.kron(rho, sigma)), d, d)
-            k = env_kraus(env)
-            primal = np.zeros((d, d), dtype=complex)
-            for op in k.matrices():
-                primal += op.conj().T @ rho @ op
+            primal = _primal(env_kraus(env), rho)
             worst = max(worst, max_abs(primal - oracle), max_abs(primal - sigma))
             p = phi(env)
             phi_ok = phi_ok and (-1e-12 <= p <= env.phi_max() + 1e-12)

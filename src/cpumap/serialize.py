@@ -28,9 +28,20 @@ def fmt(x: float) -> str:
     return FLOAT_FORMAT % float(x)
 
 
+class _Emitted(dict):
+    """A JSON object whose text is formatted once, at construction, and
+    reused wherever the object is emitted again; do not mutate it."""
+
+    def __init__(self, obj: dict):
+        super().__init__(obj)
+        self.text = _emit(obj)
+
+
 def _emit(obj) -> str:
     """Deterministic JSON with 17-digit floats (insertion-ordered keys)."""
     if isinstance(obj, dict):
+        if isinstance(obj, _Emitted):
+            return obj.text
         inner = ",".join(f"{json.dumps(k)}:{_emit(v)}" for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
@@ -57,10 +68,12 @@ def dumps(obj) -> str:
 # --- matrices and vectors ------------------------------------------------
 
 def _field(obj, field: str):
-    try:
-        return obj[field]
-    except TypeError:
-        raise CpuMapError(f"payload holding {field!r} must be a JSON object") from None
+    """Read a required field; a missing key or a non-object payload is a CpuMapError."""
+    if not isinstance(obj, dict):
+        raise CpuMapError(f"payload holding {field!r} must be a JSON object")
+    if field not in obj:
+        raise CpuMapError(f"payload is missing the field {field!r}")
+    return obj[field]
 
 
 def _count(obj, field: str) -> int:
@@ -83,6 +96,12 @@ def _floats(obj, field: str) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    # 1j * inf has a NaN real part; the validators downstream reject both
+    with np.errstate(invalid="ignore"):
+        return re + 1j * im
+
+
 def matrix_to_json(m) -> dict:
     a = as_matrix(m)
     return {
@@ -100,7 +119,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise DimensionError(
             f"matrix payload has {re.size}/{im.size} entries, expected {rows * cols}"
         )
-    return (re + 1j * im).reshape(rows, cols)
+    return _complex(re, im).reshape(rows, cols)
 
 
 def vector_to_json(v) -> dict:
@@ -112,7 +131,7 @@ def vector_from_json(obj: dict) -> np.ndarray:
     re, im = _floats(obj, "re"), _floats(obj, "im")
     if re.size != im.size:
         raise DimensionError("vector re/im lengths differ")
-    return re + 1j * im
+    return _complex(re, im)
 
 
 # --- composite objects ----------------------------------------------------
@@ -147,22 +166,22 @@ def _kraus_pairs(entries):
     the next entry is read."""
     for entry in entries:
         m = matrix_from_json(_field(entry, "matrix"))
-        yield entry["tag"], m
+        yield _field(entry, "tag"), m
 
 
 def env_to_json(env: EnvState) -> dict:
-    return {
-        "d": int(env.dim),
-        "spectrum": env.spectrum.tolist(),
-        "V": matrix_to_json(env.basis),
-    }
+    return _env_json(env, matrix_to_json(env.basis))
+
+
+def _env_json(env: EnvState, basis: dict) -> dict:
+    return {"d": int(env.dim), "spectrum": env.spectrum.tolist(), "V": basis}
 
 
 def env_from_json(obj: dict) -> EnvState:
     return EnvState(
         dim=_count(obj, "d"),
         spectrum=_floats(obj, "spectrum"),
-        basis=matrix_from_json(obj["V"]),
+        basis=matrix_from_json(_field(obj, "V")),
     )
 
 
@@ -194,6 +213,8 @@ def profile_to_csv(profile: MetricProfile) -> str:
 
 
 def profile_to_json(profile: MetricProfile, verbose: bool = False) -> dict:
+    # the records of a built profile share one basis array: format it once
+    bases: dict[int, _Emitted] = {}
     records = []
     for rec in profile.records:
         entry = {
@@ -203,7 +224,10 @@ def profile_to_json(profile: MetricProfile, verbose: bool = False) -> dict:
             "clipped": bool(rec.clipped),
         }
         if verbose:
-            entry["env"] = env_to_json(rec.env)
+            basis = rec.env.basis
+            if id(basis) not in bases:
+                bases[id(basis)] = _Emitted(matrix_to_json(basis))
+            entry["env"] = _env_json(rec.env, bases[id(basis)])
         records.append(entry)
     return {
         "M": float(profile.params.M),

@@ -25,7 +25,6 @@ from cpumap import (
     env_kraus,
     kraus_from_fixed_point,
     kron,
-    offset_factor,
     partial_trace_second,
     phi,
     positivity_bounds,

@@ -209,6 +209,16 @@ def test_missing_file_is_io_error(capsys):
     assert err["error"] == "io"
 
 
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000], ids=["not-utf8", "deep-nesting"]
+)
+def test_unparsable_file_is_one_io_line(tmp_path, capsys, content):
+    path = tmp_path / "env.json"
+    path.write_bytes(content)
+    assert main(["battery-phi", "--env", str(path)]) == 1
+    assert_one_error_line(capsys, "io")
+
+
 def test_usage_error_json(capsys):
     code = main(["choi-build"])  # missing required arguments
     assert code == 2
@@ -318,6 +328,46 @@ def test_non_numeric_payload_is_one_json_line(tmp_path, capsys, command, change)
     capsys.readouterr()
     assert main(payload_commands(paths, str(bad_path))[command]) == 2
     assert_one_error_line(capsys, "invalid")
+
+
+def missing_key_command(tmp_path, key):
+    """A command whose input file lacks ``key``, the rest of it valid."""
+    paths = cli_inputs(tmp_path)
+    b = ser.matrix_to_json(np.diag([0.5, 0.5]))
+    kraus = ser.kraus_to_json(kraus_from_fixed_point(pencil_spec(42, 2, 0)))
+    env = {"d": 2, "spectrum": [0.0, 1.0], "V": ser.matrix_to_json(np.eye(2))}
+    choi = json.loads(pathlib.Path(paths["Z"]).read_text())
+    if key == "tag":
+        del kraus["ops"][1]["tag"]
+    elif key == "V":
+        del env["V"]
+    elif key in ("re", "rows"):
+        del b[key]
+    else:
+        del choi[key]
+    files = {"B": b, "kraus": kraus, "env": env, "Z": choi}
+    for name, obj in files.items():
+        write_json(tmp_path / f"{name}.json", obj)
+    f = {name: str(tmp_path / f"{name}.json") for name in files}
+    return {
+        "tag": ["map-apply", "--kraus", f["kraus"], "--B", paths["rho"]],
+        "V": ["battery-phi", "--env", f["env"]],
+        "re": ["map-apply", "--Z", paths["Z"], "--B", f["B"]],
+        "rows": ["map-apply", "--Z", paths["Z"], "--B", f["B"]],
+        "dim": ["map-apply", "--Z", f["Z"], "--B", paths["rho"]],
+    }[key]
+
+
+@pytest.mark.parametrize("key", ["tag", "V", "re", "rows", "dim"])
+def test_missing_key_is_one_invalid_line(tmp_path, capsys, key):
+    argv = missing_key_command(tmp_path, key)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.out == ""
+    err = json.loads(lines[0])
+    assert err["error"] == "invalid" and repr(key) in err["detail"]
 
 
 @pytest.mark.parametrize("command", ["battery-sim", "evolve"])

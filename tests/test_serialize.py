@@ -8,7 +8,6 @@ from cpumap import (
     CpuMapError,
     DimensionError,
     EnvState,
-    FixedPointSpec,
     MetricParams,
     build_fixed_point_choi,
     build_profile,
