@@ -89,7 +89,7 @@ for label, env_case in [
     for _ in range(16):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         b = (g + g.conj().T) / 2
-        via_swap = sum(op @ b @ op.conj().T for op in kset_case.matrices())
+        via_swap = sum(op @ b @ op.conj().T for op in kset_case.stack)
         via_fixed = apply_dual_choi(z, b)
         worst = max(worst, float(np.max(np.abs(via_swap - via_fixed))))
     print(f"  {label:22s} max action residual: {worst:.3e}")

@@ -166,7 +166,7 @@ def simulate_charging(cfg: BatteryConfig, times) -> EvolutionTrace:
     """
     t = _ensure_grid(times, "times")
     slope = cfg.rate * phi(cfg.env)
-    return EvolutionTrace.linear(t, slope, cfg.rho0)
+    return EvolutionTrace.linear(t, slope)
 
 
 def alignment_unitary(d: int, theta: float) -> np.ndarray:
@@ -182,15 +182,12 @@ def alignment_unitary(d: int, theta: float) -> np.ndarray:
     if not 0.0 <= theta <= 1.0:
         raise DomainError(f"theta must lie in [0, 1], got {theta}")
     angle = (1.0 - theta) * np.pi / 2.0
+    a = np.arange(d // 2)
+    b = d - 1 - a
     v = np.eye(d)
-    for a in range(d // 2):
-        b = d - 1 - a
-        block = np.eye(d)
-        block[a, a] = np.cos(angle)
-        block[b, b] = np.cos(angle)
-        block[a, b] = -np.sin(angle)
-        block[b, a] = np.sin(angle)
-        v = v @ block
+    v[a, a] = v[b, b] = np.cos(angle)
+    v[a, b] = 0.0 - np.sin(angle)  # +0.0 at theta = 1, as a product of the blocks gives
+    v[b, a] = np.sin(angle)
     return v
 
 

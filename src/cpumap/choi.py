@@ -36,6 +36,7 @@ from .linalg import _ensure_min_dim, ensure_hermitian, max_abs
 SCALAR_TOL = 1e-12     # |<v|A|v> - trA/N| below this is treated as degenerate
 V_NORM_SLACK = 1e-6    # silently renormalize v when this close to unit norm
 BOUND_TOL = 1e-9       # slack on the operator inequalities
+PSD_TOL = 1e-8         # slack on the direct Choi minimum eigenvalue
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,8 @@ class FixedPointSpec:
     rejected otherwise.  Specs with tr(A) = 0 or <v|A|v> = 0 are rejected;
     a degenerate denominator <v|A|v> = tr(A)/N is rejected unless ``a`` is
     itself a multiple of the identity (where the singular term vanishes
-    identically).
+    identically).  A spec whose construction would overflow the float
+    range raises ``DomainError``.
 
     The spec owns ``a`` and ``v`` as read-only arrays, so ``trace``,
     ``expectation`` and ``is_scalar`` are derived once and cannot go stale.
@@ -84,6 +86,23 @@ class FixedPointSpec:
             raise ZeroTrace("tr(A) is numerically zero")
         if abs(e) <= SCALAR_TOL:
             raise ZeroExpectation("<v|A|v> is numerically zero")
+        # With s >= max|A_ij|, A's eigenvalues, their gaps and the bound
+        # matrices stay within 3 N s, A/e within N s/|e|, the second term
+        # within (1 + N s/|e|)(1/|t| + 1/|e|)/|N/t - 1/e|, and a sum over an
+        # N^2 axis grows each by at most N^2: a spec whose bound leaves the
+        # float range is rejected here rather than overflowing downstream.
+        # Python floats overflow to inf without a warning.
+        s = self._deviation + abs(t) / n
+        ratio = n * s / abs(e)
+        size = 3 * n * s + ratio
+        if not self.is_scalar:
+            denom = abs(n / t - 1 / e)
+            size += (1 + ratio) * (1 / abs(t) + 1 / abs(e)) / denom if denom else math.inf
+        if not n * n * size < math.inf:
+            raise DomainError(
+                f"the entries of A with tr(A) = {t} and <v|A|v> = {e} "
+                "overflow the float range in the construction"
+            )
         if abs(e - t / n) <= SCALAR_TOL and not self.is_scalar:
             raise DegenerateDenominator(
                 f"<v|A|v> = tr(A)/N = {e} makes the construction singular"
@@ -105,9 +124,14 @@ class FixedPointSpec:
     @cached_property
     def is_scalar(self) -> bool:
         """True when A is numerically a multiple of the identity."""
+        return self._deviation <= SCALAR_TOL * max(1.0, abs(self.trace))
+
+    @cached_property
+    def _deviation(self) -> float:
+        """max|A - (trA/N) I|; inf where a difference overflows."""
         n = self.a.shape[0]
-        t = self.trace
-        return max_abs(self.a - (t / n) * np.eye(n)) <= SCALAR_TOL * max(1.0, abs(t))
+        with np.errstate(over="ignore"):
+            return max_abs(self.a - (self.trace / n) * np.eye(n))
 
 
 @dataclass(frozen=True)
@@ -157,7 +181,7 @@ def check_fixed_point(z: ChoiMatrix, a) -> float:
     return max_abs(apply_dual_choi(z, a) - a)
 
 
-def positivity_bounds(spec: FixedPointSpec, tol: float = BOUND_TOL) -> tuple[bool, bool]:
+def positivity_bounds(spec: FixedPointSpec) -> tuple[bool, bool]:
     """Evaluate the two operator inequalities characterizing Z >= 0.
 
     Returns ``(lower_ok, upper_ok)`` where
@@ -166,17 +190,17 @@ def positivity_bounds(spec: FixedPointSpec, tol: float = BOUND_TOL) -> tuple[boo
         upper_ok:  I <v|A|v> >= A
 
     each tested through the minimum eigenvalue of the difference with
-    slack ``-tol``.  Together they are equivalent to positivity of the
+    slack ``-BOUND_TOL``.  Together they are equivalent to positivity of the
     constructed Choi matrix on the domain <v|A|v> > tr(A)/N.
     """
     lower_min, upper_min = _bound_minima(spec.a[None], spec.expectation, spec.trace)[0]
-    return bool(lower_min >= -tol), bool(upper_min >= -tol)
+    return bool(lower_min >= -BOUND_TOL), bool(upper_min >= -BOUND_TOL)
 
 
-def choi_is_psd(z: ChoiMatrix, tol: float = 1e-8) -> bool:
+def choi_is_psd(z: ChoiMatrix) -> bool:
     """Direct positivity check of the Choi matrix; ``ChoiMatrix`` validated
     it as Hermitian at construction, so only the minimum eigenvalue is taken."""
-    return bool(_min_eigenvalues(z.matrix[None])[0] >= -tol)
+    return bool(_min_eigenvalues(z.matrix[None])[0] >= -PSD_TOL)
 
 
 # --- batched kernels ---------------------------------------------------------

@@ -195,16 +195,19 @@ def _cmd_map_apply(args) -> int:
     return 0
 
 
-def _cmd_evolve(args) -> int:
-    z = serialize.choi_from_json(_read_json(args.Z))
-    a0 = serialize.matrix_from_json(_read_json(args.A0))
-    rho = serialize.matrix_from_json(_read_json(args.rho))
-    trace = evolve_linear(z, a0, rho, parse_grid(args.times), rate=args.rate)
+def _write_trace(args, trace) -> int:
     if args.format == "json":
         _write_text(args.out, dumps(serialize.trace_to_json(trace)))
     else:
         _write_text(args.out, serialize.trace_to_csv(trace))
     return 0
+
+
+def _cmd_evolve(args) -> int:
+    z = serialize.choi_from_json(_read_json(args.Z))
+    a0 = serialize.matrix_from_json(_read_json(args.A0))
+    rho = serialize.matrix_from_json(_read_json(args.rho))
+    return _write_trace(args, evolve_linear(z, a0, rho, parse_grid(args.times), rate=args.rate))
 
 
 def _cmd_battery_phi(args) -> int:
@@ -221,12 +224,7 @@ def _cmd_battery_sim(args) -> int:
         rho0 = np.zeros((env.dim, env.dim), dtype=complex)
         rho0[0, 0] = 1.0
     cfg = battery.BatteryConfig(d=env.dim, env=env, rho0=rho0, rate=args.rate)
-    trace = battery.simulate_charging(cfg, parse_grid(args.times))
-    if args.format == "json":
-        _write_text(args.out, dumps(serialize.trace_to_json(trace)))
-    else:
-        _write_text(args.out, serialize.trace_to_csv(trace))
-    return 0
+    return _write_trace(args, battery.simulate_charging(cfg, parse_grid(args.times)))
 
 
 def _cmd_metric_profile(args) -> int:

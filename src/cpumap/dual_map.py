@@ -12,7 +12,7 @@ matrix of such a map is ``Z = sum_k vec(D_k) vec(D_k)^dagger``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,9 +74,6 @@ class KrausSet:
         """``(tag, operator)`` pairs; each operator is a view into ``stack``."""
         return tuple(zip(self.tags, self.stack))
 
-    def matrices(self) -> list[np.ndarray]:
-        return list(self.stack)
-
 
 @dataclass(frozen=True)
 class EvolutionTrace:
@@ -85,7 +82,6 @@ class EvolutionTrace:
     times: np.ndarray
     values: np.ndarray
     phi_fit: float
-    rho: np.ndarray = field(compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -98,12 +94,12 @@ class EvolutionTrace:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def linear(cls, times: np.ndarray, slope: float, rho: np.ndarray) -> "EvolutionTrace":
+    def linear(cls, times: np.ndarray, slope: float) -> "EvolutionTrace":
         """The trace <A(t)> = slope * t; DomainError where a value overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
             values = slope * times
         _ensure_no_overflow(values, f"slope {slope} over times up to {times[-1]}")
-        return cls(times=times, values=values, phi_fit=slope, rho=rho)
+        return cls(times=times, values=values, phi_fit=slope)
 
 
 def _ensure_no_overflow(out: np.ndarray, what: str) -> np.ndarray:
@@ -238,18 +234,18 @@ def evolve_linear(z: ChoiMatrix, a0, rho, times, rate: float = 1.0) -> Evolution
     t = _ensure_grid(times, "times")
     generator = apply_dual_choi(z, a0)
     slope = rate * float(np.real(np.trace(rho @ generator)))
-    return EvolutionTrace.linear(t, slope, rho)
+    return EvolutionTrace.linear(t, slope)
 
 
-def evolve_linear_euler(z: ChoiMatrix, a0, rho, times, rate: float = 1.0) -> np.ndarray:
-    """Explicit Euler accumulation of dA/dt = rate * Phi[A0] over the grid.
+def evolve_linear_euler(z: ChoiMatrix, a0, rho, times) -> np.ndarray:
+    """Explicit Euler accumulation of dA/dt = Phi[A0] over the grid.
 
     Independent verification route for :func:`evolve_linear`; grid point k
     is reached by stepping the operator accumulator from grid point k-1.
     """
     rho = _ensure_dim(ensure_density_matrix(rho), z.dim, "rho")
     t = _ensure_grid(times, "times")
-    generator = rate * apply_dual_choi(z, a0)
+    generator = apply_dual_choi(z, a0)
     acc = t[0] * generator
     values = [float(np.real(np.trace(rho @ acc)))]
     for k in range(1, t.size):

@@ -4,7 +4,7 @@ tolerance-based predicates, and the input checks every module shares.
 
 Conventions used throughout the package:
   * tensor index: |i> (x) |k| maps to flat index i*d2 + k (numpy kron order);
-  * default Hermiticity / eigenvalue tolerance 1e-9;
+  * Hermiticity / eigenvalue tolerance HERM_TOL = 1e-9;
   * all functions are pure and never mutate their arguments.
 """
 
@@ -65,7 +65,7 @@ def partial_trace_second(m, d1: int, d2: int) -> np.ndarray:
     return np.einsum("ikjk->ij", a.reshape(d1, d2, d1, d2))
 
 
-def eig_hermitian(h, tol: float = HERM_TOL):
+def eig_hermitian(h):
     """Eigendecomposition of a Hermitian matrix with reproducible output.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
@@ -74,7 +74,7 @@ def eig_hermitian(h, tol: float = HERM_TOL):
     ties (within 1e-12) are ordered by lexicographic comparison of the
     phase-fixed vectors.
     """
-    a = ensure_hermitian(h, tol)
+    a = ensure_hermitian(h)
     evals, vecs = np.linalg.eigh(a)
     vecs = vecs.copy()
     n = a.shape[0]
@@ -108,8 +108,8 @@ def is_psd(h, tol: float = HERM_TOL) -> bool:
     return bool(np.min(np.linalg.eigvalsh(a)) >= -tol)
 
 
-def ensure_density_matrix(rho, tol: float = HERM_TOL) -> np.ndarray:
-    """Validate a density matrix: Hermitian, PSD and unit trace within ``tol``."""
+def ensure_density_matrix(rho) -> np.ndarray:
+    """Validate a density matrix: Hermitian, PSD and unit trace within HERM_TOL."""
     from .errors import InvalidDensityMatrix
 
     a = as_matrix(rho)
@@ -118,11 +118,11 @@ def ensure_density_matrix(rho, tol: float = HERM_TOL) -> np.ndarray:
     with np.errstate(over="ignore"):  # inf fails the tests below
         res = max_abs(a - a.conj().T)
         tr = complex(np.trace(a))
-    if res > tol:
+    if res > HERM_TOL:
         raise InvalidDensityMatrix("density matrix is not Hermitian")
-    if abs(tr - 1.0) > tol:
-        raise InvalidDensityMatrix(f"trace {tr} differs from 1 by more than {tol:.1e}")
-    if np.min(np.linalg.eigvalsh(a)) < -tol:
+    if abs(tr - 1.0) > HERM_TOL:
+        raise InvalidDensityMatrix(f"trace {tr} differs from 1 by more than {HERM_TOL:.1e}")
+    if np.min(np.linalg.eigvalsh(a)) < -HERM_TOL:
         raise InvalidDensityMatrix("density matrix has a negative eigenvalue")
     return a
 

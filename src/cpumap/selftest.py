@@ -21,6 +21,7 @@ from .battery import (
 )
 from .choi import (
     BOUND_TOL,
+    PSD_TOL,
     FixedPointSpec,
     _batches,
     _bound_minima,
@@ -33,10 +34,10 @@ from .choi import (
 )
 from .dual_map import (
     KrausSet,
-    apply_dual_choi,
     choi_from_kraus,
     evolve_linear,
     evolve_linear_euler,
+    idempotence_residual,
     kraus_from_fixed_point,
     unitality_residual,
 )
@@ -70,12 +71,16 @@ def _random_density(rng, n: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _random_env(rng, d: int) -> EnvState:
+def _random_spectrum(rng, d: int) -> np.ndarray:
     # ascending spectrum is the canonical labeling (any env is a column
     # permutation away); it makes sum_j sigma_j j the sharp phi bound
     sig = np.sort(rng.random(d) + 1e-3)
     sig = sig / sig.sum()
-    sig = sig / sig.sum()  # second pass tightens the unit-sum residual
+    return sig / sig.sum()  # second pass tightens the unit-sum residual
+
+
+def _random_env(rng, d: int) -> EnvState:
+    sig = _random_spectrum(rng, d)
     q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     return EnvState(dim=d, spectrum=sig, basis=q)
 
@@ -123,7 +128,7 @@ def check_equivalence(seed: int):
             a, v, e, t = _spec_arrays(batch)
             z = _choi_stack(a, v, e, t, batch[0].is_scalar)
             bounds_ok = np.all(_bound_minima(a, e, t) >= -BOUND_TOL, axis=1)
-            agree.append(bounds_ok == (_min_eigenvalues(z) >= -1e-8))
+            agree.append(bounds_ok == (_min_eigenvalues(z) >= -PSD_TOL))
             unital.append(_unital_residuals(z))
             fixed.append(_fixed_point_residuals(z, a))
     agree = np.concatenate(agree)
@@ -152,9 +157,7 @@ def check_idempotence(seed: int):
             z = build_fixed_point_choi(spec)
             rng = _rng(seed, 91, n, idx)
             for _ in range(4):
-                b = _random_hermitian(rng, n)
-                once = apply_dual_choi(z, b)
-                worst = max(worst, max_abs(apply_dual_choi(z, once) - once))
+                worst = max(worst, idempotence_residual(z, _random_hermitian(rng, n)))
                 count += 1
     return [_line(worst < 1e-9, f"idempotence observables={count} max={fmt(worst)}")]
 
@@ -259,10 +262,7 @@ def check_charging_law(seed: int):
 
 def check_alignment_monotone(seed: int):
     d = 8
-    rng = _rng(seed, 19)
-    sig = np.sort(rng.random(d) + 1e-3)
-    sig = sig / sig.sum()
-    sig = sig / sig.sum()
+    sig = _random_spectrum(_rng(seed, 19), d)
     values = [phi(aligned_env(d, sig, th)) for th in np.linspace(0.0, 1.0, 50)]
     ok = bool(np.all(np.diff(values) >= -1e-12))
     top = abs(values[-1] - float(np.dot(sig, np.arange(d)))) < 1e-12

@@ -1,14 +1,24 @@
 """Shared seeded generators for the test suite."""
 
 import numpy as np
+import pytest
 
 from cpumap import FixedPointSpec
 from cpumap.selftest import (
     _random_density as random_density,
+    _random_env as random_env,
     _random_hermitian as random_hermitian,
+    _random_spectrum as random_spectrum,
     _random_unit as random_unit,
     _rng as rng_for,
 )
+
+# specs with finite entries, trace and expectation whose construction
+# overflows: A - (t/N) I and the eigenvalue gaps in the first, A/e in the second
+OVERFLOWING_SPECS = [
+    pytest.param(np.diag([1.7e308, -1.7e308, -1.7e308]), np.eye(3)[0], id="huge-diagonal"),
+    pytest.param(np.array([[1e-11, 1e300], [1e300, 1.0]]), np.eye(2)[0], id="tiny-expectation"),
+]
 
 
 def random_spec(rng, n):

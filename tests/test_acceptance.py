@@ -35,7 +35,7 @@ from cpumap import (
 from cpumap.linalg import max_abs
 from cpumap.selftest import equivalence_spec, pencil_spec, run_selftest
 
-from conftest import random_density, random_hermitian, rng_for
+from conftest import random_density, random_env, random_hermitian, random_spectrum, rng_for
 
 SEED = 42
 
@@ -62,7 +62,7 @@ def test_criterion_1_positivity_equivalence():
     for n, idx, spec in suite_specs():
         z = build_fixed_point_choi(spec)
         lower_ok, upper_ok = positivity_bounds(spec)
-        if (lower_ok and upper_ok) != choi_is_psd(z, 1e-8):
+        if (lower_ok and upper_ok) != choi_is_psd(z):
             counterexamples += 1
         total += 1
     elapsed = time.monotonic() - started
@@ -133,17 +133,13 @@ def test_criterion_5_battery_replacement_oracle():
         u = swap_unitary(d)
         for idx in range(34):
             rng = rng_for(SEED, 910, d, idx)
-            sig = np.sort(rng.random(d) + 1e-3)
-            sig = sig / sig.sum()
-            sig = sig / sig.sum()
-            q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-            env = EnvState(dim=d, spectrum=sig, basis=q)
+            env = random_env(rng, d)
             rho = random_density(rng, d)
             oracle = partial_trace_second(
                 u @ kron(rho, env.sigma_fock()) @ u.conj().T, d, d
             )
             primal = np.zeros((d, d), dtype=complex)
-            for op in env_kraus(env).matrices():
+            for op in env_kraus(env).stack:
                 primal += op.conj().T @ rho @ op
             worst = max(worst, max_abs(primal - oracle))
             pairs += 1
@@ -177,19 +173,11 @@ def test_criterion_7_phi_bounds_and_monotonicity():
     bounds_ok = True
     for d in (4, 8, 16):
         for idx in range(20):
-            rng = rng_for(SEED, 930, d, idx)
-            sig = np.sort(rng.random(d) + 1e-3)
-            sig = sig / sig.sum()
-            sig = sig / sig.sum()
-            q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-            env = EnvState(dim=d, spectrum=sig, basis=q)
+            env = random_env(rng_for(SEED, 930, d, idx), d)
             p = phi(env)
             bounds_ok = bounds_ok and (-1e-12 <= p <= env.phi_max() + 1e-12)
     d = 8
-    rng = rng_for(SEED, 931)
-    sig = np.sort(rng.random(d) + 1e-3)
-    sig = sig / sig.sum()
-    sig = sig / sig.sum()
+    sig = random_spectrum(rng_for(SEED, 931), d)
     values = [phi(aligned_env(d, sig, float(th))) for th in np.linspace(0.0, 1.0, 50)]
     monotone = bool(np.all(np.diff(values) >= -1e-12))
     report(

@@ -24,17 +24,7 @@ from cpumap import (
 )
 from cpumap.linalg import max_abs
 
-from conftest import random_density, rng_for
-
-
-def random_env(rng, d, sort_spectrum=True):
-    sig = rng.random(d) + 1e-3
-    if sort_spectrum:
-        sig = np.sort(sig)
-    sig = sig / sig.sum()
-    sig = sig / sig.sum()
-    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return EnvState(dim=d, spectrum=sig, basis=q)
+from conftest import random_density, random_env, random_spectrum, rng_for
 
 
 def swap_oracle(rho, sigma_fock, d):
@@ -45,7 +35,7 @@ def swap_oracle(rho, sigma_fock, d):
 
 def apply_primal(kset, rho):
     out = np.zeros_like(rho)
-    for op in kset.matrices():
+    for op in kset.stack:
         out = out + op.conj().T @ rho @ op
     return out
 
@@ -318,6 +308,29 @@ def test_alignment_unitary_endpoints():
     assert max_abs(np.abs(v0) - reversal) < 1e-12
 
 
+def loop_alignment_unitary(d, theta):
+    """The product of the d/2 disjoint Givens blocks, one dense product each."""
+    angle = (1.0 - theta) * np.pi / 2.0
+    v = np.eye(d)
+    for a in range(d // 2):
+        b = d - 1 - a
+        block = np.eye(d)
+        block[a, a] = block[b, b] = np.cos(angle)
+        block[a, b] = -np.sin(angle)
+        block[b, a] = np.sin(angle)
+        v = v @ block
+    return v
+
+
+def test_alignment_unitary_equals_block_product():
+    # bit for bit, signs of zeros included (the product gives +0.0 at theta = 1)
+    for d in range(2, 65):
+        for theta in np.linspace(0.0, 1.0, 51):
+            got, want = alignment_unitary(d, float(theta)), loop_alignment_unitary(d, float(theta))
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_alignment_unitary_is_unitary():
     for d in (4, 5, 8):
         for theta in np.linspace(0.0, 1.0, 9):
@@ -326,11 +339,8 @@ def test_alignment_unitary_is_unitary():
 
 
 def test_alignment_phi_monotone_for_sorted_spectrum():
-    rng = rng_for(418)
     d = 8
-    sig = np.sort(rng.random(d) + 1e-3)
-    sig = sig / sig.sum()
-    sig = sig / sig.sum()
+    sig = random_spectrum(rng_for(418), d)
     values = [phi(aligned_env(d, sig, float(th))) for th in np.linspace(0.0, 1.0, 50)]
     assert np.all(np.diff(values) >= -1e-12)
     assert abs(values[-1] - float(np.dot(sig, np.arange(d)))) < 1e-12

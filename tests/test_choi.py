@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from cpumap import (
     ChoiMatrix,
     DegenerateDenominator,
     DimensionError,
+    DomainError,
     FixedPointSpec,
     ZeroExpectation,
     ZeroTrace,
@@ -13,11 +16,12 @@ from cpumap import (
     check_fixed_point,
     check_unital,
     choi_is_psd,
+    kraus_from_fixed_point,
     positivity_bounds,
 )
 from cpumap.linalg import max_abs
 
-from conftest import pencil_spec, random_hermitian, random_spec, random_unit, rng_for
+from conftest import OVERFLOWING_SPECS, pencil_spec, random_hermitian, random_spec, random_unit, rng_for
 
 # regression matrix for A = diag(2,1), v = e1, pinned from direct term-by-term
 # substitution: A (x) P/2 = diag(1, 0, 1/2, 0) and the complement term
@@ -130,12 +134,12 @@ def test_bounds_equivalence_sample():
         for _ in range(20):
             spec = random_spec(rng, n)
             lower_ok, upper_ok = positivity_bounds(spec)
-            assert (lower_ok and upper_ok) == choi_is_psd(build_fixed_point_choi(spec), 1e-8)
+            assert (lower_ok and upper_ok) == choi_is_psd(build_fixed_point_choi(spec))
         for _ in range(10):
             spec = pencil_spec(rng, n)
             lower_ok, upper_ok = positivity_bounds(spec)
             assert lower_ok and upper_ok
-            assert choi_is_psd(build_fixed_point_choi(spec), 1e-8)
+            assert choi_is_psd(build_fixed_point_choi(spec))
 
 
 def test_scale_covariance():
@@ -165,6 +169,23 @@ def test_degenerate_denominator_rejected():
     v = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
     with pytest.raises(DegenerateDenominator):
         FixedPointSpec(a=np.diag([2.0, 0.0]).astype(complex), v=v)
+
+
+@pytest.mark.parametrize("a, v", OVERFLOWING_SPECS)
+def test_overflowing_construction_rejected(a, v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            FixedPointSpec(a=a.astype(complex), v=v.astype(complex))
+
+
+def test_large_in_range_spec_builds_without_warning():
+    spec = FixedPointSpec(a=1e150 * np.diag([2.0, 1.0]).astype(complex), v=np.eye(2)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert choi_is_psd(build_fixed_point_choi(spec))
+        assert positivity_bounds(spec) == (True, True)
+        kraus_from_fixed_point(spec)
 
 
 def test_nan_reference_vector_rejected():

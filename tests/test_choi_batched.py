@@ -125,6 +125,6 @@ def test_primal_sum_equals_loop(d):
     rho = random_density(rng, d)
     k = env_kraus(env)
     loop = np.zeros((d, d), dtype=complex)
-    for op in k.matrices():
+    for op in k.stack:
         loop += op.conj().T @ rho @ op
     assert np.array_equal(_primal(k, rho), loop)

@@ -10,7 +10,7 @@ from cpumap import ChoiMatrix, DomainError, build_fixed_point_choi, kraus_from_f
 from cpumap.cli import MAX_GRID_POINTS, main, parse_grid
 from cpumap.selftest import pencil_spec
 
-from conftest import random_density, rng_for
+from conftest import OVERFLOWING_SPECS, random_density, rng_for
 
 
 def write_json(path, obj):
@@ -449,6 +449,17 @@ def test_overflowing_dual_action_is_one_domain_line(tmp_path, capsys, source):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["map-apply", source, str(map_path), "--B", str(b_path)]) == 2
+    assert caught == []
+    assert_one_error_line(capsys, "domain")
+
+
+@pytest.mark.parametrize("command", ["choi-build", "kraus-extract"])
+@pytest.mark.parametrize("a, v", OVERFLOWING_SPECS)
+def test_overflowing_construction_is_one_domain_line(tmp_path, capsys, command, a, v):
+    a_path, v_path = write_spec_files(tmp_path, a.astype(complex), v.astype(complex))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--A", a_path, "--v", v_path]) == 2
     assert caught == []
     assert_one_error_line(capsys, "domain")
 
