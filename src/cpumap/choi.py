@@ -86,12 +86,12 @@ class FixedPointSpec:
             raise ZeroTrace("tr(A) is numerically zero")
         if abs(e) <= SCALAR_TOL:
             raise ZeroExpectation("<v|A|v> is numerically zero")
-        # With s >= max|A_ij|, A's eigenvalues, their gaps and the bound
-        # matrices stay within 3 N s, A/e within N s/|e|, the second term
-        # within (1 + N s/|e|)(1/|t| + 1/|e|)/|N/t - 1/e|, and a sum over an
-        # N^2 axis grows each by at most N^2: a spec whose bound leaves the
-        # float range is rejected here rather than overflowing downstream.
-        # Python floats overflow to inf without a warning.
+        # With s = max|A - (t/N) I| + |t|/N >= max|A_ij|, A's eigenvalues,
+        # their gaps and the bound matrices stay within 3 N s, A/e within
+        # N s/|e|, the second term within (1 + N s/|e|)(1/|t| + 1/|e|)/|N/t - 1/e|,
+        # and a sum over an N^2 axis grows each by at most N^2: a spec whose
+        # bound leaves the float range is rejected here rather than
+        # overflowing downstream.  Python floats overflow to inf without a warning.
         s = self._deviation + abs(t) / n
         ratio = n * s / abs(e)
         size = 3 * n * s + ratio
