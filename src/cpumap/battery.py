@@ -69,6 +69,8 @@ class EnvState:
     basis: np.ndarray
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise DimensionError(f"environment d must be >= 1, got {self.dim}")
         sig = np.asarray(self.spectrum, dtype=float).reshape(-1)
         v = np.asarray(self.basis, dtype=complex)
         if sig.shape[0] != self.dim or v.shape != (self.dim, self.dim):

@@ -147,6 +147,8 @@ class ChoiMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise DimensionError(f"Choi matrix dim must be >= 1, got {self.dim}")
         m = ensure_hermitian(self.matrix)
         if m.shape != (self.dim**2, self.dim**2):
             raise DimensionError(
@@ -189,9 +191,10 @@ def positivity_bounds(spec: FixedPointSpec) -> tuple[bool, bool]:
         lower_ok:  A >= I (trA - <v|A|v>) / (N - 1)
         upper_ok:  I <v|A|v> >= A
 
-    each tested through the minimum eigenvalue of the difference with
-    slack ``-BOUND_TOL``.  Together they are equivalent to positivity of the
-    constructed Choi matrix on the domain <v|A|v> > tr(A)/N.
+    each tested with slack ``-BOUND_TOL`` through the minimum eigenvalue of
+    the difference, a scalar shift of A's smallest or largest eigenvalue, so
+    one ``eigvalsh(A)`` gives both.  Together they are equivalent to
+    positivity of the constructed Choi matrix on the domain <v|A|v> > tr(A)/N.
     """
     lower_min, upper_min = _bound_minima(spec.a[None], spec.expectation, spec.trace)[0]
     return bool(lower_min >= -BOUND_TOL), bool(upper_min >= -BOUND_TOL)
@@ -261,13 +264,13 @@ def _min_eigenvalues(z: np.ndarray) -> np.ndarray:
 
 
 def _bound_minima(a, e, t) -> np.ndarray:
-    """(B, 2) minimum eigenvalues of A - I (trA - e)/(N - 1) and e I - A."""
+    """(B, 2) minimum eigenvalues of A - I (trA - e)/(N - 1) and e I - A:
+    lambda_min(A) - (trA - e)/(N - 1) and e - lambda_max(A), from one eigvalsh(A)."""
     n = a.shape[-1]
     _ensure_min_dim(n, "dimension N")  # the lower bound divides by N - 1
-    pair = np.empty((a.shape[0], 2, n, n), dtype=complex)
-    pair[:, 0] = a - (t - e) / (n - 1) * np.eye(n)
-    pair[:, 1] = e * np.eye(n) - a
-    return _min_eigenvalues(pair)
+    evals = np.linalg.eigvalsh(a)
+    e, t = np.reshape(e, -1), np.reshape(t, -1)
+    return np.stack([evals[:, 0] - (t - e) / (n - 1), e - evals[:, -1]], axis=1)
 
 
 def _unital_residuals(z: np.ndarray) -> np.ndarray:

@@ -241,7 +241,11 @@ def _cmd_metric_profile(args) -> int:
 def _cmd_selftest(args) -> int:
     report, ok = selftest_mod.run_selftest(seed=args.seed)
     _write_text(args.out, report)
-    return 0 if ok else 2
+    if ok:
+        return 0
+    failed = sum(1 for line in report.splitlines() if line.startswith("FAIL"))
+    _emit_error("selftest", f"{failed} selftest check(s) failed")
+    return 2
 
 
 _COMMANDS = {

@@ -39,6 +39,8 @@ class KrausSet:
     tags: tuple[str, ...]
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise DimensionError(f"Kraus set dim must be >= 1, got {self.dim}")
         s = np.asarray(self.stack, dtype=complex)
         tags = tuple(str(tag) for tag in self.tags)
         if s.shape != (len(tags), self.dim, self.dim):

@@ -41,6 +41,7 @@ from .dual_map import (
     kraus_from_fixed_point,
     unitality_residual,
 )
+from .errors import DomainError
 from .linalg import max_abs, partial_trace_second
 from .metric import MetricParams, build_profile, offset_factor
 from .serialize import fmt
@@ -326,7 +327,10 @@ def _line(ok: bool, detail: str) -> str:
 
 
 def run_selftest(seed: int = 42) -> tuple[str, bool]:
-    """Run every check; returns (report text, all passed)."""
+    """Run every check; returns (report text, all passed).  A negative seed,
+    which the generators cannot take, raises DomainError before any check."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     lines: list[str] = [f"cpumap selftest seed={seed}"]
     lines += check_equivalence(seed)
     lines += check_idempotence(seed)

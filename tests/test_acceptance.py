@@ -24,18 +24,23 @@ from cpumap import (
     choi_is_psd,
     env_kraus,
     kraus_from_fixed_point,
-    kron,
-    partial_trace_second,
     phi,
     positivity_bounds,
     simulate_charging,
-    swap_unitary,
     unitality_residual,
 )
 from cpumap.linalg import max_abs
 from cpumap.selftest import equivalence_spec, pencil_spec, run_selftest
 
-from conftest import random_density, random_env, random_hermitian, random_spectrum, rng_for
+from conftest import (
+    primal_loop,
+    random_density,
+    random_env,
+    random_hermitian,
+    random_spectrum,
+    rng_for,
+    swap_oracle,
+)
 
 SEED = 42
 
@@ -130,18 +135,12 @@ def test_criterion_5_battery_replacement_oracle():
     worst = 0.0
     pairs = 0
     for d in (4, 8, 16):
-        u = swap_unitary(d)
         for idx in range(34):
             rng = rng_for(SEED, 910, d, idx)
             env = random_env(rng, d)
             rho = random_density(rng, d)
-            oracle = partial_trace_second(
-                u @ kron(rho, env.sigma_fock()) @ u.conj().T, d, d
-            )
-            primal = np.zeros((d, d), dtype=complex)
-            for op in env_kraus(env).stack:
-                primal += op.conj().T @ rho @ op
-            worst = max(worst, max_abs(primal - oracle))
+            oracle = swap_oracle(rho, env.sigma_fock(), d)
+            worst = max(worst, max_abs(primal_loop(env_kraus(env), rho) - oracle))
             pairs += 1
     report(
         pairs >= 100 and worst < 1e-9,

@@ -16,7 +16,6 @@ from cpumap import (
     env_kraus,
     kron,
     number_operator,
-    partial_trace_second,
     phi,
     simulate_charging,
     swap_unitary,
@@ -24,20 +23,7 @@ from cpumap import (
 )
 from cpumap.linalg import max_abs
 
-from conftest import random_density, random_env, random_spectrum, rng_for
-
-
-def swap_oracle(rho, sigma_fock, d):
-    """Independent route: conjugate by the swap and trace out the environment."""
-    u = swap_unitary(d)
-    return partial_trace_second(u @ kron(rho, sigma_fock) @ u.conj().T, d, d)
-
-
-def apply_primal(kset, rho):
-    out = np.zeros_like(rho)
-    for op in kset.stack:
-        out = out + op.conj().T @ rho @ op
-    return out
+from conftest import primal_loop, random_density, random_env, random_spectrum, rng_for, swap_oracle
 
 
 def test_number_operator():
@@ -113,7 +99,7 @@ def test_env_kraus_pure_aligned_replacement():
     env = EnvState(dim=d, spectrum=spectrum, basis=np.eye(d, dtype=complex))
     kset = env_kraus(env)
     rho = random_density(rng_for(403), d)
-    out = apply_primal(kset, rho)
+    out = primal_loop(kset, rho)
     expected = np.zeros((d, d), dtype=complex)
     expected[0, 0] = 1.0
     assert max_abs(out - expected) < 1e-12
@@ -127,8 +113,8 @@ def test_env_kraus_matches_swap_oracle():
     sigma = env.sigma_fock()
     for _ in range(5):
         rho = random_density(rng, d)
-        assert max_abs(apply_primal(kset, rho) - sigma) < 1e-10
-        assert max_abs(apply_primal(kset, rho) - swap_oracle(rho, sigma, d)) < 1e-10
+        assert max_abs(primal_loop(kset, rho) - sigma) < 1e-10
+        assert max_abs(primal_loop(kset, rho) - swap_oracle(rho, sigma, d)) < 1e-10
 
 
 def test_env_kraus_aligned_structure():
@@ -375,6 +361,13 @@ def test_env_state_validation():
     nan_basis[1, 2] = np.nan
     with pytest.raises(DomainError):
         EnvState(dim=d, spectrum=np.array([0.5, 0.3, 0.2]), basis=nan_basis)
+
+
+def test_env_state_needs_d_at_least_one():
+    with pytest.raises(DimensionError):
+        EnvState(dim=0, spectrum=[], basis=np.zeros((0, 0)))
+    env = EnvState(dim=1, spectrum=[1.0], basis=np.eye(1))
+    assert phi(env) == 0.0 and env.phi_max() == 0.0
 
 
 def test_env_state_rejects_nan_spectrum():

@@ -21,12 +21,16 @@ from cpumap import (
 )
 from cpumap.linalg import max_abs
 
-from conftest import OVERFLOWING_SPECS, pencil_spec, random_hermitian, random_spec, random_unit, rng_for
-
-# regression matrix for A = diag(2,1), v = e1, pinned from direct term-by-term
-# substitution: A (x) P/2 = diag(1, 0, 1/2, 0) and the complement term
-# diag(0,3) (x) diag(-1/6, 1/3) = diag(0, 0, -1/2, 1)
-PINNED_Z_DIAG21 = np.diag([1.0, 0.0, 0.0, 1.0])
+from conftest import (
+    OVERFLOWING_SPECS,
+    PINNED_Z_DIAG21,
+    kron_reference_choi,
+    pencil_spec,
+    random_hermitian,
+    random_spec,
+    random_unit,
+    rng_for,
+)
 
 
 def diag21_spec():
@@ -220,17 +224,6 @@ def test_v_length_mismatch():
         )
 
 
-def kron_reference_choi(spec):
-    """The Choi matrix as two np.kron terms, the form the broadcast replaces."""
-    n, e, t = spec.dim, spec.expectation, spec.trace
-    proj_t = np.outer(spec.v, spec.v.conj()).T
-    first = np.kron(spec.a / e, proj_t)
-    if spec.is_scalar:
-        return first
-    denom = n / t - 1.0 / e
-    return first + np.kron((np.eye(n) - spec.a / e) / denom, np.eye(n) / t - proj_t / e)
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
 @pytest.mark.parametrize("kind", ["pencil", "scalar", "random"])
 def test_build_matches_kron_reference_bitwise(n, kind):
@@ -286,3 +279,10 @@ def test_bounds_equal_separate_eigvalsh_calls():
             lower = np.min(np.linalg.eigvalsh(spec.a - shift * np.eye(n))) >= -1e-9
             upper = np.min(np.linalg.eigvalsh(e * np.eye(n) - spec.a)) >= -1e-9
             assert positivity_bounds(spec) == (bool(lower), bool(upper))
+
+
+def test_choi_matrix_needs_dim_at_least_one():
+    with pytest.raises(DimensionError):
+        ChoiMatrix(dim=0, matrix=np.zeros((0, 0)))
+    z = ChoiMatrix(dim=1, matrix=np.eye(1))
+    assert check_unital(z) == 0.0 and apply_dual_choi(z, [[3.0]]) == 3.0

@@ -32,24 +32,20 @@ from cpumap.choi import (
 from cpumap.linalg import partial_trace_second
 from cpumap.selftest import EQUIVALENCE_PER_DIM, _primal, equivalence_spec
 
-from conftest import random_density, random_spec, random_unit, rng_for
+from conftest import kron_reference_choi, primal_loop, random_density, random_spec, random_unit, rng_for
 
 
 def reference(spec):
     """The single-instance arithmetic: Choi build, minimum eigenvalue, the
-    two bound minima and the two residuals of one spec."""
+    two bound minima (shifts of A's extreme eigenvalues) and the two
+    residuals of one spec."""
     n, e, t = spec.dim, spec.expectation, spec.trace
-    proj_t = np.outer(spec.v, spec.v.conj()).T
-    z = np.kron(spec.a / e, proj_t)
-    if not spec.is_scalar:
-        denom = n / t - 1.0 / e
-        z = z + np.kron((np.eye(n) - spec.a / e) / denom, np.eye(n) / t - proj_t / e)
-    pair = np.empty((2, n, n), dtype=complex)
-    pair[0] = spec.a - (t - e) / (n - 1) * np.eye(n)
-    pair[1] = e * np.eye(n) - spec.a
+    z = kron_reference_choi(spec)
+    evals = np.linalg.eigvalsh(spec.a)
+    bounds = np.array([evals[0] - (t - e) / (n - 1), e - evals[-1]])
     unital = np.max(np.abs(partial_trace_second(z, n, n) - np.eye(n)))
     fixed = np.max(np.abs(np.einsum("ikjq,kq->ij", z.reshape(n, n, n, n), spec.a) - spec.a))
-    return z, np.min(np.linalg.eigvalsh(z)), np.min(np.linalg.eigvalsh(pair), axis=1), unital, fixed
+    return z, np.min(np.linalg.eigvalsh(z)), bounds, unital, fixed
 
 
 def assert_batches_equal_loop(specs):
@@ -124,7 +120,4 @@ def test_primal_sum_equals_loop(d):
     env = EnvState(dim=d, spectrum=sigma / sigma.sum(), basis=q)
     rho = random_density(rng, d)
     k = env_kraus(env)
-    loop = np.zeros((d, d), dtype=complex)
-    for op in k.stack:
-        loop += op.conj().T @ rho @ op
-    assert np.array_equal(_primal(k, rho), loop)
+    assert np.array_equal(_primal(k, rho), primal_loop(k, rho))

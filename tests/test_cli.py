@@ -1,20 +1,17 @@
 import json
 import math
 import pathlib
-import warnings
 
 import numpy as np
 import pytest
 
 from cpumap import ChoiMatrix, DomainError, build_fixed_point_choi, kraus_from_fixed_point, serialize as ser
-from cpumap.cli import MAX_GRID_POINTS, main, parse_grid
-from cpumap.selftest import pencil_spec
+from cpumap import selftest
+from cpumap.cli import MAX_GRID_POINTS, parse_grid
 
-from conftest import OVERFLOWING_SPECS, random_density, rng_for
+from conftest import OVERFLOWING_SPECS, ZERO_SIZE, rng_for, run_cli, write_json
 
-
-def write_json(path, obj):
-    path.write_text(ser.dumps(obj))
+SELFTEST_CHECKS = [name for name in vars(selftest) if name.startswith("check_")]
 
 
 def write_spec_files(tmp_path, a, v):
@@ -25,24 +22,14 @@ def write_spec_files(tmp_path, a, v):
     return str(a_path), str(v_path)
 
 
-def read_error(capsys):
-    captured = capsys.readouterr()
-    return json.loads(captured.err.strip().splitlines()[-1]), captured.out
-
-
 def test_parse_grid():
     assert np.allclose(parse_grid("0.5:10:20"), np.linspace(0.5, 10.0, 20))
     assert np.array_equal(parse_grid("3:9:1"), np.array([3.0]))
 
 
-def test_choi_build_then_check(tmp_path, capsys):
-    a_path, v_path = write_spec_files(
-        tmp_path, np.diag([2.0, 1.0]).astype(complex), np.array([1.0, 0.0], dtype=complex)
-    )
-    z_path = tmp_path / "z.json"
-    assert main(["choi-build", "--A", a_path, "--v", v_path, "--out", str(z_path)]) == 0
-    assert main(["choi-check", "--Z", str(z_path), "--A", a_path]) == 0
-    out = capsys.readouterr().out
+def test_choi_build_then_check(cli_files):
+    code, out, _ = run_cli(["choi-check", "--Z", cli_files["Z"], "--A", cli_files["A"]])
+    assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("unitality-residual ")
     assert lines[1].startswith("fixed-point-residual ")
@@ -50,69 +37,46 @@ def test_choi_build_then_check(tmp_path, capsys):
     assert float(lines[1].split()[1]) < 1e-9
 
 
-def test_choi_check_flags_wrong_observable(tmp_path, capsys):
-    a_path, v_path = write_spec_files(
-        tmp_path, np.diag([2.0, 1.0]).astype(complex), np.array([1.0, 0.0], dtype=complex)
-    )
-    z_path = tmp_path / "z.json"
-    main(["choi-build", "--A", a_path, "--v", v_path, "--out", str(z_path)])
+def test_choi_check_flags_wrong_observable(cli_files, tmp_path):
     other = tmp_path / "other.json"
     # off-diagonal content is not preserved by this map
     write_json(other, ser.matrix_to_json(np.array([[1.0, 1.0], [1.0, 0.0]])))
-    code = main(["choi-check", "--Z", str(z_path), "--A", str(other)])
+    code, out, err = run_cli(["choi-check", "--Z", cli_files["Z"], "--A", str(other)])
     assert code == 2
-    err, out = read_error(capsys)
     assert err["error"] == "residual"
     assert "fixed-point-residual" in out
 
 
-def test_kraus_extract_and_map_apply(tmp_path, capsys):
-    a_path, v_path = write_spec_files(
-        tmp_path, np.diag([2.0, 1.0]).astype(complex), np.array([1.0, 0.0], dtype=complex)
-    )
-    z_path = tmp_path / "z.json"
-    k_path = tmp_path / "k.json"
+def test_kraus_extract_and_map_apply(cli_files, tmp_path):
     b_path = tmp_path / "b.json"
     rng = rng_for(701)
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = (g + g.conj().T) / 2
-    write_json(b_path, ser.matrix_to_json(b))
-    assert main(["choi-build", "--A", a_path, "--v", v_path, "--out", str(z_path)]) == 0
-    assert main(["kraus-extract", "--A", a_path, "--v", v_path, "--out", str(k_path)]) == 0
-    unital_line = capsys.readouterr().out.strip().splitlines()[-1]
-    assert float(unital_line.split()[1]) < 1e-9
+    write_json(b_path, ser.matrix_to_json((g + g.conj().T) / 2))
+    code, out, _ = run_cli(["kraus-extract", "--A", cli_files["A"], "--v", cli_files["v"]])
+    assert code == 0
+    assert float(out.strip().splitlines()[-1].split()[1]) < 1e-9
     out_z = tmp_path / "via_z.json"
     out_k = tmp_path / "via_k.json"
-    assert main(["map-apply", "--Z", str(z_path), "--B", str(b_path), "--out", str(out_z)]) == 0
-    assert main(["map-apply", "--kraus", str(k_path), "--B", str(b_path), "--out", str(out_k)]) == 0
+    assert run_cli(["map-apply", "--Z", cli_files["Z"], "--B", str(b_path), "--out", str(out_z)])[0] == 0
+    assert run_cli(["map-apply", "--kraus", cli_files["kraus"], "--B", str(b_path), "--out", str(out_k)])[0] == 0
     via_z = ser.matrix_from_json(json.loads(out_z.read_text()))
     via_k = ser.matrix_from_json(json.loads(out_k.read_text()))
     assert np.max(np.abs(via_z - via_k)) < 1e-8
 
 
-def test_map_apply_requires_exactly_one_source(tmp_path, capsys):
-    b_path = tmp_path / "b.json"
-    write_json(b_path, ser.matrix_to_json(np.eye(2)))
-    assert main(["map-apply", "--B", str(b_path)]) == 2
-    err, _ = read_error(capsys)
-    assert err["error"] == "domain"
+def test_map_apply_requires_exactly_one_source(cli_files):
+    code, _, err = run_cli(["map-apply", "--B", cli_files["rho"]])
+    assert (code, err["error"]) == (2, "domain")
 
 
-def test_evolve_csv(tmp_path):
-    a_path, v_path = write_spec_files(
-        tmp_path, np.diag([2.0, 1.0]).astype(complex), np.array([1.0, 0.0], dtype=complex)
-    )
-    z_path = tmp_path / "z.json"
-    main(["choi-build", "--A", a_path, "--v", v_path, "--out", str(z_path)])
-    rho_path = tmp_path / "rho.json"
-    write_json(rho_path, ser.matrix_to_json(random_density(rng_for(702), 2)))
+def test_evolve_csv(cli_files, tmp_path):
     out_path = tmp_path / "trace.csv"
-    code = main(
+    code, _, _ = run_cli(
         [
             "evolve",
-            "--Z", str(z_path),
-            "--A0", str(a_path),
-            "--rho", str(rho_path),
+            "--Z", cli_files["Z"],
+            "--A0", cli_files["A"],
+            "--rho", cli_files["rho"],
             "--times", "0:4:5",
             "--out", str(out_path),
         ]
@@ -127,30 +91,30 @@ def test_evolve_csv(tmp_path):
         assert abs(float(val_str) - slope * float(t_str)) < 1e-12
 
 
-def test_battery_phi_prints_level(tmp_path, capsys):
-    d = 4
-    sig = [0.0, 0.0, 1.0, 0.0]
-    env_obj = {"d": d, "spectrum": sig, "V": ser.matrix_to_json(np.eye(d))}
-    env_path = tmp_path / "env.json"
-    write_json(env_path, env_obj)
-    assert main(["battery-phi", "--env", str(env_path)]) == 0
-    assert float(capsys.readouterr().out.strip()) == 2.0
+def write_level_two_env(tmp_path):
+    """A d = 4 environment holding all its weight on level 2."""
+    env_path = tmp_path / "env4.json"
+    write_json(env_path, {"d": 4, "spectrum": [0.0, 0.0, 1.0, 0.0], "V": ser.matrix_to_json(np.eye(4))})
+    return str(env_path)
+
+
+def test_battery_phi_prints_level(tmp_path):
+    code, out, _ = run_cli(["battery-phi", "--env", write_level_two_env(tmp_path)])
+    assert code == 0
+    assert float(out.strip()) == 2.0
 
 
 def test_battery_sim_csv(tmp_path):
-    d = 4
-    env_obj = {"d": d, "spectrum": [0.0, 0.0, 1.0, 0.0], "V": ser.matrix_to_json(np.eye(d))}
-    env_path = tmp_path / "env.json"
-    write_json(env_path, env_obj)
     out_path = tmp_path / "sim.csv"
-    assert main(["battery-sim", "--env", str(env_path), "--times", "0:2:3", "--out", str(out_path)]) == 0
+    argv = ["battery-sim", "--env", write_level_two_env(tmp_path), "--times", "0:2:3", "--out", str(out_path)]
+    assert run_cli(argv)[0] == 0
     lines = out_path.read_text().strip().splitlines()
     assert lines == ["t,expectation", "0,0", "1,2", "2,4"]
 
 
 def test_metric_profile_rows_finite(tmp_path):
     out_path = tmp_path / "p.csv"
-    code = main(
+    code, _, _ = run_cli(
         ["metric-profile", "--M", "1", "--r0", "0.1", "--d", "16",
          "--grid", "0.5:10:20", "--out", str(out_path)]
     )
@@ -166,7 +130,7 @@ def test_metric_profile_rows_finite(tmp_path):
 
 def test_metric_profile_json_verbose(tmp_path):
     out_path = tmp_path / "p.json"
-    code = main(
+    code, _, _ = run_cli(
         ["metric-profile", "--M", "1", "--d", "8", "--grid", "1:5:3",
          "--format", "json", "--verbose", "--out", str(out_path)]
     )
@@ -177,91 +141,72 @@ def test_metric_profile_json_verbose(tmp_path):
     assert obj["records"][0]["env"]["d"] == 8
 
 
-def test_validation_error_json(tmp_path, capsys):
+def test_validation_error_json(tmp_path):
     # degenerate denominator: A = diag(2, 0) with v = (1,1)/sqrt(2)
     a_path, v_path = write_spec_files(
         tmp_path,
         np.diag([2.0, 0.0]).astype(complex),
         np.array([1.0, 1.0], dtype=complex) / np.sqrt(2),
     )
-    code = main(["choi-build", "--A", a_path, "--v", v_path])
-    assert code == 2
-    err, _ = read_error(capsys)
-    assert err["error"] == "degenerate-denominator"
+    code, _, err = run_cli(["choi-build", "--A", a_path, "--v", v_path])
+    assert (code, err["error"]) == (2, "degenerate-denominator")
 
 
-def test_non_positive_spec_error_json(tmp_path, capsys):
+def test_non_positive_spec_error_json(tmp_path):
     a_path, v_path = write_spec_files(
         tmp_path,
         np.diag([3.0, 2.0, 1.0]).astype(complex),
         np.array([1.0, 0.0, 0.0], dtype=complex),
     )
-    code = main(["kraus-extract", "--A", a_path, "--v", v_path])
-    assert code == 2
-    err, _ = read_error(capsys)
-    assert err["error"] == "negative-sqrt"
+    code, _, err = run_cli(["kraus-extract", "--A", a_path, "--v", v_path])
+    assert (code, err["error"]) == (2, "negative-sqrt")
 
 
-def test_missing_file_is_io_error(capsys):
-    code = main(["battery-phi", "--env", "/nonexistent/env.json"])
-    assert code == 1
-    err, _ = read_error(capsys)
-    assert err["error"] == "io"
+def test_missing_file_is_io_error():
+    code, _, err = run_cli(["battery-phi", "--env", "/nonexistent/env.json"])
+    assert (code, err["error"]) == (1, "io")
 
 
 @pytest.mark.parametrize(
     "content", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000], ids=["not-utf8", "deep-nesting"]
 )
-def test_unparsable_file_is_one_io_line(tmp_path, capsys, content):
+def test_unparsable_file_is_one_io_line(tmp_path, content):
     path = tmp_path / "env.json"
     path.write_bytes(content)
-    assert main(["battery-phi", "--env", str(path)]) == 1
-    assert_one_error_line(capsys, "io")
+    code, out, err = run_cli(["battery-phi", "--env", str(path)])
+    assert (code, out, err["error"]) == (1, "", "io")
 
 
-def test_usage_error_json(capsys):
-    code = main(["choi-build"])  # missing required arguments
-    assert code == 2
-    err, _ = read_error(capsys)
-    assert err["error"] == "usage"
+def test_usage_error_json():
+    code, _, err = run_cli(["choi-build"])  # missing required arguments
+    assert (code, err["error"]) == (2, "usage")
 
 
-def test_bad_grid_is_validation_error(tmp_path, capsys):
-    env_obj = {"d": 2, "spectrum": [1.0, 0.0], "V": ser.matrix_to_json(np.eye(2))}
-    env_path = tmp_path / "env.json"
-    write_json(env_path, env_obj)
-    code = main(["battery-sim", "--env", str(env_path), "--times", "0:1"])
-    assert code == 2
-    err, _ = read_error(capsys)
-    assert err["error"] == "domain"
+def test_bad_grid_is_validation_error(cli_files):
+    code, _, err = run_cli(["battery-sim", "--env", cli_files["env"], "--times", "0:1"])
+    assert (code, err["error"]) == (2, "domain")
 
 
-def test_non_numeric_grid_is_validation_error(capsys):
+def test_non_numeric_grid_is_validation_error():
     with pytest.raises(DomainError):
         parse_grid("a:b:3")
     with pytest.raises(DomainError):
         parse_grid("0:1:2.5")
-    code = main(["metric-profile", "--M", "1", "--grid", "a:b:3"])
-    assert code == 2
-    captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["error"] == "domain"
-    assert captured.out == ""
+    code, out, err = run_cli(["metric-profile", "--M", "1", "--grid", "a:b:3"])
+    assert (code, out, err["error"]) == (2, "", "domain")
 
 
-def test_nan_mass_is_validation_error(capsys):
-    code = main(["metric-profile", "--M", "nan", "--grid", "0:1:3"])
-    assert code == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["error"] == "domain"
+def test_nan_mass_is_validation_error():
+    code, _, err = run_cli(["metric-profile", "--M", "nan", "--grid", "0:1:3"])
+    assert (code, err["error"]) == (2, "domain")
 
 
 def test_output_determinism(tmp_path):
     out1 = tmp_path / "p1.csv"
     out2 = tmp_path / "p2.csv"
     args = ["metric-profile", "--M", "1", "--r0", "0.1", "--d", "16", "--grid", "0:10:25"]
-    assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2)]) == 0
+    assert run_cli(args + ["--out", str(out1)])[0] == 0
+    assert run_cli(args + ["--out", str(out2)])[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -271,8 +216,8 @@ DATA = pathlib.Path(__file__).parent / "data"
 def test_choi_and_kraus_outputs_match_golden_files(tmp_path):
     a_path, v_path = str(DATA / "golden_n3_A.json"), str(DATA / "golden_n3_v.json")
     z_path, k_path = tmp_path / "z.json", tmp_path / "k.json"
-    assert main(["choi-build", "--A", a_path, "--v", v_path, "--out", str(z_path)]) == 0
-    assert main(["kraus-extract", "--A", a_path, "--v", v_path, "--out", str(k_path)]) == 0
+    assert run_cli(["choi-build", "--A", a_path, "--v", v_path, "--out", str(z_path)])[0] == 0
+    assert run_cli(["kraus-extract", "--A", a_path, "--v", v_path, "--out", str(k_path)])[0] == 0
     assert z_path.read_bytes() == (DATA / "golden_n3_choi.json").read_bytes()
     assert k_path.read_bytes() == (DATA / "golden_n3_kraus.json").read_bytes()
 
@@ -281,29 +226,8 @@ def test_choi_and_kraus_outputs_match_golden_files(tmp_path):
 def test_profile_output_matches_golden_file(tmp_path, ext, extra):
     out = tmp_path / f"profile.{ext}"
     args = ["metric-profile", "--M", "1", "--r0", "0.1", "--d", "16", "--grid", "0:10:200"]
-    assert main(args + extra + ["--out", str(out)]) == 0
+    assert run_cli(args + extra + ["--out", str(out)])[0] == 0
     assert out.read_bytes() == (DATA / f"golden_profile_M1_d16.{ext}").read_bytes()
-
-
-def assert_one_error_line(capsys, code):
-    captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["error"] == code
-    assert captured.out == ""
-
-
-def cli_inputs(tmp_path):
-    """Valid files for map-apply, battery-sim and evolve on a 2-level system."""
-    a_path, v_path = write_spec_files(
-        tmp_path, np.diag([2.0, 1.0]).astype(complex), np.array([1.0, 0.0], dtype=complex)
-    )
-    z_path = tmp_path / "z.json"
-    assert main(["choi-build", "--A", a_path, "--v", v_path, "--out", str(z_path)]) == 0
-    env_path = tmp_path / "env.json"
-    write_json(env_path, {"d": 2, "spectrum": [0.0, 1.0], "V": ser.matrix_to_json(np.eye(2))})
-    rho_path = tmp_path / "rho.json"
-    write_json(rho_path, ser.matrix_to_json(random_density(rng_for(703), 2)))
-    return {"A": a_path, "Z": str(z_path), "env": str(env_path), "rho": str(rho_path)}
 
 
 def payload_commands(paths, bad, times="0:1:3"):
@@ -321,67 +245,44 @@ def payload_commands(paths, bad, times="0:1:3"):
     [{"re": ["x", 0.0, 0.0, 0.5]}, {"im": [0.0, None, 0.0, 0.0]}, {"rows": "x"}],
     ids=["string-entry", "null-entry", "string-rows"],
 )
-def test_non_numeric_payload_is_one_json_line(tmp_path, capsys, command, change):
-    paths = cli_inputs(tmp_path)
+def test_non_numeric_payload_is_one_json_line(cli_files, tmp_path, command, change):
     bad_path = tmp_path / "bad.json"
     write_json(bad_path, dict(ser.matrix_to_json(np.diag([0.5, 0.5])), **change))
-    capsys.readouterr()
-    assert main(payload_commands(paths, str(bad_path))[command]) == 2
-    assert_one_error_line(capsys, "invalid")
+    code, out, err = run_cli(payload_commands(cli_files, str(bad_path))[command])
+    assert (code, out, err["error"]) == (2, "", "invalid")
 
 
-def missing_key_command(tmp_path, key):
-    """A command whose input file lacks ``key``, the rest of it valid."""
-    paths = cli_inputs(tmp_path)
-    b = ser.matrix_to_json(np.diag([0.5, 0.5]))
-    kraus = ser.kraus_to_json(kraus_from_fixed_point(pencil_spec(42, 2, 0)))
-    env = {"d": 2, "spectrum": [0.0, 1.0], "V": ser.matrix_to_json(np.eye(2))}
-    choi = json.loads(pathlib.Path(paths["Z"]).read_text())
-    if key == "tag":
-        del kraus["ops"][1]["tag"]
-    elif key == "V":
-        del env["V"]
-    elif key in ("re", "rows"):
-        del b[key]
-    else:
-        del choi[key]
-    files = {"B": b, "kraus": kraus, "env": env, "Z": choi}
-    for name, obj in files.items():
-        write_json(tmp_path / f"{name}.json", obj)
-    f = {name: str(tmp_path / f"{name}.json") for name in files}
-    return {
-        "tag": ["map-apply", "--kraus", f["kraus"], "--B", paths["rho"]],
-        "V": ["battery-phi", "--env", f["env"]],
-        "re": ["map-apply", "--Z", paths["Z"], "--B", f["B"]],
-        "rows": ["map-apply", "--Z", paths["Z"], "--B", f["B"]],
-        "dim": ["map-apply", "--Z", f["Z"], "--B", paths["rho"]],
-    }[key]
+# the input each missing key is deleted from, and the command reading it as {}
+MISSING_KEY_COMMANDS = {
+    "tag": ("kraus", ["map-apply", "--kraus", "{}", "--B", "{rho}"]),
+    "V": ("env", ["battery-phi", "--env", "{}"]),
+    "re": ("rho", ["map-apply", "--Z", "{Z}", "--B", "{}"]),
+    "rows": ("rho", ["map-apply", "--Z", "{Z}", "--B", "{}"]),
+    "dim": ("Z", ["map-apply", "--Z", "{}", "--B", "{rho}"]),
+}
 
 
 @pytest.mark.parametrize("key", ["tag", "V", "re", "rows", "dim"])
-def test_missing_key_is_one_invalid_line(tmp_path, capsys, key):
-    argv = missing_key_command(tmp_path, key)
-    capsys.readouterr()
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and captured.out == ""
-    err = json.loads(lines[0])
-    assert err["error"] == "invalid" and repr(key) in err["detail"]
+def test_missing_key_is_one_invalid_line(cli_files, tmp_path, key):
+    slot, argv = MISSING_KEY_COMMANDS[key]
+    obj = json.loads(pathlib.Path(cli_files[slot]).read_text())
+    del (obj["ops"][1] if key == "tag" else obj)[key]
+    broken = tmp_path / "broken.json"
+    write_json(broken, obj)
+    code, out, err = run_cli([part.format(str(broken), **cli_files) for part in argv])
+    assert (code, out, err["error"]) == (2, "", "invalid")
+    assert repr(key) in err["detail"]
 
 
 @pytest.mark.parametrize("command", ["battery-sim", "evolve"])
 @pytest.mark.parametrize("times", ["nan:1:3", "0:inf:3", "0:1:100000000000"])
-def test_bad_time_grid_is_domain_error_before_allocation(tmp_path, capsys, monkeypatch, command, times):
-    paths = cli_inputs(tmp_path)
-    capsys.readouterr()
-
+def test_bad_time_grid_is_domain_error_before_allocation(cli_files, monkeypatch, command, times):
     def no_linspace(*args, **kwargs):
         raise AssertionError("grid was allocated")
 
     monkeypatch.setattr(np, "linspace", no_linspace)
-    assert main(payload_commands(paths, paths["rho"], times)[command]) == 2
-    assert_one_error_line(capsys, "domain")
+    code, out, err = run_cli(payload_commands(cli_files, cli_files["rho"], times)[command])
+    assert (code, out, err["error"]) == (2, "", "domain")
 
 
 def test_parse_grid_caps_count():
@@ -413,16 +314,14 @@ def flag_commands(paths):
     ],
 )
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_non_finite_float_flag_is_one_domain_line(tmp_path, capsys, case, flag, value):
-    paths = cli_inputs(tmp_path)
+def test_non_finite_float_flag_is_one_domain_line(cli_files, case, flag, value):
     # a Choi matrix with unitality residual 1e-3: a NaN tolerance used to pass it
-    z = ser.choi_from_json(json.loads(pathlib.Path(paths["Z"]).read_text()))
+    z = ser.choi_from_json(json.loads(pathlib.Path(cli_files["Z"]).read_text()))
     perturbed = z.matrix.copy()
     perturbed[0, 0] += 1e-3
-    write_json(pathlib.Path(paths["Z"]), ser.choi_to_json(ChoiMatrix(dim=z.dim, matrix=perturbed)))
-    capsys.readouterr()
-    assert main(flag_commands(paths)[case] + [f"{flag}={value}"]) == 2
-    assert_one_error_line(capsys, "domain")
+    write_json(pathlib.Path(cli_files["Z"]), ser.choi_to_json(ChoiMatrix(dim=z.dim, matrix=perturbed)))
+    code, out, err = run_cli(flag_commands(cli_files)[case] + [f"{flag}={value}"])
+    assert (code, out, err["error"]) == (2, "", "domain")
 
 
 @pytest.mark.parametrize(
@@ -430,15 +329,15 @@ def test_non_finite_float_flag_is_one_domain_line(tmp_path, capsys, case, flag, 
     [["--M", "1e300"], ["--M", "1e100", "--r0", "1e-300", "--format", "json"]],
     ids=["mass-cubed-overflows", "factor-overflows"],
 )
-def test_overflowing_dilation_factor_is_one_domain_line(capsys, extra):
-    assert main(["metric-profile", "--grid", "0:10:5"] + extra) == 2
-    assert_one_error_line(capsys, "domain")
+def test_overflowing_dilation_factor_is_one_domain_line(extra):
+    code, out, err = run_cli(["metric-profile", "--grid", "0:10:5"] + extra)
+    assert (code, out, err["error"]) == (2, "", "domain")
 
 
 @pytest.mark.parametrize("source", ["--Z", "--kraus"])
-def test_overflowing_dual_action_is_one_domain_line(tmp_path, capsys, source):
+def test_overflowing_dual_action_is_one_domain_line(tmp_path, source):
     # both paths once wrote "re":[inf,...] and exited 0; --kraus also warned
-    spec = pencil_spec(42, 3, 0)
+    spec = selftest.pencil_spec(42, 3, 0)
     map_path = tmp_path / "map.json"
     if source == "--Z":
         write_json(map_path, ser.choi_to_json(build_fixed_point_choi(spec)))
@@ -446,29 +345,69 @@ def test_overflowing_dual_action_is_one_domain_line(tmp_path, capsys, source):
         write_json(map_path, ser.kraus_to_json(kraus_from_fixed_point(spec)))
     b_path = tmp_path / "b.json"
     write_json(b_path, ser.matrix_to_json(np.full((3, 3), 1.7e308)))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["map-apply", source, str(map_path), "--B", str(b_path)]) == 2
-    assert caught == []
-    assert_one_error_line(capsys, "domain")
+    code, out, err = run_cli(["map-apply", source, str(map_path), "--B", str(b_path)])
+    assert (code, out, err["error"]) == (2, "", "domain")
 
 
 @pytest.mark.parametrize("command", ["choi-build", "kraus-extract"])
 @pytest.mark.parametrize("a, v", OVERFLOWING_SPECS)
-def test_overflowing_construction_is_one_domain_line(tmp_path, capsys, command, a, v):
+def test_overflowing_construction_is_one_domain_line(tmp_path, command, a, v):
     a_path, v_path = write_spec_files(tmp_path, a.astype(complex), v.astype(complex))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main([command, "--A", a_path, "--v", v_path]) == 2
-    assert caught == []
-    assert_one_error_line(capsys, "domain")
+    code, out, err = run_cli([command, "--A", a_path, "--v", v_path])
+    assert (code, out, err["error"]) == (2, "", "domain")
 
 
-def test_truncation_above_cap_is_rejected_before_allocation(capsys, monkeypatch):
+def test_truncation_above_cap_is_rejected_before_allocation(monkeypatch):
     def no_eye(*args, **kwargs):
         raise AssertionError("an environment was allocated")
 
     monkeypatch.setattr(np, "eye", no_eye)
-    code = main(["metric-profile", "--M", "1", "--d", "100000000000", "--grid", "0:10:5"])
-    assert code == 2
-    assert_one_error_line(capsys, "dimension")
+    code, out, err = run_cli(["metric-profile", "--M", "1", "--d", "100000000000", "--grid", "0:10:5"])
+    assert (code, out, err["error"]) == (2, "", "dimension")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["choi-build", "--A", "{A}", "--v", "{v}"],
+        ["kraus-extract", "--A", "{A}", "--v", "{v}"],
+        ["choi-check", "--Z", "{Z}", "--A", "{A}"],
+        ["map-apply", "--Z", "{Z}", "--B", "{rho}"],
+        ["map-apply", "--kraus", "{kraus}", "--B", "{rho}"],
+        ["evolve", "--Z", "{Z}", "--A0", "{A}", "--rho", "{rho}", "--times", "0:1:3"],
+        ["battery-phi", "--env", "{env}"],
+        ["battery-sim", "--env", "{env}", "--times", "0:1:3"],
+    ],
+    ids=["choi-build", "kraus-extract", "choi-check", "map-apply-Z", "map-apply-kraus", "evolve",
+         "battery-phi", "battery-sim"],
+)
+def test_zero_dimension_payload_is_one_dimension_line(tmp_path, argv):
+    # choi-check and battery-* once ended in a ValueError traceback, map-apply in exit 0
+    paths = {slot: tmp_path / f"{slot}.json" for slot in ZERO_SIZE}
+    for slot, obj in ZERO_SIZE.items():
+        write_json(paths[slot], obj)
+    code, out, err = run_cli([part.format(**paths) for part in argv])
+    assert (code, out, err["error"]) == (2, "", "dimension")
+
+
+def test_negative_seed_is_one_domain_line_before_any_check(monkeypatch):
+    # once a numpy ValueError traceback from default_rng
+    def no_check(seed):
+        raise AssertionError("a check ran")
+
+    for name in SELFTEST_CHECKS:
+        monkeypatch.setattr(selftest, name, no_check)
+    code, out, err = run_cli(["selftest", "--seed", "-1"])
+    assert (code, out, err["error"]) == (2, "", "domain")
+
+
+def test_failing_selftest_is_one_selftest_line(monkeypatch):
+    # once exit 2 with no error line
+    assert len(SELFTEST_CHECKS) == 8
+    for name in SELFTEST_CHECKS:
+        monkeypatch.setattr(selftest, name, lambda seed: ["PASS stub"])
+    monkeypatch.setattr(selftest, "check_evolution", lambda seed: ["FAIL stub"])
+    code, out, err = run_cli(["selftest", "--seed", "3"])
+    assert (code, err["error"], err["detail"]) == (2, "selftest", "1 selftest check(s) failed")
+    assert out == selftest.run_selftest(3)[0]
+    assert out.endswith("FAIL stub\nselftest: 7 passed, 1 failed\n")

@@ -25,6 +25,7 @@ from cpumap.dual_map import complete_basis
 from cpumap.linalg import eig_hermitian, max_abs
 
 from conftest import (
+    PINNED_Z_DIAG21,
     hermitian_basis,
     pencil_spec,
     random_density,
@@ -33,8 +34,6 @@ from conftest import (
     random_unit,
     rng_for,
 )
-
-PINNED_Z_DIAG21 = np.diag([1.0, 0.0, 0.0, 1.0])
 
 
 def closed_form_dual(spec, b):
@@ -332,6 +331,13 @@ def test_kraus_set_validates_shapes():
         KrausSet(dim=2, stack=np.zeros((2, 2, 2)), tags=("B0",))  # one tag, two ops
     with pytest.raises(DimensionError):
         KrausSet.from_ops(2, [("B0", np.array([[np.nan, 0.0], [0.0, 1.0]]))])
+
+
+def test_kraus_set_needs_dim_at_least_one():
+    with pytest.raises(DimensionError):
+        KrausSet(dim=0, stack=np.zeros((0, 0, 0)), tags=())
+    k = KrausSet.from_ops(1, [("B0", np.eye(1))])
+    assert unitality_residual(k) == 0.0 and apply_dual_kraus(k, [[3.0]]) == 3.0
 
 
 def test_kraus_set_ops_are_views_of_the_stack():
