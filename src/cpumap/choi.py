@@ -31,7 +31,7 @@ from .errors import (
     ZeroExpectation,
     ZeroTrace,
 )
-from .linalg import _ensure_min_dim, ensure_hermitian, max_abs
+from .linalg import _ensure_min_dim, _ensure_no_overflow, ensure_hermitian, max_abs
 
 SCALAR_TOL = 1e-12     # |<v|A|v> - trA/N| below this is treated as degenerate
 V_NORM_SLACK = 1e-6    # silently renormalize v when this close to unit norm
@@ -172,15 +172,22 @@ def build_fixed_point_choi(spec: FixedPointSpec) -> ChoiMatrix:
 
 
 def check_unital(z: ChoiMatrix) -> float:
-    """Residual ||tr_2[Z] - I||_max of the unitality condition."""
-    return float(_unital_residuals(z.matrix[None])[0])
+    """Residual ||tr_2[Z] - I||_max of the unitality condition; DomainError
+    where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(_unital_residuals(z.matrix[None])[0])
+    return _ensure_no_overflow(residual, "unitality residual")
 
 
 def check_fixed_point(z: ChoiMatrix, a) -> float:
-    """Residual ||tr_2[Z (I (x) A^T)] - A||_max of the fixed-point condition."""
+    """Residual ||tr_2[Z (I (x) A^T)] - A||_max of the fixed-point condition;
+    DomainError where it overflows."""
     from .dual_map import apply_dual_choi
 
-    return max_abs(apply_dual_choi(z, a) - a)
+    out = apply_dual_choi(z, a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = max_abs(out - a)
+    return _ensure_no_overflow(residual, "fixed-point residual")
 
 
 def positivity_bounds(spec: FixedPointSpec) -> tuple[bool, bool]:

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choi import ChoiMatrix, FixedPointSpec, _dual_action
-from .errors import DimensionError, DomainError, NegativeSqrtArgument
-from .linalg import _ensure_dim, _ensure_grid, as_matrix, eig_hermitian, ensure_density_matrix, max_abs
+from .errors import DimensionError, NegativeSqrtArgument
+from .linalg import (
+    _ensure_dim, _ensure_grid, _ensure_no_overflow, as_matrix, eig_hermitian, ensure_density_matrix, max_abs
+)
 
 SQRT_TOL = 1e-12      # coefficient squares below -SQRT_TOL are positivity errors
 GS_DROP_TOL = 1e-8    # Gram-Schmidt candidates below this norm are dropped
@@ -43,6 +45,8 @@ class KrausSet:
             raise DimensionError(f"Kraus set dim must be >= 1, got {self.dim}")
         s = np.asarray(self.stack, dtype=complex)
         tags = tuple(str(tag) for tag in self.tags)
+        if not tags:
+            raise DimensionError("a Kraus set needs at least one operator")
         if s.shape != (len(tags), self.dim, self.dim):
             raise DimensionError(
                 f"stack has shape {s.shape}, expected "
@@ -104,13 +108,6 @@ class EvolutionTrace:
         return cls(times=times, values=values, phi_fit=slope)
 
 
-def _ensure_no_overflow(out: np.ndarray, what: str) -> np.ndarray:
-    """Raise DomainError when a result computed under np.errstate holds NaN or Inf."""
-    if not np.all(np.isfinite(out)):
-        raise DomainError(f"{what} overflows the float range")
-    return out
-
-
 def apply_dual_choi(z: ChoiMatrix, b) -> np.ndarray:
     """Evaluate tr_2[Z (I (x) B^T)], Hermitian for Hermitian B; DomainError on overflow."""
     n = z.dim
@@ -137,9 +134,13 @@ def unitality_residual(k: KrausSet) -> float:
 
 
 def idempotence_residual(z: ChoiMatrix, b) -> float:
-    """||Phi[Phi[B]] - Phi[B]||_max; zero for the fixed-point family."""
+    """||Phi[Phi[B]] - Phi[B]||_max; zero for the fixed-point family.
+    DomainError where the residual overflows."""
     once = apply_dual_choi(z, b)
-    return max_abs(apply_dual_choi(z, once) - once)
+    twice = apply_dual_choi(z, once)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = max_abs(twice - once)
+    return _ensure_no_overflow(residual, "idempotence residual")
 
 
 def complete_basis(v: np.ndarray) -> list[np.ndarray]:

@@ -35,6 +35,13 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _ensure_no_overflow(out, what: str):
+    """Raise DomainError when a result computed under np.errstate holds NaN or Inf."""
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"{what} overflows the float range")
+    return out
+
+
 def ensure_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
     """Validate Hermiticity within ``tol`` and return the matrix."""
     a = as_matrix(m)

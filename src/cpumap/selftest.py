@@ -326,20 +326,27 @@ def _line(ok: bool, detail: str) -> str:
     return f"{'PASS' if ok else 'FAIL'} {detail}"
 
 
+CHECKS = (
+    check_equivalence,
+    check_idempotence,
+    check_kraus_roundtrip,
+    check_battery_oracle,
+    check_charging_law,
+    check_alignment_monotone,
+    check_metric_profile,
+    check_evolution,
+)
+
+
 def run_selftest(seed: int = 42) -> tuple[str, bool]:
-    """Run every check; returns (report text, all passed).  A negative seed,
-    which the generators cannot take, raises DomainError before any check."""
+    """Run every check of ``CHECKS`` in order; returns (report text, all
+    passed).  A negative seed, which the generators cannot take, raises
+    DomainError before any check."""
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     lines: list[str] = [f"cpumap selftest seed={seed}"]
-    lines += check_equivalence(seed)
-    lines += check_idempotence(seed)
-    lines += check_kraus_roundtrip(seed)
-    lines += check_battery_oracle(seed)
-    lines += check_charging_law(seed)
-    lines += check_alignment_monotone(seed)
-    lines += check_metric_profile(seed)
-    lines += check_evolution(seed)
+    for check in CHECKS:
+        lines += check(seed)
     failed = sum(1 for ln in lines if ln.startswith("FAIL"))
     passed = sum(1 for ln in lines if ln.startswith("PASS"))
     lines.append(f"selftest: {passed} passed, {failed} failed")

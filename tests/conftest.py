@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cpumap import FixedPointSpec, kron, partial_trace_second, serialize as ser, swap_unitary
+from cpumap import ChoiMatrix, FixedPointSpec, kron, partial_trace_second, serialize as ser, swap_unitary
 from cpumap.cli import main
 from cpumap.selftest import (
     _random_density as random_density,
@@ -27,6 +27,12 @@ OVERFLOWING_SPECS = [
     pytest.param(np.diag([1.7e308, -1.7e308, -1.7e308]), np.eye(3)[0], id="huge-diagonal"),
     pytest.param(np.array([[1e-11, 1e300], [1e300, 1.0]]), np.eye(2)[0], id="tiny-expectation"),
 ]
+
+# dim-2 Choi matrices whose residuals overflow: the partial trace of the first
+# adds two 1.7e308 entries; the second is minus the identity map's, so
+# Phi[B] - B = -2B and Phi[Phi[B]] - Phi[B] = 2B
+OVERFLOWING_TRACE_Z = ChoiMatrix(dim=2, matrix=np.diag([1.7e308, 1.7e308, 1.0, 1.0]))
+NEGATED_IDENTITY_Z = ChoiMatrix(dim=2, matrix=-np.outer(np.eye(2).ravel(), np.eye(2).ravel()))
 
 
 def random_spec(rng, n):

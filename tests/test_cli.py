@@ -9,9 +9,7 @@ from cpumap import ChoiMatrix, DomainError, build_fixed_point_choi, kraus_from_f
 from cpumap import selftest
 from cpumap.cli import MAX_GRID_POINTS, parse_grid
 
-from conftest import OVERFLOWING_SPECS, ZERO_SIZE, rng_for, run_cli, write_json
-
-SELFTEST_CHECKS = [name for name in vars(selftest) if name.startswith("check_")]
+from conftest import NEGATED_IDENTITY_Z, OVERFLOWING_SPECS, OVERFLOWING_TRACE_Z, ZERO_SIZE, rng_for, run_cli, write_json
 
 
 def write_spec_files(tmp_path, a, v):
@@ -210,26 +208,6 @@ def test_output_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-DATA = pathlib.Path(__file__).parent / "data"
-
-
-def test_choi_and_kraus_outputs_match_golden_files(tmp_path):
-    a_path, v_path = str(DATA / "golden_n3_A.json"), str(DATA / "golden_n3_v.json")
-    z_path, k_path = tmp_path / "z.json", tmp_path / "k.json"
-    assert run_cli(["choi-build", "--A", a_path, "--v", v_path, "--out", str(z_path)])[0] == 0
-    assert run_cli(["kraus-extract", "--A", a_path, "--v", v_path, "--out", str(k_path)])[0] == 0
-    assert z_path.read_bytes() == (DATA / "golden_n3_choi.json").read_bytes()
-    assert k_path.read_bytes() == (DATA / "golden_n3_kraus.json").read_bytes()
-
-
-@pytest.mark.parametrize("ext, extra", [("csv", []), ("json", ["--format", "json", "--verbose"])])
-def test_profile_output_matches_golden_file(tmp_path, ext, extra):
-    out = tmp_path / f"profile.{ext}"
-    args = ["metric-profile", "--M", "1", "--r0", "0.1", "--d", "16", "--grid", "0:10:200"]
-    assert run_cli(args + extra + ["--out", str(out)])[0] == 0
-    assert out.read_bytes() == (DATA / f"golden_profile_M1_d16.{ext}").read_bytes()
-
-
 def payload_commands(paths, bad, times="0:1:3"):
     """Each command that reads a user matrix, with ``bad`` as that matrix."""
     return {
@@ -349,6 +327,28 @@ def test_overflowing_dual_action_is_one_domain_line(tmp_path, source):
     assert (code, out, err["error"]) == (2, "", "domain")
 
 
+@pytest.mark.parametrize(
+    "z, a",
+    [(OVERFLOWING_TRACE_Z, np.zeros((2, 2))), (NEGATED_IDENTITY_Z, np.diag([1e308, 1.0]))],
+    ids=["unitality", "fixed-point"],
+)
+def test_overflowing_residual_is_one_domain_line(tmp_path, z, a):
+    # once printed a residual of inf, the fixed-point one after a numpy warning
+    z_path, a_path = tmp_path / "z.json", tmp_path / "a.json"
+    write_json(z_path, ser.choi_to_json(z))
+    write_json(a_path, ser.matrix_to_json(a))
+    code, out, err = run_cli(["choi-check", "--Z", str(z_path), "--A", str(a_path)])
+    assert (code, out, err["error"]) == (2, "", "domain")
+
+
+def test_kraus_set_without_operators_is_one_dimension_line(cli_files, tmp_path):
+    # once printed the zero matrix and exited 0
+    path = tmp_path / "no_ops.json"
+    write_json(path, {"dim": 2, "ops": []})
+    code, out, err = run_cli(["map-apply", "--kraus", str(path), "--B", cli_files["rho"]])
+    assert (code, out, err["error"]) == (2, "", "dimension")
+
+
 @pytest.mark.parametrize("command", ["choi-build", "kraus-extract"])
 @pytest.mark.parametrize("a, v", OVERFLOWING_SPECS)
 def test_overflowing_construction_is_one_domain_line(tmp_path, command, a, v):
@@ -395,18 +395,16 @@ def test_negative_seed_is_one_domain_line_before_any_check(monkeypatch):
     def no_check(seed):
         raise AssertionError("a check ran")
 
-    for name in SELFTEST_CHECKS:
-        monkeypatch.setattr(selftest, name, no_check)
+    monkeypatch.setattr(selftest, "CHECKS", (no_check,))
     code, out, err = run_cli(["selftest", "--seed", "-1"])
     assert (code, out, err["error"]) == (2, "", "domain")
 
 
 def test_failing_selftest_is_one_selftest_line(monkeypatch):
     # once exit 2 with no error line
-    assert len(SELFTEST_CHECKS) == 8
-    for name in SELFTEST_CHECKS:
-        monkeypatch.setattr(selftest, name, lambda seed: ["PASS stub"])
-    monkeypatch.setattr(selftest, "check_evolution", lambda seed: ["FAIL stub"])
+    assert len(selftest.CHECKS) == 8
+    stubs = (lambda seed: ["PASS stub"],) * 7 + (lambda seed: ["FAIL stub"],)
+    monkeypatch.setattr(selftest, "CHECKS", stubs)
     code, out, err = run_cli(["selftest", "--seed", "3"])
     assert (code, err["error"], err["detail"]) == (2, "selftest", "1 selftest check(s) failed")
     assert out == selftest.run_selftest(3)[0]

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from cpumap.dual_map import complete_basis
 from cpumap.linalg import eig_hermitian, max_abs
 
 from conftest import (
+    NEGATED_IDENTITY_Z,
     PINNED_Z_DIAG21,
     hermitian_basis,
     pencil_spec,
@@ -88,6 +88,13 @@ def test_idempotence():
         assert idempotence_residual(z, random_hermitian(rng, 3)) < 1e-9
     assert idempotence_residual(z, np.eye(3)) < 1e-12
     assert idempotence_residual(z, spec.a) < 1e-9
+
+
+def test_overflowing_idempotence_residual_raises_domain_error():
+    # once returned inf after a numpy warning
+    with pytest.raises(DomainError, match="idempotence residual"):
+        idempotence_residual(NEGATED_IDENTITY_Z, np.diag([1e308, 1.0]))
+    assert idempotence_residual(NEGATED_IDENTITY_Z, np.diag([1e307, 1.0])) == 2e307
 
 
 def test_kraus_identity_observable():
@@ -318,10 +325,8 @@ def test_evolve_rejects_overflowing_trajectory():
     z = build_fixed_point_choi(pencil_spec(rng, 2))
     a0 = np.eye(2)
     rho = random_density(rng, 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DomainError):
-            evolve_linear(z, a0, rho, [0.0, 1e300], rate=1e300)
+    with pytest.raises(DomainError):
+        evolve_linear(z, a0, rho, [0.0, 1e300], rate=1e300)
 
 
 def test_kraus_set_validates_shapes():
@@ -338,6 +343,14 @@ def test_kraus_set_needs_dim_at_least_one():
         KrausSet(dim=0, stack=np.zeros((0, 0, 0)), tags=())
     k = KrausSet.from_ops(1, [("B0", np.eye(1))])
     assert unitality_residual(k) == 0.0 and apply_dual_kraus(k, [[3.0]]) == 3.0
+
+
+def test_kraus_set_needs_an_operator():
+    # an empty set once applied as the zero map
+    with pytest.raises(DimensionError, match="at least one operator"):
+        KrausSet(dim=2, stack=np.zeros((0, 2, 2)), tags=())
+    with pytest.raises(DimensionError, match="at least one operator"):
+        KrausSet.from_ops(2, [])
 
 
 def test_kraus_set_ops_are_views_of_the_stack():
