@@ -21,11 +21,14 @@ import numpy as np
 
 from . import battery, metric, selftest as selftest_mod, serialize
 from .choi import FixedPointSpec, build_fixed_point_choi, check_fixed_point, check_unital
-from .dual_map import apply_dual_choi, apply_dual_kraus, evolve_linear, kraus_from_fixed_point, unitality_residual
+from .dual_map import (
+    apply_dual_choi, apply_dual_kraus, evolve_linear, idempotence_residual, kraus_from_fixed_point, unitality_residual
+)
 from .errors import CpuMapError, DomainError
 from .serialize import dumps, fmt
 
 MAX_GRID_POINTS = 10**7
+RESIDUAL_TOL = 1e-9  # choi-check's default; map-apply and evolve check their map against it
 FLOAT_FLAGS = ("tolerance", "rate", "M", "r0")
 
 
@@ -105,7 +108,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("choi-check", help="verify unitality and the fixed point")
     p.add_argument("--Z", required=True, help="Choi-json file")
     p.add_argument("--A", required=True)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=RESIDUAL_TOL)
 
     p = sub.add_parser("kraus-extract", help="extract the tagged Kraus family")
     p.add_argument("--A", required=True)
@@ -183,14 +186,31 @@ def _cmd_kraus_extract(args) -> int:
     return 0
 
 
+def _map_error(residuals: dict) -> int:
+    """Emit one ``residual`` error line and return 2 when a residual of the
+    input map exceeds RESIDUAL_TOL; return 0 otherwise."""
+    bad = {name: value for name, value in residuals.items() if value > RESIDUAL_TOL}
+    if not bad:
+        return 0
+    detail = ", ".join(f"{name} {fmt(value)}" for name, value in bad.items())
+    _emit_error("residual", f"map residuals above {fmt(RESIDUAL_TOL)}: {detail}")
+    return 2
+
+
 def _cmd_map_apply(args) -> int:
     if (args.Z is None) == (args.kraus is None):
         raise DomainError("provide exactly one of --Z or --kraus")
     b = serialize.matrix_from_json(_read_json(args.B))
     if args.Z is not None:
-        out = apply_dual_choi(serialize.choi_from_json(_read_json(args.Z)), b)
+        z = serialize.choi_from_json(_read_json(args.Z))
+        if _map_error({"unitality": check_unital(z)}):
+            return 2
+        out = apply_dual_choi(z, b)
     else:
-        out = apply_dual_kraus(serialize.kraus_from_json(_read_json(args.kraus)), b)
+        k = serialize.kraus_from_json(_read_json(args.kraus))
+        if _map_error({"unitality": unitality_residual(k)}):
+            return 2
+        out = apply_dual_kraus(k, b)
     _write_text(args.out, dumps(serialize.matrix_to_json(out)))
     return 0
 
@@ -207,6 +227,9 @@ def _cmd_evolve(args) -> int:
     z = serialize.choi_from_json(_read_json(args.Z))
     a0 = serialize.matrix_from_json(_read_json(args.A0))
     rho = serialize.matrix_from_json(_read_json(args.rho))
+    # the closed form holds for a unital map with Phi[Phi[A0]] = Phi[A0]
+    if _map_error({"unitality": check_unital(z), "idempotence": idempotence_residual(z, a0)}):
+        return 2
     return _write_trace(args, evolve_linear(z, a0, rho, parse_grid(args.times), rate=args.rate))
 
 

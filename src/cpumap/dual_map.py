@@ -24,6 +24,7 @@ from .linalg import (
 
 SQRT_TOL = 1e-12      # coefficient squares below -SQRT_TOL are positivity errors
 GS_DROP_TOL = 1e-8    # Gram-Schmidt candidates below this norm are dropped
+KRAUS_CHUNK_BYTES = 256 * 1024  # bytes of operators per chunk of the Kraus dual action
 
 
 @dataclass(frozen=True)
@@ -120,17 +121,39 @@ def apply_dual_choi(z: ChoiMatrix, b) -> np.ndarray:
 def apply_dual_kraus(k: KrausSet, b) -> np.ndarray:
     """Evaluate sum_k D_k B D_k^dagger; DomainError on overflow."""
     b = _ensure_dim(as_matrix(b), k.dim, "observable")
-    out = np.zeros_like(b)
     with np.errstate(over="ignore", invalid="ignore"):
-        for op in k.stack:
-            out = out + op @ b @ op.conj().T
+        out = _kraus_sum(k.stack, b)
     return _ensure_no_overflow(out, "dual action")
 
 
+def _kraus_sum(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k D_k B D_k^dagger over chunks of KRAUS_CHUNK_BYTES of operators.
+
+    Per chunk of r operators, one GEMM forms every D_k B, one batched
+    matmul writes (D_k B) D_k^dagger into slots 1..r of ``buf`` and a sum
+    over axis 0 adds them to the running total in slot 0.  That sum runs
+    slot by slot, so the terms are added in operator order, as a loop
+    ``out = out + D_k B D_k^dagger`` adds them.
+    """
+    n_ops, n, _ = stack.shape
+    r = min(n_ops, max(1, KRAUS_CHUNK_BYTES // stack[0].nbytes))
+    buf = np.zeros((r + 1, n, n), dtype=complex)
+    for start in range(0, n_ops, r):
+        ops = stack[start:start + r]
+        m = len(ops)
+        db = (ops.reshape(m * n, n) @ b).reshape(m, n, n)
+        np.matmul(db, ops.conj().transpose(0, 2, 1), out=buf[1:m + 1])
+        buf[:m + 1].sum(axis=0, out=buf[0])
+    return buf[0].copy()
+
+
 def unitality_residual(k: KrausSet) -> float:
-    """Residual ||Phi[I] - I||_max = ||sum D D^dagger - I||_max."""
-    s = k.stack
-    return max_abs((s @ s.conj().transpose(0, 2, 1)).sum(axis=0) - np.eye(k.dim))
+    """Residual ||Phi[I] - I||_max = ||sum D D^dagger - I||_max; DomainError
+    where it overflows."""
+    eye = np.eye(k.dim, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = max_abs(_kraus_sum(k.stack, eye) - eye)
+    return _ensure_no_overflow(residual, "unitality residual")
 
 
 def idempotence_residual(z: ChoiMatrix, b) -> float:

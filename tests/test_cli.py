@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from cpumap import ChoiMatrix, DomainError, build_fixed_point_choi, kraus_from_fixed_point, serialize as ser
+from cpumap import ChoiMatrix, DomainError, KrausSet, build_fixed_point_choi, kraus_from_fixed_point, serialize as ser
 from cpumap import selftest
 from cpumap.cli import MAX_GRID_POINTS, parse_grid
 
@@ -347,6 +347,41 @@ def test_kraus_set_without_operators_is_one_dimension_line(cli_files, tmp_path):
     write_json(path, {"dim": 2, "ops": []})
     code, out, err = run_cli(["map-apply", "--kraus", str(path), "--B", cli_files["rho"]])
     assert (code, out, err["error"]) == (2, "", "dimension")
+
+
+# maps on 2 levels that map-apply and evolve must not apply: the single Kraus
+# operator 2I (Phi[I] = 4I), Z = 3 I_4 (Phi[B] = 3 tr(B) I, so Phi[I] = 6I
+# and Phi[Phi[I]] = 36I) and the single operator 1e200 I, whose sum D D^dagger
+# overflows
+UNCHECKED_MAPS = {
+    "kraus": ser.kraus_to_json(KrausSet.from_ops(2, [("B0", 2.0 * np.eye(2))])),
+    "Z": ser.choi_to_json(ChoiMatrix(dim=2, matrix=3.0 * np.eye(4))),
+    "huge": ser.kraus_to_json(KrausSet.from_ops(2, [("B0", 1e200 * np.eye(2))])),
+    "I": ser.matrix_to_json(np.eye(2)),
+    "rho": ser.matrix_to_json(np.eye(2) / 2),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, error, detail",
+    [
+        (["map-apply", "--kraus", "{kraus}", "--B", "{I}"], "residual", ": unitality 3"),
+        (["map-apply", "--Z", "{Z}", "--B", "{I}"], "residual", ": unitality 5"),
+        (["evolve", "--Z", "{Z}", "--A0", "{I}", "--rho", "{rho}", "--times", "0:2:3"],
+         "residual", ": unitality 5, idempotence 30"),
+        (["map-apply", "--kraus", "{huge}", "--B", "{I}"], "domain", "unitality residual overflows the float range"),
+    ],
+    ids=["map-apply-kraus", "map-apply-Z", "evolve", "kraus-unitality-overflows"],
+)
+def test_unchecked_map_is_one_error_line(tmp_path, argv, error, detail):
+    # the first three once printed [4,0,0,4], 6I and the trace 0, 6, 12 and
+    # exited 0; the last must end in the check, not in a numpy warning
+    paths = {slot: tmp_path / f"{slot}.json" for slot in UNCHECKED_MAPS}
+    for slot, obj in UNCHECKED_MAPS.items():
+        write_json(paths[slot], obj)
+    code, out, err = run_cli([part.format(**paths) for part in argv])
+    assert (code, out, err["error"]) == (2, "", error)
+    assert err["detail"].endswith(detail)
 
 
 @pytest.mark.parametrize("command", ["choi-build", "kraus-extract"])

@@ -14,14 +14,18 @@ from cpumap import (
     apply_dual_kraus,
     build_fixed_point_choi,
     choi_from_kraus,
+    env_kraus,
     evolve_linear,
     evolve_linear_euler,
     idempotence_residual,
     kraus_from_fixed_point,
+    kron,
+    partial_trace_second,
     unitality_residual,
 )
-from cpumap.dual_map import complete_basis
+from cpumap.dual_map import KRAUS_CHUNK_BYTES, complete_basis
 from cpumap.linalg import eig_hermitian, max_abs
+from cpumap.selftest import equivalence_spec
 
 from conftest import (
     NEGATED_IDENTITY_Z,
@@ -29,6 +33,7 @@ from conftest import (
     hermitian_basis,
     pencil_spec,
     random_density,
+    random_env,
     random_hermitian,
     random_spec,
     random_unit,
@@ -403,3 +408,87 @@ def test_choi_from_kraus_equals_outer_product_sum():
             u = op.reshape(-1)
             oracle += np.outer(u, u.conj())
         assert max_abs(choi_from_kraus(k).matrix - oracle) < 1e-12
+
+
+def random_kraus(rng, n_ops, d):
+    """n_ops complex Gaussian operators on d levels (not a unital family)."""
+    stack = rng.normal(size=(n_ops, d, d)) + 1j * rng.normal(size=(n_ops, d, d))
+    return KrausSet(dim=d, stack=stack, tags=tuple(f"E{k}" for k in range(n_ops)))
+
+
+def one_and_a_half_chunks(rng):
+    """16-level operators filling one chunk and half of the next, plus one."""
+    per_chunk = KRAUS_CHUNK_BYTES // (16 * 16 * 16)
+    return random_kraus(rng, per_chunk + per_chunk // 2 + 1, 16)
+
+
+KRAUS_FAMILIES = {
+    "env-d2": lambda rng: env_kraus(random_env(rng, 2)),
+    "env-d8": lambda rng: env_kraus(random_env(rng, 8)),
+    "env-d32": lambda rng: env_kraus(random_env(rng, 32)),
+    "fixed-point-n2": lambda rng: kraus_from_fixed_point(pencil_spec(rng, 2)),
+    "fixed-point-n16": lambda rng: kraus_from_fixed_point(pencil_spec(rng, 16)),
+    "partial-chunk": one_and_a_half_chunks,
+    "one-operator": lambda rng: random_kraus(rng, 1, 5),
+    "d1": lambda rng: random_kraus(rng, 3, 1),
+}
+
+
+def literal_kraus_sum(k, b):
+    """sum_k D_k B D_k^dagger one operator at a time, and the sum of the
+    terms' magnitudes, which bounds the rounding of either summation order."""
+    want = sum(op @ b @ op.conj().T for op in k.stack)
+    scale = max_abs(sum(abs(op) @ abs(b) @ abs(op).T for op in k.stack))
+    return want, scale
+
+
+@pytest.mark.parametrize("family", list(KRAUS_FAMILIES))
+def test_kraus_sums_equal_operator_loop(family):
+    rng = rng_for(331)
+    k = KRAUS_FAMILIES[family](rng)
+    d = k.dim
+    non_hermitian = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    for b in (random_hermitian(rng, d), non_hermitian):
+        want, scale = literal_kraus_sum(k, b)
+        assert max_abs(apply_dual_kraus(k, b) - want) <= 1e-12 * scale
+    want, scale = literal_kraus_sum(k, np.eye(d))
+    assert abs(unitality_residual(k) - max_abs(want - np.eye(d))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [[1e200 * np.eye(2)], [1.3e154 * np.eye(2)] * 2],
+    ids=["term-overflows", "sum-overflows"],
+)
+def test_kraus_sums_reject_overflow(ops):
+    k = KrausSet.from_ops(2, [(f"B{i}", op) for i, op in enumerate(ops)])
+    with pytest.raises(DomainError, match="dual action overflows"):
+        apply_dual_kraus(k, np.eye(2))
+    with pytest.raises(DomainError, match="unitality residual overflows"):
+        unitality_residual(k)
+
+
+def test_apply_dual_kraus_rejects_nan_observable():
+    k = KrausSet.from_ops(2, [("B0", np.eye(2))])
+    with pytest.raises(DimensionError, match="NaN"):
+        apply_dual_kraus(k, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42, 99])
+def test_evolve_generator_by_independent_routes(seed):
+    # check_evolution's instances; it compares evolve_linear with the Euler
+    # verifier, and both take the generator Phi[A0] from apply_dual_choi
+    for n in (2, 3, 4):
+        spec = equivalence_spec(seed, n, 2)
+        z = build_fixed_point_choi(spec)
+        rng = rng_for(seed, 29, n)
+        a0 = random_hermitian(rng, n)
+        rho = random_density(rng, n)
+        generator = apply_dual_choi(z, a0)
+        literal = partial_trace_second(z.matrix @ kron(np.eye(n), a0.T), n, n)
+        via_kraus = apply_dual_kraus(kraus_from_fixed_point(spec), a0)
+        tol = 1e-12 * max(1.0, max_abs(z.matrix)) * max(1.0, max_abs(a0)) * n * n
+        assert max_abs(generator - literal) <= tol
+        assert max_abs(generator - via_kraus) <= tol
+        slope = evolve_linear(z, a0, rho, [0.0, 1.0]).phi_fit
+        assert abs(slope - float(np.real(np.trace(rho @ literal)))) <= tol
