@@ -164,6 +164,8 @@ def _cmd_choi_build(args) -> int:
 
 
 def _cmd_choi_check(args) -> int:
+    if args.tolerance < 0:
+        raise DomainError(f"--tolerance must be >= 0, got {fmt(args.tolerance)}")
     z = serialize.choi_from_json(_read_json(args.Z))
     a = serialize.matrix_from_json(_read_json(args.A))
     unital = check_unital(z)

