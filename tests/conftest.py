@@ -13,6 +13,7 @@ import pytest
 from cpumap import (
     ChoiMatrix,
     FixedPointSpec,
+    MetricParams,
     build_fixed_point_choi,
     kraus_from_fixed_point,
     kron,
@@ -70,6 +71,10 @@ def pencil_spec(rng, n, bottom=False):
             return FixedPointSpec(a=a, v=v)
 
 
+def make_params(M=1.0, r0=0.1, d=16, grid=(0.5, 2.0, 10.0)):
+    return MetricParams(M=M, r0=r0, d=d, r_grid=np.asarray(grid, dtype=float))
+
+
 def hermitian_basis(n):
     """Complete operator basis of n^2 Hermitian matrices."""
     basis = []
@@ -118,6 +123,31 @@ def primal_loop(kset, rho):
     for op in kset.stack:
         out += op.conj().T @ rho @ op
     return out
+
+
+# --- the rejection tables -----------------------------------------------------
+# A row of the library table (test_rejections.REJECTIONS) or of the CLI table
+# (test_cli.CLI_ERRORS) whose ``test`` tag is None is run by that table's own
+# test; a tagged row is run by the topic test the tag names, as ``name`` or,
+# for a test with cases, ``name[case]``.
+
+
+def read_by(test, *rows):
+    """``rows`` tagged to be run by the topic test ``test``."""
+    return [row._replace(test=test) for row in rows]
+
+
+def tagged_rows(table, request):
+    """The rows of ``table`` tagged with the running test's node name."""
+    rows = [row for row in table if row.test == request.node.name]
+    assert rows, f"no row is tagged {request.node.name}"
+    return rows
+
+
+def cases(table, test):
+    """The case ids of the ``test[case]`` tags in ``table``, in table order."""
+    prefix = test + "["
+    return list(dict.fromkeys(row.test[len(prefix):-1] for row in table if (row.test or "").startswith(prefix)))
 
 
 # --- the command line --------------------------------------------------------

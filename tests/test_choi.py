@@ -17,6 +17,7 @@ from cpumap.linalg import max_abs
 from conftest import (
     NEGATED_IDENTITY_Z,
     PINNED_Z_DIAG21,
+    cases,
     kron_reference_choi,
     pencil_spec,
     random_hermitian,
@@ -24,6 +25,7 @@ from conftest import (
     random_unit,
     rng_for,
 )
+from test_rejections import REJECTIONS, assert_tagged_rejections
 
 
 def diag21_spec():
@@ -80,7 +82,8 @@ def test_check_fixed_point_constructed():
     assert check_fixed_point(z, np.eye(3)) < 1e-9  # identity is always fixed
 
 
-def test_residuals_below_overflow_are_exact():
+def test_overflowing_residuals_raise_domain_error(request):
+    assert_tagged_rejections(request)
     assert check_unital(NEGATED_IDENTITY_Z) == 2.0
     assert check_fixed_point(NEGATED_IDENTITY_Z, np.diag([1e307, 1.0])) == 2e307
 
@@ -224,3 +227,39 @@ def test_bounds_equal_separate_eigvalsh_calls():
 def test_choi_matrix_needs_dim_at_least_one():
     z = ChoiMatrix(dim=1, matrix=np.eye(1))
     assert check_unital(z) == 0.0 and apply_dual_choi(z, [[3.0]]) == 3.0
+
+
+# --- rejections: rows of test_rejections.REJECTIONS tagged with these names ---
+
+
+def test_check_fixed_point_dimension_mismatch(request):
+    assert_tagged_rejections(request)
+
+
+def test_bounds_reject_dim_one(request):
+    assert_tagged_rejections(request)
+
+
+def test_zero_trace_rejected(request):
+    assert_tagged_rejections(request)
+
+
+def test_zero_expectation_rejected(request):
+    assert_tagged_rejections(request)
+
+
+def test_degenerate_denominator_rejected(request):
+    assert_tagged_rejections(request)
+
+
+@pytest.mark.parametrize("case", cases(REJECTIONS, "test_overflowing_construction_rejected"))
+def test_overflowing_construction_rejected(case, request):
+    assert_tagged_rejections(request)
+
+
+def test_nan_reference_vector_rejected(request):
+    assert_tagged_rejections(request)
+
+
+def test_v_length_mismatch(request):
+    assert_tagged_rejections(request)

@@ -1,12 +1,22 @@
 import copy
 import json
 import math
+import re
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from cpumap import ChoiMatrix, KrausSet, build_fixed_point_choi, kraus_from_fixed_point, serialize as ser
+from cpumap import (
+    ChoiMatrix,
+    CpuMapError,
+    KrausSet,
+    build_fixed_point_choi,
+    errors,
+    kraus_from_fixed_point,
+    serialize as ser,
+)
 from cpumap import selftest
 from cpumap.cli import parse_grid
 
@@ -16,11 +26,15 @@ from conftest import (
     OVERFLOWING_TRACE_Z,
     PAYLOADS,
     ZERO_SIZE,
+    cases,
+    read_by,
     rng_for,
     run_cli,
+    tagged_rows,
     write_json,
     write_payloads,
 )
+from test_rejections import REJECTIONS, assert_tagged_rejections
 
 
 def test_parse_grid():
@@ -143,7 +157,9 @@ class ErrorExit(NamedTuple):
     """One command that must fail: ``{slot}`` parts of ``argv`` name the file of
     that slot of ``PAYLOADS``, with ``payloads`` replacing or adding slots; the
     run must end in ``exit`` with error ``code``, a detail ending in ``detail``
-    and exactly ``stdout``, while each ``patch`` target is replaced."""
+    and exactly ``stdout``, while each ``patch`` target is replaced.  A row
+    tagged with a ``test`` is run by that test (see ``conftest.tagged_rows``),
+    the others by ``test_error_exit``."""
 
     id: str
     argv: list
@@ -153,6 +169,7 @@ class ErrorExit(NamedTuple):
     detail: str = ""
     stdout: str = ""
     patch: dict | None = None
+    test: str | None = None
 
 
 def forbidden(*args, **kwargs):
@@ -209,93 +226,263 @@ FLAGS = {
 }
 
 CLI_ERRORS = [
-    ErrorExit("usage", ["choi-build"], {}, 2, "usage"),
-    ErrorExit("missing-file", ["battery-phi", "--env", "/nonexistent/env.json"], {}, 1, "io"),
-    ErrorExit("not-utf8", COMMANDS["battery-phi"], {"env": b"\xff\xfe{}"}, 1, "io"),
-    ErrorExit("deep-nesting", COMMANDS["battery-phi"], {"env": b"[" * 100000 + b"]" * 100000}, 1, "io"),
+    *read_by("test_usage_error_json", ErrorExit("usage", ["choi-build"], {}, 2, "usage")),
+    *read_by("test_missing_file_is_io_error",
+             ErrorExit("missing-file", ["battery-phi", "--env", "/nonexistent/env.json"], {}, 1, "io")),
+    *(ErrorExit(name, COMMANDS["battery-phi"], {"env": content}, 1, "io",
+                test=f"test_unparsable_file_is_one_io_line[{name}]")
+      for name, content in {"not-utf8": b"\xff\xfe{}", "deep-nesting": b"[" * 100000 + b"]" * 100000}.items()),
     # specs the construction refuses
     ErrorExit("zero-trace", COMMANDS["choi-build"], spec_payloads(np.diag([1.0, -1.0]), [1.0, 0.0]), 2, "zero-trace"),
     ErrorExit("zero-expectation", COMMANDS["choi-build"],
               spec_payloads(np.diag([1.0, -1.0, 1.0]), np.array([1.0, 1.0, 0.0]) / np.sqrt(2)), 2, "zero-expectation"),
-    ErrorExit("degenerate-denominator", COMMANDS["choi-build"],
-              spec_payloads(np.diag([2.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2)), 2, "degenerate-denominator"),
-    ErrorExit("negative-sqrt", COMMANDS["kraus-extract"], spec_payloads(np.diag([3.0, 2.0, 1.0]), [1.0, 0.0, 0.0]),
-              2, "negative-sqrt"),
-    *(ErrorExit(f"{name}-{command}", COMMANDS[command], spec_payloads(a, v), 2, "domain")
+    *read_by("test_validation_error_json",
+             ErrorExit("degenerate-denominator", COMMANDS["choi-build"],
+                       spec_payloads(np.diag([2.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2)), 2,
+                       "degenerate-denominator")),
+    *read_by("test_non_positive_spec_error_json",
+             ErrorExit("negative-sqrt", COMMANDS["kraus-extract"],
+                       spec_payloads(np.diag([3.0, 2.0, 1.0]), [1.0, 0.0, 0.0]), 2, "negative-sqrt")),
+    *(ErrorExit(f"{name}-{command}", COMMANDS[command], spec_payloads(a, v), 2, "domain",
+                test=f"test_overflowing_construction_is_one_domain_line[{name}-{command}]")
       for name, (a, v) in OVERFLOWING_SPECS.items() for command in ("choi-build", "kraus-extract")),
     # malformed payloads
-    *(ErrorExit(f"{name}-{command}", argv, {"rho": {**HALF, **change}}, 2, "invalid")
+    *(ErrorExit(f"{name}-{command}", argv, {"rho": {**HALF, **change}}, 2, "invalid",
+                test=f"test_non_numeric_payload_is_one_json_line[{name}-{command}]")
       for name, change in {"string-entry": {"re": ["x", 0.0, 0.0, 0.5]}, "null-entry": {"im": [0.0, None, 0.0, 0.0]},
                            "string-rows": {"rows": "x"}}.items()
       for command, argv in {"map-apply": COMMANDS["map-apply-Z"], "battery-sim": TIMED["battery-sim"] + ["0:1:3"],
                             "evolve": COMMANDS["evolve"]}.items()),
-    *(ErrorExit(f"missing-{key}", COMMANDS[command], without(slot, key), 2, "invalid", repr(key))
+    *(ErrorExit(f"missing-{key}", COMMANDS[command], without(slot, key), 2, "invalid", repr(key),
+                test=f"test_missing_key_is_one_invalid_line[{key}]")
       for key, slot, command in (("tag", "kraus", "map-apply-kraus"), ("V", "env", "battery-phi"),
                                  ("re", "rho", "map-apply-Z"), ("rows", "rho", "map-apply-Z"),
                                  ("dim", "Z", "map-apply-Z"))),
-    *(ErrorExit(f"zero-size-{command}", argv, ZERO_SIZE, 2, "dimension") for command, argv in COMMANDS.items()),
+    # choi-check and battery-* once ended in a ValueError traceback, map-apply in exit 0
+    *(ErrorExit(f"zero-size-{command}", argv, ZERO_SIZE, 2, "dimension",
+                test=f"test_zero_dimension_payload_is_one_dimension_line[{command}]")
+      for command, argv in COMMANDS.items()),
     # an empty Kraus set once printed the zero matrix and exited 0
-    ErrorExit("kraus-without-operators", COMMANDS["map-apply-kraus"], {"kraus": {"dim": 2, "ops": []}}, 2, "dimension"),
+    *read_by("test_kraus_set_without_operators_is_one_dimension_line",
+             ErrorExit("kraus-without-operators", COMMANDS["map-apply-kraus"], {"kraus": {"dim": 2, "ops": []}}, 2,
+                       "dimension")),
     ErrorExit("invalid-density-matrix", ["battery-sim", "--env", "{env}", "--rho0", "{I}", "--times", "0:1:3"], {},
               2, "invalid-density-matrix"),
     ErrorExit("evolve-non-hermitian-A0", EVOLVE + ["0:2:3"], {"A": ser.matrix_to_json(np.diag([1.0, 1j])), "rho": HALF},
               2, "hermiticity"),
-    ErrorExit("map-apply-needs-one-source", ["map-apply", "--B", "{rho}"], {}, 2, "domain"),
+    *read_by("test_map_apply_requires_exactly_one_source",
+             ErrorExit("map-apply-needs-one-source", ["map-apply", "--B", "{rho}"], {}, 2, "domain")),
     # grids, flags and sizes; the patched rows are refused before a grid or an
     # environment is allocated
-    ErrorExit("grid-two-parts", BATTERY_SIM + ["0:1"], {}, 2, "domain"),
-    ErrorExit("grid-non-numeric", ["metric-profile", "--M", "1", "--grid", "a:b:3"], {}, 2, "domain"),
-    *(ErrorExit(f"times-{times}-{command}", argv + [times], {}, 2, "domain", patch={"numpy.linspace": forbidden})
+    *read_by("test_bad_grid_is_validation_error", ErrorExit("grid-two-parts", BATTERY_SIM + ["0:1"], {}, 2, "domain")),
+    *read_by("test_non_numeric_grid_is_validation_error",
+             ErrorExit("grid-non-numeric", ["metric-profile", "--M", "1", "--grid", "a:b:3"], {}, 2, "domain")),
+    *(ErrorExit(f"times-{times}-{command}", argv + [times], {}, 2, "domain", patch={"numpy.linspace": forbidden},
+                test=f"test_bad_time_grid_is_domain_error_before_allocation[{times}-{command}]")
       for command, argv in TIMED.items() for times in ("nan:1:3", "0:inf:3", "0:1:100000000000")),
-    ErrorExit("mass-nan", ["metric-profile", "--M", "nan", "--grid", "0:1:3"], {}, 2, "domain"),
+    *read_by("test_nan_mass_is_validation_error",
+             ErrorExit("mass-nan", ["metric-profile", "--M", "nan", "--grid", "0:1:3"], {}, 2, "domain")),
     *(ErrorExit(f"flag-{value}-{case}", argv[:-1] + [f"{argv[-1]}={value}"],
-                {"Z": PERTURBED_Z} if case == "tolerance" else {}, 2, "domain")
+                {"Z": PERTURBED_Z} if case == "tolerance" else {}, 2, "domain",
+                test=f"test_non_finite_float_flag_is_one_domain_line[{value}-{case}-{argv[-1]}]")
       for case, argv in FLAGS.items() for value in ("nan", "inf", "-inf")),
     ErrorExit("negative-tolerance", CHOI_CHECK + ["--tolerance", "-1"], {}, 2, "domain", "got -1"),
     ErrorExit("evolve-negative-rate", EVOLVE + ["0:2:3", "--rate", "-1"], {}, 2, "domain", "got -1.0"),
     ErrorExit("evolve-zero-rate", EVOLVE + ["0:2:3", "--rate", "0"], {}, 2, "domain", "got 0.0"),
-    ErrorExit("truncation-above-cap", ["metric-profile", "--M", "1", "--d", "100000000000", "--grid", "0:10:5"], {},
-              2, "dimension", patch={"numpy.eye": forbidden}),
+    *read_by("test_truncation_above_cap_is_rejected_before_allocation",
+             ErrorExit("truncation-above-cap",
+                       ["metric-profile", "--M", "1", "--d", "100000000000", "--grid", "0:10:5"], {}, 2, "dimension",
+                       patch={"numpy.eye": forbidden})),
     # once a numpy ValueError traceback from default_rng
-    ErrorExit("negative-seed", ["selftest", "--seed", "-1"], {}, 2, "domain",
-              patch={"cpumap.selftest.CHECKS": (forbidden,)}),
+    *read_by("test_negative_seed_is_one_domain_line_before_any_check",
+             ErrorExit("negative-seed", ["selftest", "--seed", "-1"], {}, 2, "domain",
+                       patch={"cpumap.selftest.CHECKS": (forbidden,)})),
     # overflows: these once wrote inf, warned or ended in a traceback
-    ErrorExit("mass-cubed-overflows", ["metric-profile", "--grid", "0:10:5", "--M", "1e300"], {}, 2, "domain"),
-    ErrorExit("factor-overflows", ["metric-profile", "--grid", "0:10:5", "--M", "1e100", "--r0", "1e-300",
-                                   "--format", "json"], {}, 2, "domain"),
-    ErrorExit("dual-action-overflows-Z", ["map-apply", "--Z", "{Z}", "--B", "{B}"],
-              {"Z": ser.choi_to_json(build_fixed_point_choi(PENCIL)), "B": OVERFLOWING_B}, 2, "domain"),
-    ErrorExit("dual-action-overflows-kraus", ["map-apply", "--kraus", "{kraus}", "--B", "{B}"],
-              {"kraus": ser.kraus_to_json(kraus_from_fixed_point(PENCIL)), "B": OVERFLOWING_B}, 2, "domain"),
-    ErrorExit("unitality-residual-overflows", CHOI_CHECK,
-              {"Z": ser.choi_to_json(OVERFLOWING_TRACE_Z), "A": ser.matrix_to_json(np.zeros((2, 2)))}, 2, "domain"),
-    ErrorExit("fixed-point-residual-overflows", CHOI_CHECK,
-              {"Z": ser.choi_to_json(NEGATED_IDENTITY_Z), "A": ser.matrix_to_json(np.diag([1e308, 1.0]))}, 2, "domain"),
-    ErrorExit("kraus-unitality-overflows", ["map-apply", "--kraus", "{kraus}", "--B", "{I}"], {"kraus": HUGE_KRAUS},
-              2, "domain", "unitality residual overflows the float range"),
+    *(ErrorExit(name, ["metric-profile", "--grid", "0:10:5", *extra], {}, 2, "domain",
+                test=f"test_overflowing_dilation_factor_is_one_domain_line[{name}]")
+      for name, extra in {"mass-cubed-overflows": ["--M", "1e300"],
+                          "factor-overflows": ["--M", "1e100", "--r0", "1e-300", "--format", "json"]}.items()),
+    *read_by("test_overflowing_dual_action_is_one_domain_line[--Z]",
+             ErrorExit("dual-action-overflows-Z", ["map-apply", "--Z", "{Z}", "--B", "{B}"],
+                       {"Z": ser.choi_to_json(build_fixed_point_choi(PENCIL)), "B": OVERFLOWING_B}, 2, "domain")),
+    *read_by("test_overflowing_dual_action_is_one_domain_line[--kraus]",
+             ErrorExit("dual-action-overflows-kraus", ["map-apply", "--kraus", "{kraus}", "--B", "{B}"],
+                       {"kraus": ser.kraus_to_json(kraus_from_fixed_point(PENCIL)), "B": OVERFLOWING_B}, 2, "domain")),
+    *read_by("test_overflowing_residual_is_one_domain_line[unitality]",
+             ErrorExit("unitality-residual-overflows", CHOI_CHECK,
+                       {"Z": ser.choi_to_json(OVERFLOWING_TRACE_Z), "A": ser.matrix_to_json(np.zeros((2, 2)))},
+                       2, "domain")),
+    *read_by("test_overflowing_residual_is_one_domain_line[fixed-point]",
+             ErrorExit("fixed-point-residual-overflows", CHOI_CHECK,
+                       {"Z": ser.choi_to_json(NEGATED_IDENTITY_Z), "A": ser.matrix_to_json(np.diag([1e308, 1.0]))},
+                       2, "domain")),
+    *read_by("test_unchecked_map_is_one_error_line[kraus-unitality-overflows]",
+             ErrorExit("kraus-unitality-overflows", ["map-apply", "--kraus", "{kraus}", "--B", "{I}"],
+                       {"kraus": HUGE_KRAUS}, 2, "domain", "unitality residual overflows the float range")),
     # residuals: the unchecked maps once printed [4,0,0,4], 6I and the trace 0, 6, 12
-    ErrorExit("wrong-observable", CHOI_CHECK, {"A": ser.matrix_to_json([[1.0, 1.0], [1.0, 0.0]])}, 2, "residual",
-              "exceed 1.0000000000000001e-09", "unitality-residual 0\nfixed-point-residual 1\n"),
-    ErrorExit("non-unital-kraus", ["map-apply", "--kraus", "{kraus}", "--B", "{I}"], {"kraus": DOUBLED_KRAUS},
-              2, "residual", ": unitality 3"),
-    ErrorExit("non-unital-Z", ["map-apply", "--Z", "{Z}", "--B", "{I}"], {"Z": NON_UNITAL_Z}, 2, "residual",
-              ": unitality 5"),
-    ErrorExit("non-unital-evolve", ["evolve", "--Z", "{Z}", "--A0", "{I}", "--rho", "{rho}", "--times", "0:2:3"],
-              {"Z": NON_UNITAL_Z, "rho": HALF}, 2, "residual", ": unitality 5, idempotence 30"),
+    *read_by("test_choi_check_flags_wrong_observable",
+             ErrorExit("wrong-observable", CHOI_CHECK, {"A": ser.matrix_to_json([[1.0, 1.0], [1.0, 0.0]])}, 2,
+                       "residual", "exceed 1.0000000000000001e-09", "unitality-residual 0\nfixed-point-residual 1\n")),
+    *read_by("test_unchecked_map_is_one_error_line[map-apply-kraus]",
+             ErrorExit("non-unital-kraus", ["map-apply", "--kraus", "{kraus}", "--B", "{I}"], {"kraus": DOUBLED_KRAUS},
+                       2, "residual", ": unitality 3")),
+    *read_by("test_unchecked_map_is_one_error_line[map-apply-Z]",
+             ErrorExit("non-unital-Z", ["map-apply", "--Z", "{Z}", "--B", "{I}"], {"Z": NON_UNITAL_Z}, 2,
+                       "residual", ": unitality 5")),
+    *read_by("test_unchecked_map_is_one_error_line[evolve]",
+             ErrorExit("non-unital-evolve",
+                       ["evolve", "--Z", "{Z}", "--A0", "{I}", "--rho", "{rho}", "--times", "0:2:3"],
+                       {"Z": NON_UNITAL_Z, "rho": HALF}, 2, "residual", ": unitality 5, idempotence 30")),
     ErrorExit("selftest-fails", ["selftest", "--seed", "3"], {}, 2, "selftest", "1 selftest check(s) failed",
               "cpumap selftest seed=3\n" + "PASS stub\n" * 7 + "FAIL stub\nselftest: 7 passed, 1 failed\n",
               {"cpumap.selftest.CHECKS": FAILING_CHECKS}),
 ]
 
 
-@pytest.mark.parametrize("row", CLI_ERRORS, ids=lambda row: row.id)
-def test_error_exit(row, tmp_path, monkeypatch):
-    paths = write_payloads(tmp_path, {**PAYLOADS, **row.payloads})
-    for target, value in (row.patch or {}).items():
-        monkeypatch.setattr(target, value)
-    code, out, err = run_cli([part.format(**paths) for part in row.argv])
+def assert_error_exit(row, directory):
+    paths = write_payloads(directory, {**PAYLOADS, **row.payloads})
+    with pytest.MonkeyPatch.context() as patch:
+        for target, value in (row.patch or {}).items():
+            patch.setattr(target, value)
+        code, out, err = run_cli([part.format(**paths) for part in row.argv])
     assert (code, out, err["error"]) == (row.exit, row.stdout, row.code)
     assert err["detail"].endswith(row.detail)
+
+
+def assert_tagged_error_exits(request, tmp_path):
+    """Run the rows tagged with the running test."""
+    for row in tagged_rows(CLI_ERRORS, request):
+        assert_error_exit(row, tmp_path)
+
+
+@pytest.mark.parametrize("row", [row for row in CLI_ERRORS if row.test is None], ids=lambda row: row.id)
+def test_error_exit(row, tmp_path):
+    assert_error_exit(row, tmp_path)
+
+
+def test_tables_cover_every_error():
+    classes = {cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, CpuMapError)}
+    assert classes <= {row.cls for row in REJECTIONS}
+    codes = {cls.code for cls in classes} | {"usage", "io", "residual", "selftest"}
+    assert codes <= {row.code for row in CLI_ERRORS}
+
+
+def test_every_tag_names_a_test():
+    # a row tagged with a name no test has would never run
+    names = set(re.findall(r"^def (test_\w+)\(", "".join(
+        path.read_text() for path in Path(__file__).parent.glob("test_*.py")), re.M))
+    assert {row.test.split("[")[0] for row in [*REJECTIONS, *CLI_ERRORS] if row.test} <= names
+
+
+# --- error exits run by name ---------------------------------------------------
+
+
+def test_usage_error_json(request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
+
+
+def test_missing_file_is_io_error(request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
+
+
+@pytest.mark.parametrize("case", cases(CLI_ERRORS, "test_unparsable_file_is_one_io_line"))
+def test_unparsable_file_is_one_io_line(case, request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
+
+
+def test_validation_error_json(request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
+
+
+def test_non_positive_spec_error_json(request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
+
+
+@pytest.mark.parametrize("case", cases(CLI_ERRORS, "test_overflowing_construction_is_one_domain_line"))
+def test_overflowing_construction_is_one_domain_line(case, request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
+
+
+@pytest.mark.parametrize("case", cases(CLI_ERRORS, "test_non_numeric_payload_is_one_json_line"))
+def test_non_numeric_payload_is_one_json_line(case, request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
+
+
+@pytest.mark.parametrize("case", cases(CLI_ERRORS, "test_missing_key_is_one_invalid_line"))
+def test_missing_key_is_one_invalid_line(case, request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
+
+
+@pytest.mark.parametrize("case", cases(CLI_ERRORS, "test_zero_dimension_payload_is_one_dimension_line"))
+def test_zero_dimension_payload_is_one_dimension_line(case, request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
+
+
+def test_kraus_set_without_operators_is_one_dimension_line(request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
+
+
+def test_map_apply_requires_exactly_one_source(request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
+
+
+def test_bad_grid_is_validation_error(request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
+
+
+def test_non_numeric_grid_is_validation_error(request, tmp_path):
+    assert_tagged_rejections(request)
+    assert_tagged_error_exits(request, tmp_path)
+
+
+def test_parse_grid_caps_count(request):
+    assert_tagged_rejections(request)
+
+
+@pytest.mark.parametrize("case", cases(CLI_ERRORS, "test_bad_time_grid_is_domain_error_before_allocation"))
+def test_bad_time_grid_is_domain_error_before_allocation(case, request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
+
+
+def test_nan_mass_is_validation_error(request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
+
+
+@pytest.mark.parametrize("case", cases(CLI_ERRORS, "test_non_finite_float_flag_is_one_domain_line"))
+def test_non_finite_float_flag_is_one_domain_line(case, request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
+
+
+def test_truncation_above_cap_is_rejected_before_allocation(request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
+
+
+def test_negative_seed_is_one_domain_line_before_any_check(request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
+
+
+@pytest.mark.parametrize("case", cases(CLI_ERRORS, "test_overflowing_dilation_factor_is_one_domain_line"))
+def test_overflowing_dilation_factor_is_one_domain_line(case, request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
+
+
+@pytest.mark.parametrize("case", cases(CLI_ERRORS, "test_overflowing_dual_action_is_one_domain_line"))
+def test_overflowing_dual_action_is_one_domain_line(case, request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
+
+
+@pytest.mark.parametrize("case", cases(CLI_ERRORS, "test_overflowing_residual_is_one_domain_line"))
+def test_overflowing_residual_is_one_domain_line(case, request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
+
+
+@pytest.mark.parametrize("case", cases(CLI_ERRORS, "test_unchecked_map_is_one_error_line"))
+def test_unchecked_map_is_one_error_line(case, request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
+
+
+def test_choi_check_flags_wrong_observable(request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
 
 
 def test_failing_selftest_is_one_selftest_line(monkeypatch):

@@ -24,6 +24,7 @@ from cpumap.selftest import equivalence_spec
 from conftest import (
     NEGATED_IDENTITY_Z,
     PINNED_Z_DIAG21,
+    cases,
     hermitian_basis,
     pencil_spec,
     random_density,
@@ -33,6 +34,7 @@ from conftest import (
     random_unit,
     rng_for,
 )
+from test_rejections import REJECTIONS, assert_tagged_rejections
 
 
 def closed_form_dual(spec, b):
@@ -83,7 +85,8 @@ def test_idempotence():
     assert idempotence_residual(z, spec.a) < 1e-9
 
 
-def test_idempotence_residual_below_overflow_is_exact():
+def test_overflowing_idempotence_residual_raises_domain_error(request):
+    assert_tagged_rejections(request)
     assert idempotence_residual(NEGATED_IDENTITY_Z, np.diag([1e307, 1.0])) == 2e307
 
 
@@ -384,3 +387,49 @@ def test_evolve_generator_by_independent_routes(seed):
         assert max_abs(generator - via_kraus) <= tol
         slope = evolve_linear(z, a0, rho, [0.0, 1.0]).phi_fit
         assert abs(slope - float(np.real(np.trace(rho @ literal)))) <= tol
+
+
+# --- rejections: rows of test_rejections.REJECTIONS tagged with these names ---
+
+
+def test_apply_dual_choi_dimension_mismatch(request):
+    assert_tagged_rejections(request)
+
+
+def test_kraus_rejects_non_positive_spec(request):
+    assert_tagged_rejections(request)
+
+
+def test_evolve_linear_validates_inputs(request):
+    assert_tagged_rejections(request)
+
+
+@pytest.mark.parametrize("case", cases(REJECTIONS, "test_evolve_rejects_non_finite_times"))
+def test_evolve_rejects_non_finite_times(case, request):
+    assert_tagged_rejections(request)
+
+
+@pytest.mark.parametrize("case", cases(REJECTIONS, "test_evolve_rejects_rho_of_wrong_dimension"))
+def test_evolve_rejects_rho_of_wrong_dimension(case, request):
+    assert_tagged_rejections(request)
+
+
+def test_evolve_rejects_overflowing_trajectory(request):
+    assert_tagged_rejections(request)
+
+
+def test_kraus_set_validates_shapes(request):
+    assert_tagged_rejections(request)
+
+
+def test_kraus_set_needs_an_operator(request):
+    assert_tagged_rejections(request)
+
+
+@pytest.mark.parametrize("case", cases(REJECTIONS, "test_kraus_sums_reject_overflow"))
+def test_kraus_sums_reject_overflow(case, request):
+    assert_tagged_rejections(request)
+
+
+def test_apply_dual_kraus_rejects_nan_observable(request):
+    assert_tagged_rejections(request)

@@ -5,6 +5,7 @@ from cpumap import eig_hermitian, is_psd, kron, partial_trace_second
 from cpumap.linalg import max_abs
 
 from conftest import random_hermitian, rng_for
+from test_rejections import assert_tagged_rejections
 
 
 def kron_loop_oracle(a, b):
@@ -113,3 +114,18 @@ def test_eig_deterministic():
 def test_is_psd():
     assert is_psd(np.eye(3), 1e-9)
     assert not is_psd(np.diag([1.0, -0.5]), 1e-9)
+
+
+# --- rejections: rows of test_rejections.REJECTIONS tagged with these names ---
+
+
+def test_partial_trace_dimension_mismatch(request):
+    assert_tagged_rejections(request)
+
+
+def test_eig_rejects_non_hermitian(request):
+    assert_tagged_rejections(request)
+
+
+def test_as_matrix_rejects_nonfinite(request):
+    assert_tagged_rejections(request)

@@ -7,7 +7,6 @@ from cpumap import (
     BatteryConfig,
     DomainError,
     EnvState,
-    MetricParams,
     build_profile,
     dilation_factor,
     offset_factor,
@@ -17,7 +16,8 @@ from cpumap import (
 )
 from cpumap import metric
 
-from conftest import random_density, rng_for
+from conftest import cases, make_params, random_density, rng_for
+from test_rejections import REJECTIONS, assert_tagged_rejections
 
 
 def test_dilation_factor_horizon_value():
@@ -36,10 +36,6 @@ def test_dilation_factor_scaling_identity():
     # substituting (2r, 2M): 32 (2M)^3 e^{-r/2M} / (2r) = 4 * factor(r, M)
     assert abs(dilation_factor(4.0, 2.0) - 4.0 * dilation_factor(2.0, 1.0)) < 1e-12
     assert abs(dilation_factor(4.0, 2.0) - 64.0 / math.e) < 1e-12
-
-
-def make_params(M=1.0, r0=0.1, d=16, grid=(0.5, 2.0, 10.0)):
-    return MetricParams(M=M, r0=r0, d=d, r_grid=np.asarray(grid, dtype=float))
 
 
 def test_offset_factor_finite_at_origin():
@@ -228,3 +224,47 @@ def test_shared_validator_rejects_bad_row_like_env_state():
         with pytest.raises(DomainError) as single:
             EnvState(dim=d, spectrum=np.array(bad), basis=eye)
         assert str(batched.value) == str(single.value)
+
+
+# --- rejections: rows of test_rejections.REJECTIONS tagged with these names ---
+
+
+def test_dilation_factor_domain(request):
+    assert_tagged_rejections(request)
+
+
+def test_dilation_factor_rejects_overflow(request):
+    assert_tagged_rejections(request)
+
+
+def test_truncation_cap(request):
+    assert_tagged_rejections(request)
+
+
+def test_synth_env_negative_target(request):
+    assert_tagged_rejections(request)
+
+
+def test_synth_env_rejects_nan_target(request):
+    assert_tagged_rejections(request)
+
+
+def test_metric_params_validation(request):
+    assert_tagged_rejections(request)
+
+
+def test_metric_params_rejects_nan_mass(request):
+    assert_tagged_rejections(request)
+
+
+def test_metric_params_rejects_infinite_offset(request):
+    assert_tagged_rejections(request)
+
+
+def test_metric_params_rejects_nan_grid(request):
+    assert_tagged_rejections(request)
+
+
+@pytest.mark.parametrize("case", cases(REJECTIONS, "test_metric_params_rejects_non_finite_grid"))
+def test_metric_params_rejects_non_finite_grid(case, request):
+    assert_tagged_rejections(request)
