@@ -25,6 +25,7 @@ from .dual_map import (
     apply_dual_choi, apply_dual_kraus, evolve_linear, idempotence_residual, kraus_from_fixed_point, unitality_residual
 )
 from .errors import CpuMapError, DomainError
+from .linalg import ensure_hermitian
 from .serialize import dumps, fmt
 
 MAX_GRID_POINTS = 10**7
@@ -226,8 +227,10 @@ def _write_trace(args, trace) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    if args.rate <= 0:
+        raise DomainError(f"--rate must be > 0, got {fmt(args.rate)}")
     z = serialize.choi_from_json(_read_json(args.Z))
-    a0 = serialize.matrix_from_json(_read_json(args.A0))
+    a0 = ensure_hermitian(serialize.matrix_from_json(_read_json(args.A0)))
     rho = serialize.matrix_from_json(_read_json(args.rho))
     # the closed form holds for a unital map with Phi[Phi[A0]] = Phi[A0]
     if _map_error({"unitality": check_unital(z), "idempotence": idempotence_residual(z, a0)}):

@@ -126,15 +126,21 @@ def primal_loop(kset, rho):
 
 
 # --- the rejection tables -----------------------------------------------------
-# A row of the library table (test_rejections.REJECTIONS) or of the CLI table
-# (test_cli.CLI_ERRORS) whose ``test`` tag is None is run by that table's own
-# test; a tagged row is run by the topic test the tag names, as ``name`` or,
-# for a test with cases, ``name[case]``.
+# Every row of the library table (test_rejections.REJECTIONS) and of the CLI
+# table (test_cli.CLI_ERRORS) is run once, by the test its ``test`` tag names:
+# ``name``, or ``name[case]`` for a test with cases.  A row that replaced a
+# per-case test is tagged with that test's name, so the name stays in the
+# suite; every other row is tagged with the table's own test, ``table_test[id]``.
 
 
 def read_by(test, *rows):
-    """``rows`` tagged to be run by the topic test ``test``."""
+    """``rows`` tagged to be run by the test ``test``."""
     return [row._replace(test=test) for row in rows]
+
+
+def tag_rest(table_test, rows):
+    """``rows``, each one still untagged tagged ``table_test[id]``."""
+    return [row if row.test else row._replace(test=f"{table_test}[{row.id}]") for row in rows]
 
 
 def tagged_rows(table, request):

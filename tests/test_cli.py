@@ -30,6 +30,7 @@ from conftest import (
     read_by,
     rng_for,
     run_cli,
+    tag_rest,
     tagged_rows,
     write_json,
     write_payloads,
@@ -157,9 +158,8 @@ class ErrorExit(NamedTuple):
     """One command that must fail: ``{slot}`` parts of ``argv`` name the file of
     that slot of ``PAYLOADS``, with ``payloads`` replacing or adding slots; the
     run must end in ``exit`` with error ``code``, a detail ending in ``detail``
-    and exactly ``stdout``, while each ``patch`` target is replaced.  A row
-    tagged with a ``test`` is run by that test (see ``conftest.tagged_rows``),
-    the others by ``test_error_exit``."""
+    and exactly ``stdout``, while each ``patch`` target is replaced.  The row
+    is run by the test its ``test`` tag names (see ``conftest``)."""
 
     id: str
     argv: list
@@ -188,6 +188,7 @@ def without(slot, key):
 
 
 HALF = ser.matrix_to_json(np.eye(2) / 2)
+NON_HERMITIAN = ser.matrix_to_json(np.diag([1.0, 1j]))
 # Z with unitality residual 1e-3: a NaN tolerance once passed it
 PERTURBED_Z = copy.deepcopy(PAYLOADS["Z"])
 PERTURBED_Z["re"][0] += 1e-3
@@ -201,6 +202,7 @@ NON_UNITAL_Z = ser.choi_to_json(ChoiMatrix(dim=2, matrix=3.0 * np.eye(4)))
 PENCIL = selftest.pencil_spec(42, 3, 0)
 OVERFLOWING_B = ser.matrix_to_json(np.full((3, 3), 1.7e308))
 FAILING_CHECKS = (lambda seed: ["PASS stub"],) * 7 + (lambda seed: ["FAIL stub"],)
+SELFTEST_STUB_REPORT = "cpumap selftest seed=3\n" + "PASS stub\n" * 7 + "FAIL stub\nselftest: 7 passed, 1 failed\n"
 
 EVOLVE = ["evolve", "--Z", "{Z}", "--A0", "{A}", "--rho", "{rho}", "--times"]
 BATTERY_SIM = ["battery-sim", "--env", "{env}", "--times"]
@@ -225,7 +227,7 @@ FLAGS = {
     "r0": ["metric-profile", "--M", "1", "--grid", "0:1:3", "--r0"],
 }
 
-CLI_ERRORS = [
+CLI_ERRORS = tag_rest("test_error_exit", [
     *read_by("test_usage_error_json", ErrorExit("usage", ["choi-build"], {}, 2, "usage")),
     *read_by("test_missing_file_is_io_error",
              ErrorExit("missing-file", ["battery-phi", "--env", "/nonexistent/env.json"], {}, 1, "io")),
@@ -268,8 +270,7 @@ CLI_ERRORS = [
                        "dimension")),
     ErrorExit("invalid-density-matrix", ["battery-sim", "--env", "{env}", "--rho0", "{I}", "--times", "0:1:3"], {},
               2, "invalid-density-matrix"),
-    ErrorExit("evolve-non-hermitian-A0", EVOLVE + ["0:2:3"], {"A": ser.matrix_to_json(np.diag([1.0, 1j])), "rho": HALF},
-              2, "hermiticity"),
+    ErrorExit("evolve-non-hermitian-A0", EVOLVE + ["0:2:3"], {"A": NON_HERMITIAN, "rho": HALF}, 2, "hermiticity"),
     *read_by("test_map_apply_requires_exactly_one_source",
              ErrorExit("map-apply-needs-one-source", ["map-apply", "--B", "{rho}"], {}, 2, "domain")),
     # grids, flags and sizes; the patched rows are refused before a grid or an
@@ -287,8 +288,13 @@ CLI_ERRORS = [
                 test=f"test_non_finite_float_flag_is_one_domain_line[{value}-{case}-{argv[-1]}]")
       for case, argv in FLAGS.items() for value in ("nan", "inf", "-inf")),
     ErrorExit("negative-tolerance", CHOI_CHECK + ["--tolerance", "-1"], {}, 2, "domain", "got -1"),
-    ErrorExit("evolve-negative-rate", EVOLVE + ["0:2:3", "--rate", "-1"], {}, 2, "domain", "got -1.0"),
-    ErrorExit("evolve-zero-rate", EVOLVE + ["0:2:3", "--rate", "0"], {}, 2, "domain", "got 0.0"),
+    ErrorExit("evolve-negative-rate", EVOLVE + ["0:2:3", "--rate", "-1"], {}, 2, "domain", "got -1"),
+    ErrorExit("evolve-zero-rate", EVOLVE + ["0:2:3", "--rate", "0"], {}, 2, "domain", "got 0"),
+    # a bad rate or A0 is reported ahead of the residuals of a non-unital map
+    ErrorExit("non-unital-evolve-negative-rate", EVOLVE + ["0:2:3", "--rate", "-1"], {"Z": NON_UNITAL_Z}, 2,
+              "domain", "got -1"),
+    ErrorExit("non-unital-evolve-non-hermitian-A0", EVOLVE + ["0:2:3"], {"Z": NON_UNITAL_Z, "A": NON_HERMITIAN},
+              2, "hermiticity"),
     *read_by("test_truncation_above_cap_is_rejected_before_allocation",
              ErrorExit("truncation-above-cap",
                        ["metric-profile", "--M", "1", "--d", "100000000000", "--grid", "0:10:5"], {}, 2, "dimension",
@@ -333,31 +339,27 @@ CLI_ERRORS = [
              ErrorExit("non-unital-evolve",
                        ["evolve", "--Z", "{Z}", "--A0", "{I}", "--rho", "{rho}", "--times", "0:2:3"],
                        {"Z": NON_UNITAL_Z, "rho": HALF}, 2, "residual", ": unitality 5, idempotence 30")),
-    ErrorExit("selftest-fails", ["selftest", "--seed", "3"], {}, 2, "selftest", "1 selftest check(s) failed",
-              "cpumap selftest seed=3\n" + "PASS stub\n" * 7 + "FAIL stub\nselftest: 7 passed, 1 failed\n",
-              {"cpumap.selftest.CHECKS": FAILING_CHECKS}),
-]
+    *read_by("test_failing_selftest_is_one_selftest_line",
+             ErrorExit("selftest-fails", ["selftest", "--seed", "3"], {}, 2, "selftest", "1 selftest check(s) failed",
+                       SELFTEST_STUB_REPORT, {"cpumap.selftest.CHECKS": FAILING_CHECKS})),
+])
 
 
-def assert_error_exit(row, directory):
-    paths = write_payloads(directory, {**PAYLOADS, **row.payloads})
-    with pytest.MonkeyPatch.context() as patch:
-        for target, value in (row.patch or {}).items():
-            patch.setattr(target, value)
-        code, out, err = run_cli([part.format(**paths) for part in row.argv])
-    assert (code, out, err["error"]) == (row.exit, row.stdout, row.code)
-    assert err["detail"].endswith(row.detail)
-
-
-def assert_tagged_error_exits(request, tmp_path):
+def assert_tagged_error_exits(request, directory):
     """Run the rows tagged with the running test."""
     for row in tagged_rows(CLI_ERRORS, request):
-        assert_error_exit(row, tmp_path)
+        paths = write_payloads(directory, {**PAYLOADS, **row.payloads})
+        with pytest.MonkeyPatch.context() as patch:
+            for target, value in (row.patch or {}).items():
+                patch.setattr(target, value)
+            code, out, err = run_cli([part.format(**paths) for part in row.argv])
+        assert (code, out, err["error"]) == (row.exit, row.stdout, row.code), row.id
+        assert err["detail"].endswith(row.detail), row.id
 
 
-@pytest.mark.parametrize("row", [row for row in CLI_ERRORS if row.test is None], ids=lambda row: row.id)
-def test_error_exit(row, tmp_path):
-    assert_error_exit(row, tmp_path)
+@pytest.mark.parametrize("case", cases(CLI_ERRORS, "test_error_exit"))
+def test_error_exit(case, request, tmp_path):
+    assert_tagged_error_exits(request, tmp_path)
 
 
 def test_tables_cover_every_error():
@@ -485,11 +487,9 @@ def test_choi_check_flags_wrong_observable(request, tmp_path):
     assert_tagged_error_exits(request, tmp_path)
 
 
-def test_failing_selftest_is_one_selftest_line(monkeypatch):
-    # once exit 2 with no error line
+def test_failing_selftest_is_one_selftest_line(request, tmp_path, monkeypatch):
+    # once exit 2 with no error line; the row's stdout is the library's report
     assert len(selftest.CHECKS) == len(FAILING_CHECKS)
+    assert_tagged_error_exits(request, tmp_path)
     monkeypatch.setattr(selftest, "CHECKS", FAILING_CHECKS)
-    code, out, err = run_cli(["selftest", "--seed", "3"])
-    assert (code, err["error"], err["detail"]) == (2, "selftest", "1 selftest check(s) failed")
-    assert out == selftest.run_selftest(3)[0]
-    assert out.endswith("FAIL stub\nselftest: 7 passed, 1 failed\n")
+    assert selftest.run_selftest(3) == (SELFTEST_STUB_REPORT, False)

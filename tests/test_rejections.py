@@ -1,9 +1,9 @@
 """Every library rejection, one row each: the call, the exact error class it
 raises and, where the message matters, a pattern the message must contain.
-A new rejection case is one more row here (the CLI's error exits are the
-``CLI_ERRORS`` table in ``test_cli.py``).  A row tagged with a topic test
-(``read_by``, see ``conftest.tagged_rows``) is run by that test; the others
-are run by ``test_rejection``."""
+A new rejection case is one more row here, run as ``test_rejection[id]``
+(the CLI's error exits are the ``CLI_ERRORS`` table in ``test_cli.py``).  A
+row tagged with a topic test by ``read_by`` is run by that test instead (see
+``conftest``)."""
 
 import math
 from typing import Callable, NamedTuple
@@ -55,6 +55,7 @@ from conftest import (
     NEGATED_IDENTITY_Z,
     OVERFLOWING_SPECS,
     OVERFLOWING_TRACE_Z,
+    cases,
     make_params as params,
     pencil_spec,
     random_density,
@@ -63,6 +64,7 @@ from conftest import (
     random_spec,
     rng_for,
     read_by,
+    tag_rest,
     tagged_rows,
 )
 
@@ -119,7 +121,7 @@ KRAUS_OPS = [
     {"tag": "B1", "matrix": {"rows": 2, "cols": 2, "re": ["x"] * 4, "im": [0.0] * 4}},
 ]
 
-REJECTIONS = [
+REJECTIONS = tag_rest("test_rejection", [
     # battery
     Rejection("number-operator-d1", lambda: number_operator(1), DimensionError),
     *read_by("test_battery_config_validation",
@@ -316,21 +318,17 @@ REJECTIONS = [
     *read_by("test_parse_grid_caps_count",
              Rejection("grid-count-above-cap", lambda: parse_grid(f"0:1:{MAX_GRID_POINTS + 1}"), DomainError),
              Rejection("grid-minus-inf", lambda: parse_grid("-inf:1:1"), DomainError)),
-]
-
-
-def assert_rejection(row):
-    with pytest.raises(row.cls, match=row.match) as caught:
-        row.call()
-    assert type(caught.value) is row.cls
+])
 
 
 def assert_tagged_rejections(request):
-    """Run the rows tagged with the running topic test."""
+    """Run the rows tagged with the running test: each raises exactly its class."""
     for row in tagged_rows(REJECTIONS, request):
-        assert_rejection(row)
+        with pytest.raises(row.cls, match=row.match) as caught:
+            row.call()
+        assert type(caught.value) is row.cls, row.id
 
 
-@pytest.mark.parametrize("row", [row for row in REJECTIONS if row.test is None], ids=lambda row: row.id)
-def test_rejection(row):
-    assert_rejection(row)
+@pytest.mark.parametrize("case", cases(REJECTIONS, "test_rejection"))
+def test_rejection(case, request):
+    assert_tagged_rejections(request)
