@@ -31,12 +31,12 @@ from .errors import (
     ZeroExpectation,
     ZeroTrace,
 )
-from .linalg import _ensure_min_dim, _ensure_no_overflow, ensure_hermitian, max_abs
+from .linalg import _ensure_min_dim, _ensure_no_overflow, _psd_verdicts, ensure_hermitian, max_abs
 
 SCALAR_TOL = 1e-12     # |<v|A|v> - trA/N| below this is treated as degenerate
 V_NORM_SLACK = 1e-6    # silently renormalize v when this close to unit norm
 BOUND_TOL = 1e-9       # slack on the operator inequalities
-PSD_TOL = 1e-8         # slack on the direct Choi minimum eigenvalue
+PSD_TOL = 1e-8         # slack on the direct Choi PSD check: lambda_min > -PSD_TOL
 
 
 @dataclass(frozen=True)
@@ -208,9 +208,11 @@ def positivity_bounds(spec: FixedPointSpec) -> tuple[bool, bool]:
 
 
 def choi_is_psd(z: ChoiMatrix) -> bool:
-    """Direct positivity check of the Choi matrix; ``ChoiMatrix`` validated
-    it as Hermitian at construction, so only the minimum eigenvalue is taken."""
-    return bool(_min_eigenvalues(z.matrix[None])[0] >= -PSD_TOL)
+    """Direct positivity check of the Choi matrix: True iff its minimum
+    eigenvalue is > -PSD_TOL up to rounding, decided by one Cholesky
+    factorization of Z + PSD_TOL I.  ``ChoiMatrix`` validated Z as Hermitian
+    at construction, so it is not checked again."""
+    return bool(_psd_verdicts(z.matrix[None], PSD_TOL)[0])
 
 
 # --- batched kernels ---------------------------------------------------------
@@ -263,11 +265,6 @@ def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     z[b, i, k, j, l] = x[b, i, j] * y[b, k, l]."""
     b, n = x.shape[:2]
     return (x[:, :, None, :, None] * y[:, None, :, None, :]).reshape(b, n * n, n * n)
-
-
-def _min_eigenvalues(z: np.ndarray) -> np.ndarray:
-    """Minimum eigenvalue of each Hermitian matrix in a (B, M, M) stack."""
-    return np.min(np.linalg.eigvalsh(z), axis=-1)
 
 
 def _bound_minima(a, e, t) -> np.ndarray:

@@ -43,14 +43,18 @@ def _ensure_no_overflow(out, what: str):
 
 
 def ensure_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
-    """Validate Hermiticity within ``tol`` and return the matrix."""
+    """Validate Hermiticity and return the matrix: ||M - M^dagger||_max must
+    not exceed ``tol * max(1, ||M||_max)``, so rounding in large entries passes."""
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"Hermitian matrix must be square, got {a.shape}")
     with np.errstate(over="ignore"):  # a difference beyond the float range is inf
         res = max_abs(a - a.conj().T)
-    if res > tol:
-        raise HermiticityError(f"||M - M^dagger||_max = {res:.3e} exceeds {tol:.1e}")
+    # the scale is taken only when the absolute test fails
+    if res > tol and res > tol * max(1.0, max_abs(a)):
+        raise HermiticityError(
+            f"||M - M^dagger||_max = {res:.3e} exceeds {tol:.1e} x max(1, ||M||_max)"
+        )
     return a
 
 
@@ -110,13 +114,38 @@ def eig_hermitian(h):
 
 
 def is_psd(h, tol: float = HERM_TOL) -> bool:
-    """True iff the minimum eigenvalue of a Hermitian matrix is >= -tol."""
+    """True iff the minimum eigenvalue of a Hermitian matrix is > -tol, up to
+    rounding: the verdict is whether h + tol I has a Cholesky factorization.
+    ``tol`` must be finite and > 0 (DomainError otherwise); at tol = 0 the
+    factorization would ask for strict definiteness."""
+    _ensure_positive(tol, "tol")
     a = ensure_hermitian(h, max(tol, HERM_TOL))
-    return bool(np.min(np.linalg.eigvalsh(a)) >= -tol)
+    return bool(_psd_verdicts(a[None], tol)[0])
+
+
+def _psd_verdicts(stack: np.ndarray, tol: float) -> np.ndarray:
+    """For each Hermitian matrix M of a (B, n, n) stack, True iff M + tol I
+    has a Cholesky factorization, i.e. lambda_min(M) > -tol up to rounding.
+
+    One factorization per instance costs a fraction of a full ``eigvalsh``,
+    and a failed one only fails its own instance.  Only the lower triangle is
+    read, as ``eigvalsh`` reads it.
+    """
+    n = stack.shape[-1]
+    verdicts = np.ones(stack.shape[0], dtype=bool)
+    for i, m in enumerate(stack):
+        shifted = m.copy()
+        shifted.flat[::n + 1] += tol
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            verdicts[i] = False
+    return verdicts
 
 
 def ensure_density_matrix(rho) -> np.ndarray:
-    """Validate a density matrix: Hermitian, PSD and unit trace within HERM_TOL."""
+    """Validate a density matrix: Hermitian and unit trace within HERM_TOL, and
+    PSD within HERM_TOL (lambda_min > -HERM_TOL, decided as in :func:`is_psd`)."""
     from .errors import InvalidDensityMatrix
 
     a = as_matrix(rho)
@@ -129,7 +158,7 @@ def ensure_density_matrix(rho) -> np.ndarray:
         raise InvalidDensityMatrix("density matrix is not Hermitian")
     if abs(tr - 1.0) > HERM_TOL:
         raise InvalidDensityMatrix(f"trace {tr} differs from 1 by more than {HERM_TOL:.1e}")
-    if np.min(np.linalg.eigvalsh(a)) < -HERM_TOL:
+    if not _psd_verdicts(a[None], HERM_TOL)[0]:
         raise InvalidDensityMatrix("density matrix has a negative eigenvalue")
     return a
 

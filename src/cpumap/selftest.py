@@ -27,7 +27,6 @@ from .choi import (
     _bound_minima,
     _choi_stack,
     _fixed_point_residuals,
-    _min_eigenvalues,
     _spec_arrays,
     _unital_residuals,
     build_fixed_point_choi,
@@ -42,7 +41,7 @@ from .dual_map import (
     unitality_residual,
 )
 from .errors import DomainError
-from .linalg import max_abs, partial_trace_second
+from .linalg import _psd_verdicts, max_abs, partial_trace_second
 from .metric import MetricParams, build_profile, offset_factor
 from .serialize import fmt
 
@@ -105,14 +104,15 @@ def equivalence_spec(seed: int, n: int, idx: int) -> FixedPointSpec:
             a = alpha * np.eye(n) + beta * np.outer(v, v.conj())
         else:
             a = _random_hermitian(rng, n)
-            evals, evecs = np.linalg.eigh(a)
             if kind == 0:
                 v = _random_unit(rng, n)
-            elif kind == 1:
-                v = evecs[:, -1]
             else:
-                mix = evecs[:, -1] + 0.15 * _random_unit(rng, n)
-                v = mix / np.linalg.norm(mix)
+                top = np.linalg.eigh(a)[1][:, -1]
+                if kind == 1:
+                    v = top
+                else:
+                    mix = top + 0.15 * _random_unit(rng, n)
+                    v = mix / np.linalg.norm(mix)
         t = float(np.real(np.trace(a)))
         e = float(np.real(np.conj(v) @ a @ v))
         if abs(t) < 1e-3 or abs(e) < 1e-3 or abs(e - t / n) < 1e-3:
@@ -129,7 +129,7 @@ def check_equivalence(seed: int):
             a, v, e, t = _spec_arrays(batch)
             z = _choi_stack(a, v, e, t, batch[0].is_scalar)
             bounds_ok = np.all(_bound_minima(a, e, t) >= -BOUND_TOL, axis=1)
-            agree.append(bounds_ok == (_min_eigenvalues(z) >= -PSD_TOL))
+            agree.append(bounds_ok == _psd_verdicts(z, PSD_TOL))
             unital.append(_unital_residuals(z))
             fixed.append(_fixed_point_residuals(z, a))
     agree = np.concatenate(agree)

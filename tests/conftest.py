@@ -111,6 +111,11 @@ def kron_reference_choi(spec):
     return first + np.kron((np.eye(n) - spec.a / e) / denom, np.eye(n) / t - proj_t / e)
 
 
+def psd_reference(h, tol):
+    """The slow side of every PSD verdict: lambda_min(h) >= -tol from the full spectrum."""
+    return bool(np.linalg.eigvalsh(h).min() >= -tol)
+
+
 def swap_oracle(rho, sigma_fock, d):
     """Independent route: conjugate by the swap and trace out the environment."""
     u = swap_unitary(d)

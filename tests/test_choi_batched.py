@@ -1,7 +1,8 @@
 """The batched Choi kernels against a per-instance loop kept here.
 
 Each batched kernel must give, instance for instance, the same bits as
-the single-instance code it replaced, so the selftest report cannot move.
+the single-instance code it replaced, and each Cholesky PSD verdict the
+verdict of the full spectrum, so the selftest report cannot move.
 """
 
 from types import SimpleNamespace
@@ -20,24 +21,32 @@ from cpumap import (
     positivity_bounds,
 )
 from cpumap.choi import (
+    PSD_TOL,
     _BATCH_BYTES,
     _batches,
     _bound_minima,
     _choi_stack,
     _fixed_point_residuals,
-    _min_eigenvalues,
     _spec_arrays,
     _unital_residuals,
 )
-from cpumap.linalg import partial_trace_second
+from cpumap.linalg import _psd_verdicts, partial_trace_second
 from cpumap.selftest import EQUIVALENCE_PER_DIM, _primal, equivalence_spec
 
-from conftest import kron_reference_choi, primal_loop, random_density, random_spec, random_unit, rng_for
+from conftest import (
+    kron_reference_choi,
+    primal_loop,
+    psd_reference,
+    random_density,
+    random_spec,
+    random_unit,
+    rng_for,
+)
 
 
 def reference(spec):
-    """The single-instance arithmetic: Choi build, minimum eigenvalue, the
-    two bound minima (shifts of A's extreme eigenvalues) and the two
+    """The single-instance arithmetic: Choi build, PSD verdict from the full
+    spectrum, the two bound minima (shifts of A's extreme eigenvalues) and the two
     residuals of one spec."""
     n, e, t = spec.dim, spec.expectation, spec.trace
     z = kron_reference_choi(spec)
@@ -45,7 +54,7 @@ def reference(spec):
     bounds = np.array([evals[0] - (t - e) / (n - 1), e - evals[-1]])
     unital = np.max(np.abs(partial_trace_second(z, n, n) - np.eye(n)))
     fixed = np.max(np.abs(np.einsum("ikjq,kq->ij", z.reshape(n, n, n, n), spec.a) - spec.a))
-    return z, np.min(np.linalg.eigvalsh(z)), bounds, unital, fixed
+    return z, psd_reference(z, PSD_TOL), bounds, unital, fixed
 
 
 def assert_batches_equal_loop(specs):
@@ -55,7 +64,7 @@ def assert_batches_equal_loop(specs):
         a, v, e, t = _spec_arrays(batch)
         z = _choi_stack(a, v, e, t, batch[0].is_scalar)
         assert z.nbytes <= _BATCH_BYTES or len(batch) == 1
-        got = (z, _min_eigenvalues(z), _bound_minima(a, e, t), _unital_residuals(z), _fixed_point_residuals(z, a))
+        got = (z, _psd_verdicts(z, PSD_TOL), _bound_minima(a, e, t), _unital_residuals(z), _fixed_point_residuals(z, a))
         for i, spec in enumerate(batch):
             for batched, single in zip(got, reference(spec)):
                 assert np.array_equal(batched[i], single)
@@ -103,10 +112,10 @@ def test_no_batch_exceeds_the_byte_budget(n):
 def test_public_functions_are_the_single_instance_case(n):
     rng = rng_for(962, n)
     for spec in (random_spec(rng, n), FixedPointSpec(a=2.5 * np.eye(n, dtype=complex), v=random_unit(rng, n))):
-        z, min_eig, bound_minima, unital, fixed = reference(spec)
+        z, psd, bound_minima, unital, fixed = reference(spec)
         choi = build_fixed_point_choi(spec)
         assert np.array_equal(choi.matrix, z)
-        assert choi_is_psd(choi) == (min_eig >= -1e-8)
+        assert choi_is_psd(choi) == psd
         assert positivity_bounds(spec) == tuple(bool(m >= -1e-9) for m in bound_minima)
         assert check_unital(choi) == unital
         assert check_fixed_point(choi, spec.a) == fixed

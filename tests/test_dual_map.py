@@ -27,6 +27,7 @@ from conftest import (
     cases,
     hermitian_basis,
     pencil_spec,
+    psd_reference,
     random_density,
     random_env,
     random_hermitian,
@@ -205,7 +206,7 @@ def test_dual_preserves_positivity():
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         b = g @ g.conj().T  # PSD input
         out = apply_dual_choi(z, b)
-        assert np.min(np.linalg.eigvalsh(out)) > -1e-9
+        assert psd_reference(out, 1e-9)
 
 
 def test_complete_basis_orthonormal_and_deterministic():

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from cpumap import eig_hermitian, is_psd, kron, partial_trace_second
-from cpumap.linalg import max_abs
+from cpumap import ChoiMatrix, build_fixed_point_choi, choi_is_psd, eig_hermitian, is_psd, kron, partial_trace_second
+from cpumap.choi import PSD_TOL
+from cpumap.linalg import HERM_TOL, _psd_verdicts, ensure_hermitian, max_abs
 
-from conftest import random_hermitian, rng_for
+from conftest import pencil_spec, psd_reference, random_hermitian, random_spec, rng_for
 from test_rejections import assert_tagged_rejections
 
 
@@ -114,6 +117,77 @@ def test_eig_deterministic():
 def test_is_psd():
     assert is_psd(np.eye(3), 1e-9)
     assert not is_psd(np.diag([1.0, -0.5]), 1e-9)
+
+
+def unitary_conjugate(rng, spectrum):
+    """Q diag(spectrum) Q^dagger for a random unitary Q."""
+    n = len(spectrum)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (q * spectrum) @ q.conj().T
+
+
+def test_hermiticity_tolerance_scales_with_the_entries():
+    m = unitary_conjugate(rng_for(130), np.array([1.0, 2.0, 3.0, 4.0])) * 1e8
+    assert max_abs(m - m.conj().T) > HERM_TOL  # rounding alone, above the absolute tolerance
+    assert np.array_equal(ensure_hermitian(m), m)
+    assert is_psd(m, HERM_TOL)
+    assert np.allclose(eig_hermitian(m)[0], [1e8, 2e8, 3e8, 4e8], rtol=1e-12)
+
+
+# lambda_min of each kind sits well away from -PSD_TOL, the two "edge" kinds
+# just inside and just outside it
+PSD_KINDS = {
+    "psd": lambda rng, n: unitary_conjugate(rng, 0.1 + rng.random(n)),
+    "rank-deficient": lambda rng, n: unitary_conjugate(rng, np.r_[np.zeros(n - n // 2), 1 + rng.random(n // 2)]),
+    "indefinite": lambda rng, n: unitary_conjugate(rng, np.r_[-0.5 - rng.random(), rng.normal(size=n - 1)]),
+    "edge-inside": lambda rng, n: unitary_conjugate(rng, np.r_[-PSD_TOL / 2, 1 + rng.random(n - 1)]),
+    "edge-outside": lambda rng, n: unitary_conjugate(rng, np.r_[-2 * PSD_TOL, 1 + rng.random(n - 1)]),
+}
+
+
+def reference_verdict(h):
+    """``psd_reference(h, PSD_TOL)``, or None where lambda_min is too close to
+    -PSD_TOL for either side to be exact."""
+    lam = np.linalg.eigvalsh(h)
+    if abs(lam[0] + PSD_TOL) < 1e-12 * max(1.0, np.abs(lam).max()):
+        return None
+    return psd_reference(h, PSD_TOL)
+
+
+def assert_verdicts_match_reference(h, expected):
+    assert is_psd(h, PSD_TOL) == expected
+    assert _psd_verdicts(h[None], PSD_TOL)[0] == expected
+    dim = math.isqrt(h.shape[0])
+    if dim * dim == h.shape[0]:
+        assert choi_is_psd(ChoiMatrix(dim=dim, matrix=h)) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 144, 256])
+def test_psd_verdicts_match_eigvalsh_reference(n):
+    rng = rng_for(131, n)
+    matrices = [make(rng, n) for make in PSD_KINDS.values()]
+    expected = [reference_verdict(h) for h in matrices]
+    assert expected == [True, True, False, True, False]
+    for h, verdict in zip(matrices, expected):
+        assert_verdicts_match_reference(h, verdict)
+    # one stack: an instance whose factorization fails fails alone
+    assert list(_psd_verdicts(np.array(matrices), PSD_TOL)) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 16])
+def test_choi_psd_verdicts_match_eigvalsh_reference_on_both_sides(n):
+    rng = rng_for(132, n)
+    specs = [random_spec(rng, n) for _ in range(6)] + [pencil_spec(rng, n), pencil_spec(rng, n, bottom=True)]
+    # both sides of the domain e > t/N of the spectral bounds, and both verdicts
+    assert {spec.expectation > spec.trace / n for spec in specs} == {True, False}
+    verdicts = set()
+    for spec in specs:
+        z = build_fixed_point_choi(spec).matrix
+        verdict = reference_verdict(z)
+        if verdict is not None:
+            assert_verdicts_match_reference(z, verdict)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # --- rejections: rows of test_rejections.REJECTIONS tagged with these names ---

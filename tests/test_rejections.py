@@ -37,6 +37,7 @@ from cpumap import (
     evolve_linear,
     evolve_linear_euler,
     idempotence_residual,
+    is_psd,
     kraus_from_fixed_point,
     metric,
     number_operator,
@@ -49,7 +50,7 @@ from cpumap import (
 )
 from cpumap.battery import _validate_env
 from cpumap.cli import MAX_GRID_POINTS, parse_grid
-from cpumap.linalg import as_matrix
+from cpumap.linalg import as_matrix, ensure_hermitian
 
 from conftest import (
     NEGATED_IDENTITY_Z,
@@ -246,6 +247,12 @@ REJECTIONS = tag_rest("test_rejection", [
                        HermiticityError)),
     *read_by("test_as_matrix_rejects_nonfinite",
              Rejection("as-matrix-nan", lambda: as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]])), DimensionError)),
+    # the residual 1 is far above HERM_TOL x max(1, ||M||_max) = 0.1
+    Rejection("hermitian-large-entries-asymmetric",
+              lambda: ensure_hermitian(np.array([[1e8, 1.0], [0.0, 1e8]])), HermiticityError),
+    # a Cholesky verdict at tol = 0 would mean strict definiteness
+    *(Rejection(f"is-psd-tol-{name}", lambda tol=tol: is_psd(np.diag([1.0, 0.0]), tol), DomainError, "tol")
+      for name, tol in (("nan", math.nan), ("inf", math.inf), ("zero", 0.0), ("negative", -1e-9))),
     # metric
     *read_by("test_dilation_factor_domain",
              Rejection("dilation-r-zero", lambda: dilation_factor(0.0, 1.0), DomainError),
