@@ -31,7 +31,9 @@ from .errors import (
     ZeroExpectation,
     ZeroTrace,
 )
-from .linalg import _ensure_min_dim, _ensure_no_overflow, _psd_verdicts, ensure_hermitian, max_abs
+from .linalg import (
+    _ensure_dim, _ensure_min_dim, _ensure_no_overflow, _psd_verdicts, as_matrix, ensure_hermitian, max_abs,
+)
 
 SCALAR_TOL = 1e-12     # |<v|A|v> - trA/N| below this is treated as degenerate
 V_NORM_SLACK = 1e-6    # silently renormalize v when this close to unit norm
@@ -182,11 +184,9 @@ def check_unital(z: ChoiMatrix) -> float:
 def check_fixed_point(z: ChoiMatrix, a) -> float:
     """Residual ||tr_2[Z (I (x) A^T)] - A||_max of the fixed-point condition;
     DomainError where it overflows."""
-    from .dual_map import apply_dual_choi
-
-    out = apply_dual_choi(z, a)
+    a = _ensure_dim(as_matrix(a), z.dim, "observable")
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = max_abs(out - a)
+        residual = float(_fixed_point_residuals(z.matrix[None], a[None])[0])
     return _ensure_no_overflow(residual, "fixed-point residual")
 
 

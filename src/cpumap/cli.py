@@ -30,22 +30,23 @@ from .serialize import dumps, fmt
 
 MAX_GRID_POINTS = 10**7
 RESIDUAL_TOL = 1e-9  # choi-check's default; map-apply and evolve check their map against it
-FLOAT_FLAGS = ("tolerance", "rate", "M", "r0")
+# how each float flag must compare with 0; every one must also be finite
+FLOAT_FLAGS = {"tolerance": ">=", "rate": ">", "M": ">", "r0": ">"}
 
 
-class _UsageError(Exception):
-    pass
+class _Failure(Exception):
+    """A failed command; ``main`` reports it as it reports a ``CpuMapError``."""
+
+    def __init__(self, code: str, detail: str):
+        super().__init__(detail)
+        self.code = code
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as JSON validation errors."""
 
     def error(self, message):
-        raise _UsageError(message)
-
-
-def _emit_error(code: str, detail: str) -> None:
-    sys.stderr.write(dumps({"error": code, "detail": detail}))
+        raise _Failure("usage", message)
 
 
 def _read_json(path: str) -> dict:
@@ -83,12 +84,16 @@ def parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _check_finite_flags(args) -> None:
-    """Reject a non-finite value of any float flag the subcommand has."""
-    for name in FLOAT_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None and not math.isfinite(value):
+def _check_float_flags(args) -> None:
+    """Reject a non-finite float flag of the subcommand, then one outside its
+    FLOAT_FLAGS range, before any file is read."""
+    flags = {name: value for name in FLOAT_FLAGS if (value := getattr(args, name, None)) is not None}
+    for name, value in flags.items():
+        if not math.isfinite(value):
             raise DomainError(f"--{name} must be finite, got {value}")
+    for name, value in flags.items():
+        if value < 0 or value == 0 and FLOAT_FLAGS[name] == ">":
+            raise DomainError(f"--{name} must be {FLOAT_FLAGS[name]} 0, got {fmt(value)}")
 
 
 def _load_spec(a_path: str, v_path: str) -> FixedPointSpec:
@@ -158,15 +163,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_choi_build(args) -> int:
+def _cmd_choi_build(args) -> None:
     z = build_fixed_point_choi(_load_spec(args.A, args.v))
     _write_text(args.out, dumps(serialize.choi_to_json(z)))
-    return 0
 
 
-def _cmd_choi_check(args) -> int:
-    if args.tolerance < 0:
-        raise DomainError(f"--tolerance must be >= 0, got {fmt(args.tolerance)}")
+def _cmd_choi_check(args) -> None:
     z = serialize.choi_from_json(_read_json(args.Z))
     a = serialize.matrix_from_json(_read_json(args.A))
     unital = check_unital(z)
@@ -174,77 +176,60 @@ def _cmd_choi_check(args) -> int:
     sys.stdout.write(f"unitality-residual {fmt(unital)}\n")
     sys.stdout.write(f"fixed-point-residual {fmt(fixed)}\n")
     if unital > args.tolerance or fixed > args.tolerance:
-        _emit_error(
-            "residual",
-            f"residuals {fmt(unital)}/{fmt(fixed)} exceed {fmt(args.tolerance)}",
-        )
-        return 2
-    return 0
+        raise _Failure("residual", f"residuals {fmt(unital)}/{fmt(fixed)} exceed {fmt(args.tolerance)}")
 
 
-def _cmd_kraus_extract(args) -> int:
+def _cmd_kraus_extract(args) -> None:
     k = kraus_from_fixed_point(_load_spec(args.A, args.v))
     _write_text(args.out, dumps(serialize.kraus_to_json(k)))
     sys.stdout.write(f"unitality-residual {fmt(unitality_residual(k))}\n")
-    return 0
 
 
-def _map_error(residuals: dict) -> int:
-    """Emit one ``residual`` error line and return 2 when a residual of the
-    input map exceeds RESIDUAL_TOL; return 0 otherwise."""
+def _check_map(residuals: dict) -> None:
+    """Fail with ``residual`` when a residual of the input map exceeds RESIDUAL_TOL."""
     bad = {name: value for name, value in residuals.items() if value > RESIDUAL_TOL}
-    if not bad:
-        return 0
-    detail = ", ".join(f"{name} {fmt(value)}" for name, value in bad.items())
-    _emit_error("residual", f"map residuals above {fmt(RESIDUAL_TOL)}: {detail}")
-    return 2
+    if bad:
+        detail = ", ".join(f"{name} {fmt(value)}" for name, value in bad.items())
+        raise _Failure("residual", f"map residuals above {fmt(RESIDUAL_TOL)}: {detail}")
 
 
-def _cmd_map_apply(args) -> int:
+def _cmd_map_apply(args) -> None:
     if (args.Z is None) == (args.kraus is None):
         raise DomainError("provide exactly one of --Z or --kraus")
     b = serialize.matrix_from_json(_read_json(args.B))
     if args.Z is not None:
         z = serialize.choi_from_json(_read_json(args.Z))
-        if _map_error({"unitality": check_unital(z)}):
-            return 2
+        _check_map({"unitality": check_unital(z)})
         out = apply_dual_choi(z, b)
     else:
         k = serialize.kraus_from_json(_read_json(args.kraus))
-        if _map_error({"unitality": unitality_residual(k)}):
-            return 2
+        _check_map({"unitality": unitality_residual(k)})
         out = apply_dual_kraus(k, b)
     _write_text(args.out, dumps(serialize.matrix_to_json(out)))
-    return 0
 
 
-def _write_trace(args, trace) -> int:
+def _write_trace(args, trace) -> None:
     if args.format == "json":
         _write_text(args.out, dumps(serialize.trace_to_json(trace)))
     else:
         _write_text(args.out, serialize.trace_to_csv(trace))
-    return 0
 
 
-def _cmd_evolve(args) -> int:
-    if args.rate <= 0:
-        raise DomainError(f"--rate must be > 0, got {fmt(args.rate)}")
+def _cmd_evolve(args) -> None:
     z = serialize.choi_from_json(_read_json(args.Z))
     a0 = ensure_hermitian(serialize.matrix_from_json(_read_json(args.A0)))
     rho = serialize.matrix_from_json(_read_json(args.rho))
     # the closed form holds for a unital map with Phi[Phi[A0]] = Phi[A0]
-    if _map_error({"unitality": check_unital(z), "idempotence": idempotence_residual(z, a0)}):
-        return 2
-    return _write_trace(args, evolve_linear(z, a0, rho, parse_grid(args.times), rate=args.rate))
+    _check_map({"unitality": check_unital(z), "idempotence": idempotence_residual(z, a0)})
+    _write_trace(args, evolve_linear(z, a0, rho, parse_grid(args.times), rate=args.rate))
 
 
-def _cmd_battery_phi(args) -> int:
+def _cmd_battery_phi(args) -> None:
     env = serialize.env_from_json(_read_json(args.env))
     sys.stdout.write(fmt(battery.phi(env)) + "\n")
-    return 0
 
 
-def _cmd_battery_sim(args) -> int:
+def _cmd_battery_sim(args) -> None:
     env = serialize.env_from_json(_read_json(args.env))
     if args.rho0 is not None:
         rho0 = serialize.matrix_from_json(_read_json(args.rho0))
@@ -252,10 +237,10 @@ def _cmd_battery_sim(args) -> int:
         rho0 = np.zeros((env.dim, env.dim), dtype=complex)
         rho0[0, 0] = 1.0
     cfg = battery.BatteryConfig(d=env.dim, env=env, rho0=rho0, rate=args.rate)
-    return _write_trace(args, battery.simulate_charging(cfg, parse_grid(args.times)))
+    _write_trace(args, battery.simulate_charging(cfg, parse_grid(args.times)))
 
 
-def _cmd_metric_profile(args) -> int:
+def _cmd_metric_profile(args) -> None:
     r0 = metric.default_r0(args.M) if args.r0 is None else args.r0
     params = metric.MetricParams(M=args.M, r0=r0, d=args.d, r_grid=parse_grid(args.grid))
     profile = metric.build_profile(params)
@@ -263,17 +248,14 @@ def _cmd_metric_profile(args) -> int:
         _write_text(args.out, dumps(serialize.profile_to_json(profile, verbose=args.verbose)))
     else:
         _write_text(args.out, serialize.profile_to_csv(profile))
-    return 0
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args) -> None:
     report, ok = selftest_mod.run_selftest(seed=args.seed)
     _write_text(args.out, report)
-    if ok:
-        return 0
-    failed = sum(1 for line in report.splitlines() if line.startswith("FAIL"))
-    _emit_error("selftest", f"{failed} selftest check(s) failed")
-    return 2
+    if not ok:
+        failed = sum(1 for line in report.splitlines() if line.startswith("FAIL"))
+        raise _Failure("selftest", f"{failed} selftest check(s) failed")
 
 
 _COMMANDS = {
@@ -290,20 +272,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; the only place a command ends in failure, writing its
+    one JSON error line on standard error."""
     try:
-        args = parser.parse_args(argv)
-        _check_finite_flags(args)
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        _emit_error("usage", str(exc))
-        return 2
-    except CpuMapError as exc:
-        _emit_error(exc.code, str(exc))
-        return 2
+        args = build_parser().parse_args(argv)
+        _check_float_flags(args)
+        _COMMANDS[args.command](args)
+        return 0
+    except (_Failure, CpuMapError) as exc:
+        code, detail, status = exc.code, str(exc), 2
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        _emit_error("io", f"{type(exc).__name__}: {exc}")
-        return 1
+        code, detail, status = "io", f"{type(exc).__name__}: {exc}", 1
+    sys.stderr.write(dumps({"error": code, "detail": detail}))
+    return status
 
 
 if __name__ == "__main__":

@@ -117,7 +117,9 @@ def is_psd(h, tol: float = HERM_TOL) -> bool:
     """True iff the minimum eigenvalue of a Hermitian matrix is > -tol, up to
     rounding: the verdict is whether h + tol I has a Cholesky factorization.
     ``tol`` must be finite and > 0 (DomainError otherwise); at tol = 0 the
-    factorization would ask for strict definiteness."""
+    factorization would ask for strict definiteness.  ``tol`` is absolute, so
+    for entries far above 1 rounding can outweigh it: the rank-1 PSD
+    ``is_psd(np.full((3, 3), 1e200), 1e-8)`` is False."""
     _ensure_positive(tol, "tol")
     a = ensure_hermitian(h, max(tol, HERM_TOL))
     return bool(_psd_verdicts(a[None], tol)[0])

@@ -32,7 +32,7 @@ from .choi import (
     build_fixed_point_choi,
 )
 from .dual_map import (
-    KrausSet,
+    _kraus_sum,
     choi_from_kraus,
     evolve_linear,
     evolve_linear_euler,
@@ -217,12 +217,6 @@ def swap_conjugate(u: np.ndarray, joint: np.ndarray) -> np.ndarray:
     return out
 
 
-def _primal(k: KrausSet, rho: np.ndarray) -> np.ndarray:
-    """The primal channel sum_k S_k^dagger rho S_k as one ordered sum over the stack."""
-    s = k.stack
-    return (s.conj().transpose(0, 2, 1) @ rho @ s).sum(axis=0)
-
-
 def check_battery_oracle(seed: int):
     worst = 0.0
     pairs = 0
@@ -235,7 +229,8 @@ def check_battery_oracle(seed: int):
             rho = _random_density(rng, d)
             sigma = env.sigma_fock()
             oracle = partial_trace_second(swap_conjugate(u, np.kron(rho, sigma)), d, d)
-            primal = _primal(env_kraus(env), rho)
+            # the primal channel sum_k S_k^dagger rho S_k is the dual kernel on the S_k^dagger
+            primal = _kraus_sum(env_kraus(env).stack.conj().transpose(0, 2, 1), rho)
             worst = max(worst, max_abs(primal - oracle), max_abs(primal - sigma))
             p = phi(env)
             phi_ok = phi_ok and (-1e-12 <= p <= env.phi_max() + 1e-12)

@@ -30,8 +30,9 @@ from cpumap.choi import (
     _spec_arrays,
     _unital_residuals,
 )
+from cpumap.dual_map import _kraus_sum
 from cpumap.linalg import _psd_verdicts, partial_trace_second
-from cpumap.selftest import EQUIVALENCE_PER_DIM, _primal, equivalence_spec
+from cpumap.selftest import EQUIVALENCE_PER_DIM, equivalence_spec
 
 from conftest import (
     kron_reference_choi,
@@ -129,4 +130,5 @@ def test_primal_sum_equals_loop(d):
     env = EnvState(dim=d, spectrum=sigma / sigma.sum(), basis=q)
     rho = random_density(rng, d)
     k = env_kraus(env)
-    assert np.array_equal(_primal(k, rho), primal_loop(k, rho))
+    # the selftest takes the primal sum as the dual kernel on the S_k^dagger
+    assert np.array_equal(_kraus_sum(k.stack.conj().transpose(0, 2, 1), rho), primal_loop(k, rho))

@@ -290,6 +290,14 @@ CLI_ERRORS = tag_rest("test_error_exit", [
     ErrorExit("negative-tolerance", CHOI_CHECK + ["--tolerance", "-1"], {}, 2, "domain", "got -1"),
     ErrorExit("evolve-negative-rate", EVOLVE + ["0:2:3", "--rate", "-1"], {}, 2, "domain", "got -1"),
     ErrorExit("evolve-zero-rate", EVOLVE + ["0:2:3", "--rate", "0"], {}, 2, "domain", "got 0"),
+    # every float flag is refused before a file is read or a grid allocated
+    ErrorExit("battery-sim-negative-rate-before-io",
+              ["battery-sim", "--env", "/nonexistent/env.json", "--times", "0:1:3", "--rate", "-1"], {}, 2, "domain",
+              "got -1"),
+    ErrorExit("metric-profile-negative-M", FLAGS["M"] + ["-1"], {}, 2, "domain", "got -1",
+              patch={"numpy.linspace": forbidden}),
+    ErrorExit("metric-profile-zero-r0", FLAGS["r0"] + ["0"], {}, 2, "domain", "got 0",
+              patch={"numpy.linspace": forbidden}),
     # a bad rate or A0 is reported ahead of the residuals of a non-unital map
     ErrorExit("non-unital-evolve-negative-rate", EVOLVE + ["0:2:3", "--rate", "-1"], {"Z": NON_UNITAL_Z}, 2,
               "domain", "got -1"),
@@ -314,6 +322,9 @@ CLI_ERRORS = tag_rest("test_error_exit", [
     *read_by("test_overflowing_dual_action_is_one_domain_line[--kraus]",
              ErrorExit("dual-action-overflows-kraus", ["map-apply", "--kraus", "{kraus}", "--B", "{B}"],
                        {"kraus": ser.kraus_to_json(kraus_from_fixed_point(PENCIL)), "B": OVERFLOWING_B}, 2, "domain")),
+    ErrorExit("fixed-point-dual-action-overflows", CHOI_CHECK,
+              {"Z": ser.choi_to_json(build_fixed_point_choi(PENCIL)), "A": OVERFLOWING_B}, 2, "domain",
+              "fixed-point residual overflows the float range"),
     *read_by("test_overflowing_residual_is_one_domain_line[unitality]",
              ErrorExit("unitality-residual-overflows", CHOI_CHECK,
                        {"Z": ser.choi_to_json(OVERFLOWING_TRACE_Z), "A": ser.matrix_to_json(np.zeros((2, 2)))},

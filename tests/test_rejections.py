@@ -43,6 +43,7 @@ from cpumap import (
     number_operator,
     partial_trace_second,
     positivity_bounds,
+    selftest,
     serialize as ser,
     simulate_charging,
     synth_env,
@@ -131,6 +132,10 @@ REJECTIONS = tag_rest("test_rejection", [
              Rejection("battery-rate-nan", lambda: battery_config(rate=math.nan), DomainError),
              Rejection("charging-descending-times",
                        lambda: simulate_charging(battery_config(seeds=(415, 417)), [1.0, 0.0]), DomainError)),
+    Rejection("battery-rho0-not-square", lambda: battery_config(rho0=np.ones((2, 3))), InvalidDensityMatrix,
+              "square"),
+    Rejection("charging-times-empty", lambda: simulate_charging(battery_config(seeds=(418, 419)), []), DomainError,
+              "is empty"),
     *(Rejection(f"charging-times-{name}", lambda t=t: simulate_charging(battery_config(seeds=(418, 419)), t),
                 DomainError, test=f"test_simulate_charging_rejects_non_finite_times[times{i}]")
       for i, (name, t) in enumerate(NON_FINITE_TIMES.items())),
@@ -160,6 +165,10 @@ REJECTIONS = tag_rest("test_rejection", [
              Rejection("fixed-point-residual-overflows",
                        lambda: check_fixed_point(NEGATED_IDENTITY_Z, np.diag([1e308, 1.0])), DomainError,
                        "fixed-point residual")),
+    # where Phi[A] itself overflows, the residual that holds it is what is reported
+    Rejection("fixed-point-dual-action-overflows", lambda: check_fixed_point(
+        build_fixed_point_choi(selftest.pencil_spec(42, 3, 0)), np.full((3, 3), 1.7e308)), DomainError,
+        "fixed-point residual overflows"),
     *read_by("test_check_fixed_point_dimension_mismatch",
              Rejection("fixed-point-dimension-mismatch",
                        lambda: check_fixed_point(build_fixed_point_choi(spec(*DIAG21)), np.eye(3)), DimensionError)),
@@ -206,6 +215,8 @@ REJECTIONS = tag_rest("test_rejection", [
     *(Rejection(f"{route.__name__}-times-{name}", lambda t=t, route=route: evolve(times=t, route=route), DomainError,
                 test=f"test_evolve_rejects_non_finite_times[times{i}]")
       for i, (name, t) in enumerate(NON_FINITE_TIMES.items()) for route in (evolve_linear, evolve_linear_euler)),
+    *(Rejection(f"{route.__name__}-times-empty", lambda route=route: evolve(times=[], route=route), DomainError,
+                "is empty") for route in (evolve_linear, evolve_linear_euler)),
     *(Rejection(f"{route.__name__}-rho-dim-3", lambda route=route: evolve(rho=RHO_3, route=route), DimensionError,
                 "rho shape", f"test_evolve_rejects_rho_of_wrong_dimension[{route.__name__}]")
       for route in (evolve_linear, evolve_linear_euler)),
@@ -275,6 +286,7 @@ REJECTIONS = tag_rest("test_rejection", [
              Rejection("params-d1", lambda: params(d=1), DimensionError),
              Rejection("params-grid-descending", lambda: params(grid=(2.0, 1.0)), DomainError),
              Rejection("params-grid-negative", lambda: params(grid=(-1.0, 1.0)), DomainError)),
+    Rejection("params-grid-empty", lambda: params(grid=()), DomainError, "is empty"),
     *read_by("test_metric_params_rejects_nan_mass",
              Rejection("params-mass-nan", lambda: params(M=math.nan), DomainError)),
     # r0 = inf once gave an all-zero profile without complaint
