@@ -19,8 +19,7 @@ whenever <v|A|v> > tr(A)/N, to the two-sided spectral bound checked by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,11 +27,13 @@ from .errors import (
     DegenerateDenominator,
     DimensionError,
     DomainError,
+    HermiticityError,
     ZeroExpectation,
     ZeroTrace,
 )
 from .linalg import (
-    _ensure_dim, _ensure_min_dim, _ensure_no_overflow, _psd_verdicts, as_matrix, ensure_hermitian, max_abs,
+    HERM_TOL, _ensure_dim, _ensure_min_dim, _ensure_no_overflow, _hermiticity_message, _non_hermitian,
+    _psd_verdicts, as_matrix, ensure_hermitian,
 )
 
 SCALAR_TOL = 1e-12     # |<v|A|v> - trA/N| below this is treated as degenerate
@@ -53,87 +54,112 @@ class FixedPointSpec:
     range raises ``DomainError``.
 
     The spec owns ``a`` and ``v`` as read-only arrays, so ``trace``,
-    ``expectation`` and ``is_scalar`` are derived once and cannot go stale.
+    ``expectation`` and ``is_scalar`` are derived once, by the batched
+    validator ``_validate_specs`` with one draw, and cannot go stale.
     """
 
     a: np.ndarray
     v: np.ndarray
+    trace: float = field(init=False, repr=False, compare=False)
+    expectation: float = field(init=False, repr=False, compare=False)  # <v|A|v>
+    is_scalar: bool = field(init=False, repr=False, compare=False)  # A numerically a multiple of I
 
     def __post_init__(self):
-        a = ensure_hermitian(self.a)
+        a, v, t, e, scalar = _validate_specs(np.asarray(self.a, dtype=complex)[None], self.v)
+        a, v = a[0], v[0]
         if isinstance(self.a, np.ndarray) and np.may_share_memory(a, self.a):
             a = a.copy()
-        v = np.asarray(self.v, dtype=complex).reshape(-1)
-        if v.shape[0] != a.shape[0]:
-            raise DimensionError(
-                f"v has length {v.shape[0]} but A is {a.shape[0]}x{a.shape[0]}"
-            )
-        # a norm, trace or expectation beyond the float range is inf (or NaN),
-        # which the checks below reject
-        with np.errstate(over="ignore", invalid="ignore"):
-            nrm = float(np.linalg.norm(v))
-            if not abs(nrm - 1.0) <= V_NORM_SLACK:
-                raise DimensionError(f"||v|| = {nrm} is not within 1e-6 of 1")
-            v = v / nrm
-            a.flags.writeable = False
-            v.flags.writeable = False
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "v", v)
-            t = self.trace
-            e = self.expectation
-        n = a.shape[0]
-        if not (math.isfinite(t) and math.isfinite(e)):
-            raise DomainError(f"tr(A) = {t} or <v|A|v> = {e} overflows the float range")
-        if abs(t) <= SCALAR_TOL:
-            raise ZeroTrace("tr(A) is numerically zero")
-        if abs(e) <= SCALAR_TOL:
-            raise ZeroExpectation("<v|A|v> is numerically zero")
+        a.flags.writeable = False
+        v.flags.writeable = False
+        for name, value in (("a", a), ("v", v), ("trace", float(t[0])),
+                            ("expectation", float(e[0])), ("is_scalar", bool(scalar[0]))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def dim(self) -> int:
+        return self.a.shape[0]
+
+
+def _validate_specs(a: np.ndarray, v):
+    """Validate B draws (A, v) at once: ``a`` is a complex (B, N, N) stack and
+    ``v`` anything that reshapes to (B, N).
+
+    The matrix work (finiteness, Hermiticity, norms, traces, expectations and
+    the deviation of A from a multiple of I) runs on the whole stack; the
+    checks then run draw by draw, in FixedPointSpec's order, on Python floats.
+    The first failing draw raises the error it would raise alone, its message
+    prefixed with "draw k: " when B > 1; a shape that fails every draw is
+    reported as it is.  Returns ``a``, the renormalized (B, N) ``v`` and the
+    (B,) arrays of traces, expectations and scalar flags, each entry the bits
+    a single spec derives.
+    """
+    if a.ndim != 3:
+        raise DimensionError(f"expected a 2-D matrix, got ndim={a.ndim - 1}")
+    b, n = a.shape[:2]
+
+    def fail(k, cls, message):
+        raise cls(f"draw {k}: {message}" if b > 1 else message)
+
+    def check_a(k):
+        if not finite[k]:
+            fail(k, DimensionError, "matrix contains NaN or Inf entries")
+        if hermitian_bad[k]:
+            fail(k, HermiticityError, _hermiticity_message(residual[k], HERM_TOL))
+
+    # the quantities are computed for every draw, also for those that fail a
+    # check; a value beyond the float range is inf or NaN, which the checks reject
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(a).reshape(b, -1).all(axis=1).tolist()
+        square = a.shape[2] == n
+        residual, hermitian_bad = _non_hermitian(a, HERM_TOL) if square else (None, [False] * b)
+        if not square:  # a shape fails every draw, so draw 0 is the first to fail
+            check_a(0)
+            raise DimensionError(f"Hermitian matrix must be square, got {a.shape[1:]}")
+        try:
+            v = np.asarray(v, dtype=complex).reshape(b, -1)
+        except (TypeError, ValueError):
+            check_a(0)
+            raise
+        if v.shape[1] != n:
+            check_a(0)
+            raise DimensionError(f"v has length {v.shape[1]} but A is {n}x{n}")
+        # per row and per draw, as a single spec computes them, so the bits agree
+        nrm = np.array([np.linalg.norm(row) for row in v])
+        v = v / nrm[:, None]
+        t = a.trace(axis1=1, axis2=2).real
+        e = np.array([(vk.conj() @ ak @ vk).real for ak, vk in zip(a, v)])
+        deviation = np.abs(a - (t / n)[:, None, None] * np.eye(n)).reshape(b, -1).max(axis=1, initial=0.0)
+    scalar = []
+    for k, (nk, tk, ek, dk) in enumerate(zip(nrm.tolist(), t.tolist(), e.tolist(), deviation.tolist())):
+        check_a(k)
+        if not abs(nk - 1.0) <= V_NORM_SLACK:
+            fail(k, DimensionError, f"||v|| = {nk} is not within 1e-6 of 1")
+        if not (math.isfinite(tk) and math.isfinite(ek)):
+            fail(k, DomainError, f"tr(A) = {tk} or <v|A|v> = {ek} overflows the float range")
+        if abs(tk) <= SCALAR_TOL:
+            fail(k, ZeroTrace, "tr(A) is numerically zero")
+        if abs(ek) <= SCALAR_TOL:
+            fail(k, ZeroExpectation, "<v|A|v> is numerically zero")
+        is_scalar = dk <= SCALAR_TOL * max(1.0, abs(tk))
         # With s = max|A - (t/N) I| + |t|/N >= max|A_ij|, A's eigenvalues,
         # their gaps and the bound matrices stay within 3 N s, A/e within
         # N s/|e|, the second term within (1 + N s/|e|)(1/|t| + 1/|e|)/|N/t - 1/e|,
         # and a sum over an N^2 axis grows each by at most N^2: a spec whose
         # bound leaves the float range is rejected here rather than
         # overflowing downstream.  Python floats overflow to inf without a warning.
-        s = self._deviation + abs(t) / n
-        ratio = n * s / abs(e)
+        s = dk + abs(tk) / n
+        ratio = n * s / abs(ek)
         size = 3 * n * s + ratio
-        if not self.is_scalar:
-            denom = abs(n / t - 1 / e)
-            size += (1 + ratio) * (1 / abs(t) + 1 / abs(e)) / denom if denom else math.inf
+        if not is_scalar:
+            denom = abs(n / tk - 1 / ek)
+            size += (1 + ratio) * (1 / abs(tk) + 1 / abs(ek)) / denom if denom else math.inf
         if not n * n * size < math.inf:
-            raise DomainError(
-                f"the entries of A with tr(A) = {t} and <v|A|v> = {e} "
-                "overflow the float range in the construction"
-            )
-        if abs(e - t / n) <= SCALAR_TOL and not self.is_scalar:
-            raise DegenerateDenominator(
-                f"<v|A|v> = tr(A)/N = {e} makes the construction singular"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
-    @cached_property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.a)))
-
-    @cached_property
-    def expectation(self) -> float:
-        """<v|A|v> (real for Hermitian A)."""
-        return float(np.real(np.conj(self.v) @ self.a @ self.v))
-
-    @cached_property
-    def is_scalar(self) -> bool:
-        """True when A is numerically a multiple of the identity."""
-        return self._deviation <= SCALAR_TOL * max(1.0, abs(self.trace))
-
-    @cached_property
-    def _deviation(self) -> float:
-        """max|A - (trA/N) I|; inf where a difference overflows."""
-        n = self.a.shape[0]
-        with np.errstate(over="ignore"):
-            return max_abs(self.a - (self.trace / n) * np.eye(n))
+            fail(k, DomainError, f"the entries of A with tr(A) = {tk} and <v|A|v> = {ek} "
+                                 "overflow the float range in the construction")
+        if abs(ek - tk / n) <= SCALAR_TOL and not is_scalar:
+            fail(k, DegenerateDenominator, f"<v|A|v> = tr(A)/N = {ek} makes the construction singular")
+        scalar.append(is_scalar)
+    return a, v, t, e, np.array(scalar, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -225,26 +251,16 @@ def choi_is_psd(z: ChoiMatrix) -> bool:
 _BATCH_BYTES = 2**20  # Choi data per batch: one N = 16 Choi matrix
 
 
-def _batches(specs):
-    """Split specs of one dimension into batches holding at most _BATCH_BYTES
-    of Choi data, each all scalar or all non-scalar (a scalar spec drops the
-    second term of the build)."""
-    n = specs[0].dim
+def _batches(is_scalar: np.ndarray, n: int):
+    """Split the indices of B specs of dimension N, given their (B,) scalar
+    flags, into index arrays of batches holding at most _BATCH_BYTES of Choi
+    data, each all scalar or all non-scalar (a scalar spec drops the second
+    term of the build)."""
     size = max(1, _BATCH_BYTES // (16 * n**4))
     for scalar in (False, True):
-        group = [spec for spec in specs if spec.is_scalar == scalar]
-        for start in range(0, len(group), size):
+        group = np.flatnonzero(is_scalar == scalar)
+        for start in range(0, group.size, size):
             yield group[start:start + size]
-
-
-def _spec_arrays(specs):
-    """``a`` (B, N, N), ``v`` (B, N) and the expectations and traces as
-    (B, 1, 1) arrays, ready to broadcast against ``a``."""
-    a = np.array([spec.a for spec in specs])
-    v = np.array([spec.v for spec in specs])
-    e = np.array([spec.expectation for spec in specs])[:, None, None]
-    t = np.array([spec.trace for spec in specs])[:, None, None]
-    return a, v, e, t
 
 
 def _choi_stack(a, v, e, t, scalar: bool) -> np.ndarray:

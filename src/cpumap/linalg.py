@@ -49,13 +49,27 @@ def ensure_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"Hermitian matrix must be square, got {a.shape}")
     with np.errstate(over="ignore"):  # a difference beyond the float range is inf
-        res = max_abs(a - a.conj().T)
-    # the scale is taken only when the absolute test fails
-    if res > tol and res > tol * max(1.0, max_abs(a)):
-        raise HermiticityError(
-            f"||M - M^dagger||_max = {res:.3e} exceeds {tol:.1e} x max(1, ||M||_max)"
-        )
+        res, bad = _non_hermitian(a[None], tol)
+    if bad[0]:
+        raise HermiticityError(_hermiticity_message(res[0], tol))
     return a
+
+
+def _non_hermitian(stack: np.ndarray, tol: float) -> tuple[list[float], list[bool]]:
+    """For each matrix M of a (B, n, n) stack: ||M - M^dagger||_max and whether
+    it fails :func:`ensure_hermitian`'s test (NaN fails neither).  Call it
+    under np.errstate: a difference beyond the float range is inf."""
+    b = len(stack)
+    res = np.abs(stack - stack.conj().swapaxes(1, 2)).reshape(b, -1).max(axis=1, initial=0.0).tolist()
+    # the scale is taken only when the absolute test fails
+    if not any(r > tol for r in res):
+        return res, [False] * b
+    scale = np.abs(stack).reshape(b, -1).max(axis=1, initial=0.0).tolist()
+    return res, [r > tol and r > tol * max(1.0, m) for r, m in zip(res, scale)]
+
+
+def _hermiticity_message(res: float, tol: float) -> str:
+    return f"||M - M^dagger||_max = {res:.3e} exceeds {tol:.1e} x max(1, ||M||_max)"
 
 
 def kron(a, b) -> np.ndarray:

@@ -27,8 +27,8 @@ from .choi import (
     _bound_minima,
     _choi_stack,
     _fixed_point_residuals,
-    _spec_arrays,
     _unital_residuals,
+    _validate_specs,
     build_fixed_point_choi,
 )
 from .dual_map import (
@@ -86,7 +86,13 @@ def _random_env(rng, d: int) -> EnvState:
 
 
 def equivalence_spec(seed: int, n: int, idx: int) -> FixedPointSpec:
-    """Seeded instance for the positivity-equivalence suite.
+    """Seeded instance for the positivity-equivalence suite."""
+    a, v = _equivalence_draw(seed, n, idx)
+    return FixedPointSpec(a=a, v=v)
+
+
+def _equivalence_draw(seed: int, n: int, idx: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (A, v) of :func:`equivalence_spec`, not yet validated.
 
     Instance kinds cycle with the index: fully random pairs, v aligned
     with the top eigenvector, identity-plus-projector pencils (the exact
@@ -117,17 +123,19 @@ def equivalence_spec(seed: int, n: int, idx: int) -> FixedPointSpec:
         e = float(np.real(np.conj(v) @ a @ v))
         if abs(t) < 1e-3 or abs(e) < 1e-3 or abs(e - t / n) < 1e-3:
             continue
-        return FixedPointSpec(a=a, v=v)
+        return a, v
     raise RuntimeError(f"no valid instance for seed={seed} n={n} idx={idx}")
 
 
 def check_equivalence(seed: int):
     agree, unital, fixed = [], [], []
     for n in EQUIVALENCE_DIMS:
-        specs = [equivalence_spec(seed, n, idx) for idx in range(EQUIVALENCE_PER_DIM)]
-        for batch in _batches(specs):
-            a, v, e, t = _spec_arrays(batch)
-            z = _choi_stack(a, v, e, t, batch[0].is_scalar)
+        draws = [_equivalence_draw(seed, n, idx) for idx in range(EQUIVALENCE_PER_DIM)]
+        fields = _validate_specs(np.array([a for a, _ in draws]), np.array([v for _, v in draws]))
+        for idx in _batches(fields[4], n):
+            a, v, t, e, scalar = (f[idx] for f in fields)
+            e, t = e[:, None, None], t[:, None, None]
+            z = _choi_stack(a, v, e, t, scalar[0])
             bounds_ok = np.all(_bound_minima(a, e, t) >= -BOUND_TOL, axis=1)
             agree.append(bounds_ok == _psd_verdicts(z, PSD_TOL))
             unital.append(_unital_residuals(z))
@@ -211,9 +219,19 @@ def swap_conjugate(u: np.ndarray, joint: np.ndarray) -> np.ndarray:
     complex array; since U's entries are 0 and 1 this equals the complex
     product entry for entry.
     """
-    out = np.empty(joint.shape, dtype=complex)
-    out.real = u @ joint.real @ u.T
-    out.imag = u @ joint.imag @ u.T
+    return _swap_conjugate(u, joint, np.empty(joint.shape, dtype=complex), np.empty((2, *joint.shape)))
+
+
+def _swap_conjugate(u, joint, out, work):
+    """:func:`swap_conjugate` into given arrays: the complex ``out``, which
+    may be ``joint`` itself, and ``work``, two real arrays of joint's shape."""
+    for part, dest in ((joint.real, out.real), (joint.imag, out.imag)):
+        # a contiguous copy first: matmul would copy the strided part itself,
+        # into fresh memory on every call
+        work[1] = part
+        np.matmul(u, work[1], out=work[0])
+        np.matmul(work[0], u.T, out=work[1])
+        dest[...] = work[1]
     return out
 
 
@@ -223,14 +241,21 @@ def check_battery_oracle(seed: int):
     phi_ok = True
     for d in BATTERY_DIMS:
         u = swap_unitary(d)
+        # one joint array and two real work arrays per dimension, reused by
+        # every pair: fresh d^2 x d^2 arrays per pair page-faulted on each use
+        joint = np.empty((d * d, d * d), dtype=complex)
+        work = np.empty((2, d * d, d * d))
         for idx in range(BATTERY_PAIRS_PER_DIM):
             rng = _rng(seed, 13, d, idx)
             env = _random_env(rng, d)
             rho = _random_density(rng, d)
             sigma = env.sigma_fock()
-            oracle = partial_trace_second(swap_conjugate(u, np.kron(rho, sigma)), d, d)
-            # the primal channel sum_k S_k^dagger rho S_k is the dual kernel on the S_k^dagger
-            primal = _kraus_sum(env_kraus(env).stack.conj().transpose(0, 2, 1), rho)
+            # rho (x) sigma, the product np.kron forms
+            np.multiply(rho[:, None, :, None], sigma[None, :, None, :], out=joint.reshape(d, d, d, d))
+            oracle = partial_trace_second(_swap_conjugate(u, joint, joint, work), d, d)
+            # the primal channel sum_k S_k^dagger rho S_k is the conjugate of the
+            # dual kernel on the S_k^T at conj(rho), with no conjugated copy of the stack
+            primal = _kraus_sum(env_kraus(env).stack.transpose(0, 2, 1), rho.conj()).conj()
             worst = max(worst, max_abs(primal - oracle), max_abs(primal - sigma))
             p = phi(env)
             phi_ok = phi_ok and (-1e-12 <= p <= env.phi_max() + 1e-12)

@@ -191,6 +191,8 @@ REJECTIONS = tag_rest("test_rejection", [
     *read_by("test_nan_reference_vector_rejected",
              Rejection("spec-nan-v", lambda: spec(np.eye(2), [np.nan, 0.0]), DimensionError)),
     Rejection("spec-v-norm-1.1", lambda: spec(DIAG21[0], [1.1, 0.0]), DimensionError),
+    Rejection("spec-nan-a", lambda: spec([[np.nan, 0.0], [0.0, 1.0]], DIAG21[1]), DimensionError, "NaN or Inf"),
+    Rejection("spec-non-hermitian-a", lambda: spec([[2.0, 1.0], [0.0, 1.0]], DIAG21[1]), HermiticityError),
     *read_by("test_v_length_mismatch",
              Rejection("spec-v-length", lambda: spec(DIAG21[0], [1.0, 0.0, 0.0]), DimensionError)),
     Rejection("choi-d0", lambda: ChoiMatrix(dim=0, matrix=np.zeros((0, 0))), DimensionError),
