@@ -23,6 +23,7 @@ import numpy as np
 from .dual_map import EvolutionTrace, KrausSet, apply_dual_kraus
 from .errors import DimensionError, DomainError
 from .linalg import (
+    _ensure_array_fits,
     _ensure_dim,
     _ensure_grid,
     _ensure_min_dim,
@@ -139,6 +140,7 @@ def env_kraus(env: EnvState) -> KrausSet:
     replaces every rho by env.sigma_fock().
     """
     d = env.dim
+    _ensure_array_fits((d, d, d, d), 16, "swap-channel Kraus stack")
     sig = np.clip(env.spectrum, 0.0, None)
     stack = np.zeros((d, d, d, d), dtype=complex)   # stack[i, j] = E_{i,j}
     levels = np.arange(d)

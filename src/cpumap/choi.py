@@ -32,8 +32,8 @@ from .errors import (
     ZeroTrace,
 )
 from .linalg import (
-    HERM_TOL, _ensure_dim, _ensure_min_dim, _ensure_no_overflow, _hermiticity_message, _non_hermitian,
-    _psd_verdicts, as_matrix, ensure_hermitian,
+    HERM_TOL, _ensure_array_fits, _ensure_dim, _ensure_min_dim, _ensure_no_overflow, _hermiticity_message,
+    _non_hermitian, _psd_verdicts, as_matrix, ensure_hermitian,
 )
 
 SCALAR_TOL = 1e-12     # |<v|A|v> - trA/N| below this is treated as degenerate
@@ -266,6 +266,7 @@ def _batches(is_scalar: np.ndarray, n: int):
 def _choi_stack(a, v, e, t, scalar: bool) -> np.ndarray:
     """The (B, N^2, N^2) Choi matrices; ``scalar`` drops the second term."""
     n = a.shape[-1]
+    _ensure_array_fits((len(a), n * n, n * n), 16, "Choi stack")
     proj_t = (v[:, :, None] * v.conj()[:, None, :]).transpose(0, 2, 1)
     z = _kron(a / e, proj_t)
     if not scalar:

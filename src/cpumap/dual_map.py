@@ -19,8 +19,8 @@ import numpy as np
 from .choi import ChoiMatrix, FixedPointSpec, _dual_action
 from .errors import DimensionError, NegativeSqrtArgument
 from .linalg import (
-    _ensure_dim, _ensure_grid, _ensure_no_overflow, _ensure_positive, as_matrix, eig_hermitian,
-    ensure_density_matrix, ensure_hermitian, max_abs,
+    _ensure_array_fits, _ensure_dim, _ensure_grid, _ensure_no_overflow, _ensure_positive, as_matrix,
+    eig_hermitian, ensure_density_matrix, ensure_hermitian, max_abs,
 )
 
 SQRT_TOL = 1e-12      # coefficient squares below -SQRT_TOL are positivity errors
@@ -211,6 +211,7 @@ def kraus_from_fixed_point(spec: FixedPointSpec) -> KrausSet:
     to the identity the C coefficients collapse to zero and z_i = 1.
     """
     n = spec.dim
+    _ensure_array_fits((n * n, n, n), 16, "Kraus stack")
     e = spec.expectation
     t = spec.trace
     avals, avecs = eig_hermitian(spec.a)
@@ -246,8 +247,9 @@ def kraus_from_fixed_point(spec: FixedPointSpec) -> KrausSet:
 def choi_from_kraus(k: KrausSet) -> ChoiMatrix:
     """Rebuild the Choi matrix Z = sum_k vec(D_k) vec(D_k)^dagger."""
     n = k.dim
+    _ensure_array_fits((n * n, n * n), 16, "Choi matrix")
     v = k.stack.reshape(len(k.tags), n * n)  # row k is vec(D_k)
-    return ChoiMatrix(dim=n, matrix=v.T @ v.conj())
+    return ChoiMatrix(dim=n, matrix=np.matmul(v.T, v.conj()))
 
 
 def evolve_linear(z: ChoiMatrix, a0, rho, times, rate: float = 1.0) -> EvolutionTrace:

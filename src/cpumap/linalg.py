@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DimensionError, DomainError, HermiticityError
 
 HERM_TOL = 1e-9
+MAX_ARRAY_BYTES = 2**30  # the largest array a size-driven allocation may ask for
 
 
 def as_matrix(m) -> np.ndarray:
@@ -184,6 +185,16 @@ def _ensure_dim(a: np.ndarray, n: int, name: str) -> np.ndarray:
     if a.shape != (n, n):
         raise DimensionError(f"{name} shape {a.shape} does not match dim {n}")
     return a
+
+
+def _ensure_array_fits(shape: tuple[int, ...], itemsize: int, name: str) -> None:
+    """Refuse, before it is allocated, an array of ``shape`` and ``itemsize``
+    bytes per item that exceeds MAX_ARRAY_BYTES: numpy would raise a
+    MemoryError for it, or the process would be killed."""
+    size = math.prod(shape) * itemsize
+    if size > MAX_ARRAY_BYTES:
+        raise DimensionError(f"{name} of shape {tuple(shape)} with {itemsize}-byte items needs "
+                             f"{size / 2**30:.2f} GiB, above the {MAX_ARRAY_BYTES / 2**30:g} GiB array budget")
 
 
 def _ensure_min_dim(d: int, name: str = "d") -> None:

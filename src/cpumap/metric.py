@@ -16,9 +16,12 @@ import numpy as np
 
 from .battery import EnvState, _validate_env
 from .errors import DimensionError, DomainError
-from .linalg import _ensure_grid, _ensure_min_dim, _ensure_positive
+from .linalg import _ensure_array_fits, _ensure_grid, _ensure_min_dim, _ensure_positive
 
 MAX_TRUNCATION = 1024  # largest d; a profile allocates one d x d basis and P x d spectra
+# a profile's memory per point besides its spectrum row: the record, its
+# EnvState and the row view (about 420 bytes measured on CPython 3.11)
+RECORD_BYTES = 512
 
 
 @dataclass(frozen=True)
@@ -134,6 +137,8 @@ def build_profile(params: MetricParams) -> MetricProfile:
     one spectrum array, validated together once.
     """
     d = params.d
+    # checked before the P targets are computed
+    _ensure_array_fits((params.r_grid.size,), 8 * d + RECORD_BYTES, "profile points")
     r_values = params.r_grid.tolist()
     targets = [offset_factor(r, params) for r in r_values]
     spectra, clipped = _spectra(np.array(targets), d)

@@ -26,6 +26,7 @@ from .choi import (
     _batches,
     _bound_minima,
     _choi_stack,
+    _dual_action,
     _fixed_point_residuals,
     _unital_residuals,
     _validate_specs,
@@ -36,7 +37,6 @@ from .dual_map import (
     choi_from_kraus,
     evolve_linear,
     evolve_linear_euler,
-    idempotence_residual,
     kraus_from_fixed_point,
     unitality_residual,
 )
@@ -47,6 +47,8 @@ from .serialize import fmt
 
 EQUIVALENCE_DIMS = (2, 3, 4, 8)
 EQUIVALENCE_PER_DIM = 260
+IDEMPOTENCE_PER_DIM = 13
+IDEMPOTENCE_OBSERVABLES = 4
 BATTERY_DIMS = (4, 8, 16)
 BATTERY_PAIRS_PER_DIM = 34
 
@@ -127,15 +129,26 @@ def _equivalence_draw(seed: int, n: int, idx: int) -> tuple[np.ndarray, np.ndarr
     raise RuntimeError(f"no valid instance for seed={seed} n={n} idx={idx}")
 
 
+def _equivalence_fields(seed: int, n: int, count: int):
+    """The draws of ``equivalence_spec(seed, n, idx)`` for idx < count,
+    validated as one stack: ``_validate_specs``'s fields."""
+    draws = [_equivalence_draw(seed, n, idx) for idx in range(count)]
+    return _validate_specs(np.array([a for a, _ in draws]), np.array([v for _, v in draws]))
+
+
+def _choi_batches(fields, n: int):
+    """Build the Choi matrices of validated N-level spec fields batch by
+    batch; yields each batch's indices and its A, e, t and Z stacks."""
+    for idx in _batches(fields[4], n):
+        a, v, t, e, scalar = (f[idx] for f in fields)
+        e, t = e[:, None, None], t[:, None, None]
+        yield idx, a, e, t, _choi_stack(a, v, e, t, scalar[0])
+
+
 def check_equivalence(seed: int):
     agree, unital, fixed = [], [], []
     for n in EQUIVALENCE_DIMS:
-        draws = [_equivalence_draw(seed, n, idx) for idx in range(EQUIVALENCE_PER_DIM)]
-        fields = _validate_specs(np.array([a for a, _ in draws]), np.array([v for _, v in draws]))
-        for idx in _batches(fields[4], n):
-            a, v, t, e, scalar = (f[idx] for f in fields)
-            e, t = e[:, None, None], t[:, None, None]
-            z = _choi_stack(a, v, e, t, scalar[0])
+        for _, a, e, t, z in _choi_batches(_equivalence_fields(seed, n, EQUIVALENCE_PER_DIM), n):
             bounds_ok = np.all(_bound_minima(a, e, t) >= -BOUND_TOL, axis=1)
             agree.append(bounds_ok == _psd_verdicts(z, PSD_TOL))
             unital.append(_unital_residuals(z))
@@ -157,17 +170,27 @@ def check_equivalence(seed: int):
     return lines
 
 
+def _idempotence_residuals(seed: int, n: int) -> np.ndarray:
+    """||Phi[Phi[B]] - Phi[B]||_max as an (IDEMPOTENCE_OBSERVABLES,
+    IDEMPOTENCE_PER_DIM) array: [k, idx] for the k-th observable drawn for
+    ``equivalence_spec(seed, n, idx)``.  Observable k of a batch of specs is
+    applied as one stack."""
+    obs = np.empty((IDEMPOTENCE_OBSERVABLES, IDEMPOTENCE_PER_DIM, n, n), dtype=complex)
+    for idx in range(IDEMPOTENCE_PER_DIM):
+        rng = _rng(seed, 91, n, idx)
+        for k in range(IDEMPOTENCE_OBSERVABLES):
+            obs[k, idx] = _random_hermitian(rng, n)
+    residuals = np.empty(obs.shape[:2])
+    for idx, _, _, _, z in _choi_batches(_equivalence_fields(seed, n, IDEMPOTENCE_PER_DIM), n):
+        for k in range(IDEMPOTENCE_OBSERVABLES):
+            once = _dual_action(z, obs[k, idx])
+            residuals[k, idx] = np.max(np.abs(_dual_action(z, once) - once), axis=(1, 2))
+    return residuals
+
+
 def check_idempotence(seed: int):
-    worst = 0.0
-    count = 0
-    for n in EQUIVALENCE_DIMS:
-        for idx in range(13):
-            spec = equivalence_spec(seed, n, idx)
-            z = build_fixed_point_choi(spec)
-            rng = _rng(seed, 91, n, idx)
-            for _ in range(4):
-                worst = max(worst, idempotence_residual(z, _random_hermitian(rng, n)))
-                count += 1
+    worst = max(float(np.max(_idempotence_residuals(seed, n))) for n in EQUIVALENCE_DIMS)
+    count = len(EQUIVALENCE_DIMS) * IDEMPOTENCE_PER_DIM * IDEMPOTENCE_OBSERVABLES
     return [_line(worst < 1e-9, f"idempotence observables={count} max={fmt(worst)}")]
 
 
@@ -196,12 +219,13 @@ def check_kraus_roundtrip(seed: int):
     for n in EQUIVALENCE_DIMS:
         specs = [pencil_spec(seed, n, idx) for idx in range(12)]
         specs.append(FixedPointSpec(a=np.eye(n, dtype=complex), v=_random_unit(_rng(seed, 8, n), n)))
-        for spec in specs:
-            z = build_fixed_point_choi(spec)
-            k = kraus_from_fixed_point(spec)
-            worst_entry = max(worst_entry, max_abs(choi_from_kraus(k).matrix - z.matrix))
-            worst_unital = max(worst_unital, unitality_residual(k))
-            count += 1
+        kraus = [kraus_from_fixed_point(spec) for spec in specs]
+        fields = tuple(np.array([getattr(spec, name) for spec in specs])
+                       for name in ("a", "v", "trace", "expectation", "is_scalar"))
+        for idx, _, _, _, z in _choi_batches(fields, n):
+            worst_entry = max(worst_entry, *(max_abs(choi_from_kraus(kraus[i]).matrix - zi) for i, zi in zip(idx, z)))
+        worst_unital = max(worst_unital, *(unitality_residual(k) for k in kraus))
+        count += len(specs)
     ok = worst_entry < 1e-8 and worst_unital < 1e-9
     return [
         _line(
@@ -212,27 +236,36 @@ def check_kraus_roundtrip(seed: int):
     ]
 
 
-def swap_conjugate(u: np.ndarray, joint: np.ndarray) -> np.ndarray:
-    """U J U^dagger for the real swap unitary U, in real arithmetic.
+def _swap_oracle_arrays(d: int):
+    """The arrays :func:`_swap_traced` reuses at dimension d: the swap unitary
+    with its rows grouped by the traced index, row (r, i) being row (i, r) of
+    ``swap_unitary(d)``; the complex joint array; a real work array of the
+    joint's size; and a small real array for the blocks."""
+    grouped = swap_unitary(d).reshape(d, d, d * d).transpose(1, 0, 2).reshape(d * d, d * d)
+    return grouped, np.empty((d * d, d * d), dtype=complex), np.empty((d * d, 2 * d * d)), np.empty((d, d, 2 * d))
 
-    The real and imaginary parts of J are conjugated separately into one
-    complex array; since U's entries are 0 and 1 this equals the complex
-    product entry for entry.
+
+def _swap_traced(grouped, joint, work, blocks):
+    """tr_2[U J U^dagger] for the real swap unitary U, forming only the d
+    diagonal blocks U_r J U_r^T that the partial trace reads (U_r: the rows
+    of U whose traced index is r), in real arithmetic.
+
+    Each product has one nonzero term per entry, since U's entries are 0 and
+    1, so every block entry is the full complex product's, bit for bit.  The
+    blocks are written over ``joint`` at the entries (i r, j r), and
+    :func:`partial_trace_second` reads only those; the arrays are
+    :func:`_swap_oracle_arrays`'s.
     """
-    return _swap_conjugate(u, joint, np.empty(joint.shape, dtype=complex), np.empty((2, *joint.shape)))
-
-
-def _swap_conjugate(u, joint, out, work):
-    """:func:`swap_conjugate` into given arrays: the complex ``out``, which
-    may be ``joint`` itself, and ``work``, two real arrays of joint's shape."""
-    for part, dest in ((joint.real, out.real), (joint.imag, out.imag)):
-        # a contiguous copy first: matmul would copy the strided part itself,
-        # into fresh memory on every call
-        work[1] = part
-        np.matmul(u, work[1], out=work[0])
-        np.matmul(work[0], u.T, out=work[1])
-        dest[...] = work[1]
-    return out
+    d = blocks.shape[0]
+    # U J as one GEMM on J's interleaved (re, im) view; work row (r, i) is row i of U_r J
+    np.matmul(grouped, joint.view(float), out=work)
+    # J is not read again: its memory takes each (U_r J)^T, so that
+    # U_r (U_r J)^T = (U_r J U_r^T)^T is again a real GEMM on an interleaved view
+    slabs = joint.reshape(d, d * d, d)
+    slabs[...] = work.view(complex).reshape(d, d, d * d).transpose(0, 2, 1)
+    np.matmul(grouped.reshape(d, d, d * d), slabs.view(float), out=blocks)  # blocks[r, j, i] = (U_r J U_r^T)[i, j]
+    np.einsum("irjr->rji", joint.reshape(d, d, d, d))[...] = blocks.view(complex)
+    return partial_trace_second(joint, d, d)
 
 
 def check_battery_oracle(seed: int):
@@ -240,11 +273,10 @@ def check_battery_oracle(seed: int):
     pairs = 0
     phi_ok = True
     for d in BATTERY_DIMS:
-        u = swap_unitary(d)
-        # one joint array and two real work arrays per dimension, reused by
-        # every pair: fresh d^2 x d^2 arrays per pair page-faulted on each use
-        joint = np.empty((d * d, d * d), dtype=complex)
-        work = np.empty((2, d * d, d * d))
+        # arrays per dimension, reused by every pair: fresh d^2 x d^2 arrays
+        # per pair page-faulted on each use
+        arrays = _swap_oracle_arrays(d)
+        joint = arrays[1]
         for idx in range(BATTERY_PAIRS_PER_DIM):
             rng = _rng(seed, 13, d, idx)
             env = _random_env(rng, d)
@@ -252,7 +284,7 @@ def check_battery_oracle(seed: int):
             sigma = env.sigma_fock()
             # rho (x) sigma, the product np.kron forms
             np.multiply(rho[:, None, :, None], sigma[None, :, None, :], out=joint.reshape(d, d, d, d))
-            oracle = partial_trace_second(_swap_conjugate(u, joint, joint, work), d, d)
+            oracle = _swap_traced(*arrays)
             # the primal channel sum_k S_k^dagger rho S_k is the conjugate of the
             # dual kernel on the S_k^T at conj(rho), with no conjugated copy of the stack
             primal = _kraus_sum(env_kraus(env).stack.transpose(0, 2, 1), rho.conj()).conj()

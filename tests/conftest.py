@@ -148,6 +148,12 @@ def tag_rest(table_test, rows):
     return [row if row.test else row._replace(test=f"{table_test}[{row.id}]") for row in rows]
 
 
+def forbidden(*args, **kwargs):
+    """A stand-in for a call that a rejected input must never reach, such as
+    an allocation the size budget refuses."""
+    raise AssertionError("the command made a call it must not make")
+
+
 def tagged_rows(table, request):
     """The rows of ``table`` tagged with the running test's node name."""
     rows = [row for row in table if row.test == request.node.name]

@@ -10,6 +10,7 @@ from cpumap import (
     env_kraus,
     kron,
     number_operator,
+    partial_trace_second,
     phi,
     simulate_charging,
     swap_unitary,
@@ -75,38 +76,26 @@ def test_swap_unitary_involution():
         assert np.array_equal(u, u.conj().T)
 
 
-@pytest.mark.parametrize("d", [4, 8, 16])
-def test_swap_conjugate_equals_complex_product(d):
-    from cpumap.selftest import swap_conjugate
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_swap_oracle_equals_full_product(d):
+    from cpumap.selftest import _swap_oracle_arrays, _swap_traced
 
     rng = rng_for(331, d)
     u = swap_unitary(d)
-    joint = np.kron(random_density(rng, d), random_env(rng, d).sigma_fock())
-    assert np.array_equal(swap_conjugate(u, joint), u @ joint @ u.conj().T)
-
-
-@pytest.mark.parametrize("d", [2, 4, 8])
-def test_swap_conjugate_reuses_its_arrays(d):
-    from cpumap.selftest import _swap_conjugate
-
-    rng = rng_for(332, d)
-    u = swap_unitary(d)
-    # NaN-filled arrays: anything read before it is written shows in the result
-    joint = np.full((d * d, d * d), np.nan, dtype=complex)
-    out = np.full_like(joint, np.nan)
-    work = np.full((2, d * d, d * d), np.nan)
+    arrays = _swap_oracle_arrays(d)
+    joint = arrays[1]
+    for array in arrays[1:]:
+        array.fill(np.nan)  # anything read before it is written shows in the result
     for _ in range(2):  # the second pair must not see the first
         rho, sigma = random_density(rng, d), random_env(rng, d).sigma_fock()
         # the selftest's product into its joint array is np.kron's, bit for bit
         np.multiply(rho[:, None, :, None], sigma[None, :, None, :], out=joint.reshape(d, d, d, d))
         assert np.array_equal(joint, np.kron(rho, sigma))
-        assert _swap_conjugate(u, joint, out, work) is out
-        assert np.array_equal(out, u @ joint @ u.conj().T)
-    # writing back over the joint array
+        assert np.array_equal(_swap_traced(*arrays), swap_oracle(rho, sigma, d))
+    # a joint matrix that is neither a product nor Hermitian
     joint[:] = rng.normal(size=joint.shape) + 1j * rng.normal(size=joint.shape)
-    expected = u @ joint @ u.conj().T
-    assert _swap_conjugate(u, joint, joint, work) is joint
-    assert np.array_equal(joint, expected)
+    expected = partial_trace_second(u @ joint @ u.conj().T, d, d)
+    assert np.array_equal(_swap_traced(*arrays), expected)
 
 
 def test_env_kraus_pure_aligned_replacement():

@@ -19,6 +19,7 @@ from cpumap import (
     check_unital,
     choi_is_psd,
     env_kraus,
+    idempotence_residual,
     positivity_bounds,
 )
 from cpumap.choi import (
@@ -33,7 +34,15 @@ from cpumap.choi import (
 )
 from cpumap.dual_map import _kraus_sum
 from cpumap.linalg import _psd_verdicts, partial_trace_second
-from cpumap.selftest import EQUIVALENCE_PER_DIM, _equivalence_draw, equivalence_spec
+from cpumap.selftest import (
+    EQUIVALENCE_DIMS,
+    EQUIVALENCE_PER_DIM,
+    IDEMPOTENCE_OBSERVABLES,
+    IDEMPOTENCE_PER_DIM,
+    _equivalence_draw,
+    _idempotence_residuals,
+    equivalence_spec,
+)
 
 import test_rejections
 
@@ -42,6 +51,7 @@ from conftest import (
     primal_loop,
     psd_reference,
     random_density,
+    random_hermitian,
     random_spec,
     random_unit,
     rng_for,
@@ -227,3 +237,16 @@ def test_validator_shape_failures_fail_every_draw():
         _validate_specs(a, np.ones((3, 3)))
     with pytest.raises(DimensionError, match=r"^Hermitian matrix must be square, got \(2, 3\)$"):
         _validate_specs(np.ones((3, 2, 3), dtype=complex), np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42, 99])
+def test_batched_idempotence_residuals_equal_per_pair(seed):
+    # the selftest's draws, spec by spec and observable by observable
+    for n in EQUIVALENCE_DIMS:
+        residuals = _idempotence_residuals(seed, n)
+        assert residuals.shape == (IDEMPOTENCE_OBSERVABLES, IDEMPOTENCE_PER_DIM)
+        for idx in range(IDEMPOTENCE_PER_DIM):
+            z = build_fixed_point_choi(equivalence_spec(seed, n, idx))
+            rng = rng_for(seed, 91, n, idx)
+            for k in range(IDEMPOTENCE_OBSERVABLES):
+                assert residuals[k, idx] == idempotence_residual(z, random_hermitian(rng, n)), (n, idx, k)

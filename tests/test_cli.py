@@ -27,6 +27,7 @@ from conftest import (
     PAYLOADS,
     ZERO_SIZE,
     cases,
+    forbidden,
     read_by,
     rng_for,
     run_cli,
@@ -172,10 +173,6 @@ class ErrorExit(NamedTuple):
     test: str | None = None
 
 
-def forbidden(*args, **kwargs):
-    raise AssertionError("the command made a call it must not make")
-
-
 def spec_payloads(a, v):
     return {"A": ser.matrix_to_json(a), "v": ser.vector_to_json(np.asarray(v, dtype=float))}
 
@@ -307,6 +304,14 @@ CLI_ERRORS = tag_rest("test_error_exit", [
              ErrorExit("truncation-above-cap",
                        ["metric-profile", "--M", "1", "--d", "100000000000", "--grid", "0:10:5"], {}, 2, "dimension",
                        patch={"numpy.eye": forbidden})),
+    # both once ended in a numpy MemoryError traceback: 76 GiB of profile
+    # spectra and a 1.27 GiB Choi matrix at N = 96
+    ErrorExit("metric-profile-above-budget", ["metric-profile", "--M", "1", "--d", "1024", "--grid", "0:10:10000000"],
+              {}, 2, "dimension", "GiB array budget",
+              patch={"cpumap.metric.offset_factor": forbidden, "cpumap.metric._spectra": forbidden}),
+    ErrorExit("choi-build-above-budget", COMMANDS["choi-build"],
+              spec_payloads(np.diag([2.0] + [1.0] * 95), np.eye(96)[0]), 2, "dimension", "GiB array budget",
+              patch={"cpumap.choi._kron": forbidden}),
     # once a numpy ValueError traceback from default_rng
     *read_by("test_negative_seed_is_one_domain_line_before_any_check",
              ErrorExit("negative-seed", ["selftest", "--seed", "-1"], {}, 2, "domain",

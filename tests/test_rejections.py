@@ -30,10 +30,13 @@ from cpumap import (
     apply_dual_choi,
     apply_dual_kraus,
     build_fixed_point_choi,
+    build_profile,
+    choi_from_kraus,
     check_fixed_point,
     check_unital,
     dilation_factor,
     eig_hermitian,
+    env_kraus,
     evolve_linear,
     evolve_linear_euler,
     idempotence_residual,
@@ -58,6 +61,7 @@ from conftest import (
     OVERFLOWING_SPECS,
     OVERFLOWING_TRACE_Z,
     cases,
+    forbidden,
     make_params as params,
     pencil_spec,
     random_density,
@@ -72,11 +76,14 @@ from conftest import (
 
 
 class Rejection(NamedTuple):
+    """``call`` must raise exactly ``cls`` while each ``patch`` target is replaced."""
+
     id: str
     call: Callable[[], object]
     cls: type
     match: str | None = None
     test: str | None = None
+    patch: dict | None = None
 
 
 def spec(a, v):
@@ -116,6 +123,14 @@ OVERFLOWING_KRAUS = {
     "term": KrausSet.from_ops(2, [("B0", 1e200 * np.eye(2))]),
     "sum": KrausSet.from_ops(2, [("B0", 1.3e154 * np.eye(2)), ("B1", 1.3e154 * np.eye(2))]),
 }
+# inputs whose arrays exceed linalg.MAX_ARRAY_BYTES: the Choi matrix and the
+# Kraus stacks of N = 96 and d = 96 need 1.27 GiB each
+BIG_SPEC = FixedPointSpec(a=np.diag([2.0] + [1.0] * 95), v=np.eye(96)[0])
+BIG_ENV = EnvState(dim=96, spectrum=np.eye(96)[0], basis=np.eye(96, dtype=complex))
+BIG_KRAUS = KrausSet.from_ops(96, [("B0", np.eye(96))])
+# (d, P): 2e5 spectrum rows at d = 1024 need 1.53 GiB; at d = 2 the records of
+# 2.1e6 points take the budget
+PROFILES_ABOVE_BUDGET = ((1024, 200_000), (2, 2_100_000))
 ENV_PAYLOAD = {"d": 2, "spectrum": [1.0, "0"], "V": ser.matrix_to_json(np.eye(2))}
 # entry 0 has the wrong shape, entry 1 a non-numeric entry: 0 is reported first
 KRAUS_OPS = [
@@ -156,6 +171,9 @@ REJECTIONS = tag_rest("test_rejection", [
     # abs(nan - 1) > tol is False, so a NaN weight once slipped through
     *read_by("test_env_state_rejects_nan_spectrum",
              Rejection("env-nan-spectrum", lambda: env3([0.5, np.nan, 0.5]), DomainError)),
+    # the size budget refuses each array before it is allocated
+    Rejection("env-kraus-above-budget", lambda: env_kraus(BIG_ENV), DimensionError, "budget",
+              patch={"numpy.zeros": forbidden}),
     Rejection("env-rows-basis-not-unitary", lambda: _validate_env(
         metric._spectra(np.array([0.0, 1.5, 2.0, 9.0]), 4)[0], 2.0 * np.eye(4, dtype=complex)), DomainError),
     # choi; both residuals once returned inf, the fixed-point one after a numpy warning
@@ -195,6 +213,8 @@ REJECTIONS = tag_rest("test_rejection", [
     Rejection("spec-non-hermitian-a", lambda: spec([[2.0, 1.0], [0.0, 1.0]], DIAG21[1]), HermiticityError),
     *read_by("test_v_length_mismatch",
              Rejection("spec-v-length", lambda: spec(DIAG21[0], [1.0, 0.0, 0.0]), DimensionError)),
+    Rejection("choi-stack-above-budget", lambda: build_fixed_point_choi(BIG_SPEC), DimensionError, "budget",
+              patch={"cpumap.choi._kron": forbidden}),
     Rejection("choi-d0", lambda: ChoiMatrix(dim=0, matrix=np.zeros((0, 0))), DimensionError),
     # dual_map
     *read_by("test_apply_dual_choi_dimension_mismatch",
@@ -236,6 +256,10 @@ REJECTIONS = tag_rest("test_rejection", [
              Rejection("kraus-nan-op",
                        lambda: KrausSet.from_ops(2, [("B0", np.array([[np.nan, 0.0], [0.0, 1.0]]))]),
                        DimensionError)),
+    Rejection("kraus-stack-above-budget", lambda: kraus_from_fixed_point(BIG_SPEC), DimensionError, "budget",
+              patch={"numpy.empty": forbidden}),
+    Rejection("choi-from-kraus-above-budget", lambda: choi_from_kraus(BIG_KRAUS), DimensionError, "budget",
+              patch={"numpy.matmul": forbidden}),
     Rejection("kraus-d0", lambda: KrausSet(dim=0, stack=np.zeros((0, 0, 0)), tags=()), DimensionError),
     # an empty set once applied as the zero map
     *read_by("test_kraus_set_needs_an_operator",
@@ -288,6 +312,11 @@ REJECTIONS = tag_rest("test_rejection", [
              Rejection("params-d1", lambda: params(d=1), DimensionError),
              Rejection("params-grid-descending", lambda: params(grid=(2.0, 1.0)), DomainError),
              Rejection("params-grid-negative", lambda: params(grid=(-1.0, 1.0)), DomainError)),
+    # refused before the targets are computed
+    *(Rejection(f"profile-above-budget-d{d}", lambda d=d, p=p: build_profile(params(d=d, grid=np.linspace(0, 10, p))),
+                DimensionError, "budget", patch={"cpumap.metric.offset_factor": forbidden,
+                                                 "cpumap.metric._spectra": forbidden})
+      for d, p in PROFILES_ABOVE_BUDGET),
     Rejection("params-grid-empty", lambda: params(grid=()), DomainError, "is empty"),
     *read_by("test_metric_params_rejects_nan_mass",
              Rejection("params-mass-nan", lambda: params(M=math.nan), DomainError)),
@@ -345,7 +374,9 @@ REJECTIONS = tag_rest("test_rejection", [
 def assert_tagged_rejections(request):
     """Run the rows tagged with the running test: each raises exactly its class."""
     for row in tagged_rows(REJECTIONS, request):
-        with pytest.raises(row.cls, match=row.match) as caught:
+        with pytest.raises(row.cls, match=row.match) as caught, pytest.MonkeyPatch.context() as patch:
+            for target, value in (row.patch or {}).items():
+                patch.setattr(target, value)
             row.call()
         assert type(caught.value) is row.cls, row.id
 
