@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_map import EvolutionTrace, KrausSet, apply_dual_kraus
+from .dual_map import EvolutionTrace, KrausSet, _kraus_chunk_len, _kraus_sum_chunks
 from .errors import DimensionError, DomainError
 from .linalg import (
     _ensure_array_fits,
@@ -28,6 +28,7 @@ from .linalg import (
     _ensure_grid,
     _ensure_min_dim,
     _ensure_positive,
+    _ensure_size,
     ensure_density_matrix,
     max_abs,
 )
@@ -70,8 +71,7 @@ class EnvState:
     basis: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionError(f"environment d must be >= 1, got {self.dim}")
+        object.__setattr__(self, "dim", _ensure_size(self.dim, "environment d"))
         sig = np.asarray(self.spectrum, dtype=float).reshape(-1)
         v = np.asarray(self.basis, dtype=complex)
         if sig.shape[0] != self.dim or v.shape != (self.dim, self.dim):
@@ -110,6 +110,7 @@ class BatteryConfig:
     rate: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _ensure_size(self.d, "battery d"))
         if self.env.dim != self.d:
             raise DimensionError(f"env dim {self.env.dim} does not match d={self.d}")
         _ensure_positive(self.rate, "rate")
@@ -132,6 +133,28 @@ def swap_unitary(d: int) -> np.ndarray:
     return u
 
 
+def _env_rows(env: EnvState) -> np.ndarray:
+    """Row j is sqrt(sigma_j) <j| in Fock coordinates: row i of E_{i,j} for every i."""
+    return np.sqrt(np.clip(env.spectrum, 0.0, None))[:, None] * env.basis.conj().T
+
+
+def _write_env_ops(out: np.ndarray, rows: np.ndarray, start: int) -> None:
+    """Write E_k for the flat indices k = i*d + j = start, ..., start + m - 1
+    into the zeroed (m, d, d) buffer ``out``.
+
+    Only row i of E_{i,j} is nonzero; it is set to ``rows[j]`` and every
+    other row is left as it is.  Called again with zero ``rows`` and the same
+    ``start``, it clears what it wrote, so one buffer serves every run of k.
+    """
+    m, d, _ = out.shape
+    i, j = np.divmod(np.arange(start, start + m), d)
+    out[np.arange(m), i] = rows[j]
+
+
+def _ensure_env_fits(d: int) -> None:
+    _ensure_array_fits((d, d, d, d), 16, "swap-channel Kraus stack")
+
+
 def env_kraus(env: EnvState) -> KrausSet:
     """The d^2 dual operators E_{i,j} = sqrt(sigma_j) |i><j| of the swap channel.
 
@@ -140,14 +163,11 @@ def env_kraus(env: EnvState) -> KrausSet:
     replaces every rho by env.sigma_fock().
     """
     d = env.dim
-    _ensure_array_fits((d, d, d, d), 16, "swap-channel Kraus stack")
-    sig = np.clip(env.spectrum, 0.0, None)
-    stack = np.zeros((d, d, d, d), dtype=complex)   # stack[i, j] = E_{i,j}
-    levels = np.arange(d)
-    # row i of E_{i,j} is sqrt(sigma_j) <j| in Fock coordinates
-    stack[levels, :, levels, :] = np.sqrt(sig)[:, None] * env.basis.conj().T
+    _ensure_env_fits(d)
+    stack = np.zeros((d * d, d, d), dtype=complex)   # stack[i*d + j] = E_{i,j}
+    _write_env_ops(stack, _env_rows(env), 0)
     tags = tuple(f"E{i},{j}" for i in range(d) for j in range(d))
-    return KrausSet(dim=d, stack=stack.reshape(d * d, d, d), tags=tags)
+    return KrausSet(dim=d, stack=stack, tags=tags)
 
 
 def phi(env: EnvState) -> float:
@@ -158,8 +178,30 @@ def phi(env: EnvState) -> float:
 
 
 def dual_apply_number(env: EnvState) -> np.ndarray:
-    """Explicit Kraus evaluation of Phi[N]; equals phi(env) * I entrywise."""
-    return apply_dual_kraus(env_kraus(env), number_operator(env.dim))
+    """Explicit Kraus evaluation of Phi[N]; equals phi(env) * I entrywise.
+
+    The operators of :func:`env_kraus` are written one chunk at a time into
+    one reused buffer and summed as they come, in the chunks and with the
+    bits of ``apply_dual_kraus(env_kraus(env), number_operator(d))``, so the
+    call holds O(KRAUS_CHUNK_BYTES) of operators instead of the 16 d^4 bytes
+    of the stack.  The work stays O(d^5); the array budget still refuses a d
+    whose stack would exceed it, so it bounds that work.
+    """
+    d = env.dim
+    _ensure_env_fits(d)
+    number = number_operator(d)
+    rows, zeros = _env_rows(env), np.zeros((d, d), dtype=complex)
+    r = _kraus_chunk_len(d * d, d)
+    buf = np.zeros((r, d, d), dtype=complex)
+
+    def chunks():
+        for start in range(0, d * d, r):
+            ops = buf[:min(r, d * d - start)]
+            _write_env_ops(ops, rows, start)
+            yield ops
+            _write_env_ops(ops, zeros, start)
+
+    return _kraus_sum_chunks(chunks(), r, number)
 
 
 def simulate_charging(cfg: BatteryConfig, times) -> EvolutionTrace:

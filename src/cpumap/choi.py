@@ -32,7 +32,7 @@ from .errors import (
     ZeroTrace,
 )
 from .linalg import (
-    HERM_TOL, _ensure_array_fits, _ensure_dim, _ensure_min_dim, _ensure_no_overflow, _hermiticity_message,
+    HERM_TOL, _ensure_array_fits, _ensure_dim, _ensure_min_dim, _ensure_no_overflow, _ensure_size, _hermiticity_message,
     _non_hermitian, _psd_verdicts, as_matrix, ensure_hermitian,
 )
 
@@ -175,8 +175,7 @@ class ChoiMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionError(f"Choi matrix dim must be >= 1, got {self.dim}")
+        object.__setattr__(self, "dim", _ensure_size(self.dim, "Choi matrix dim"))
         m = ensure_hermitian(self.matrix)
         if m.shape != (self.dim**2, self.dim**2):
             raise DimensionError(

@@ -19,7 +19,7 @@ import numpy as np
 from .choi import ChoiMatrix, FixedPointSpec, _dual_action
 from .errors import DimensionError, NegativeSqrtArgument
 from .linalg import (
-    _ensure_array_fits, _ensure_dim, _ensure_grid, _ensure_no_overflow, _ensure_positive, as_matrix,
+    _ensure_array_fits, _ensure_dim, _ensure_grid, _ensure_no_overflow, _ensure_positive, _ensure_size, as_matrix,
     eig_hermitian, ensure_density_matrix, ensure_hermitian, max_abs,
 )
 
@@ -43,8 +43,7 @@ class KrausSet:
     tags: tuple[str, ...]
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionError(f"Kraus set dim must be >= 1, got {self.dim}")
+        object.__setattr__(self, "dim", _ensure_size(self.dim, "Kraus set dim"))
         s = np.asarray(self.stack, dtype=complex)
         tags = tuple(str(tag) for tag in self.tags)
         if not tags:
@@ -128,19 +127,32 @@ def apply_dual_kraus(k: KrausSet, b) -> np.ndarray:
 
 
 def _kraus_sum(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_k D_k B D_k^dagger over chunks of KRAUS_CHUNK_BYTES of operators.
+    """sum_k D_k B D_k^dagger over a (K, n, n) stack, fed to
+    :func:`_kraus_sum_chunks` in slices of :func:`_kraus_chunk_len` operators."""
+    n_ops, n, _ = stack.shape
+    r = _kraus_chunk_len(n_ops, n)
+    return _kraus_sum_chunks((stack[start:start + r] for start in range(0, n_ops, r)), r, b)
 
-    Per chunk of r operators, one GEMM forms every D_k B, one batched
-    matmul writes (D_k B) D_k^dagger into slots 1..r of ``buf`` and a sum
+
+def _kraus_chunk_len(n_ops: int, n: int) -> int:
+    """Operators per chunk of a Kraus sum: as many n x n complex operators as
+    fit in KRAUS_CHUNK_BYTES, at least one and at most ``n_ops``."""
+    return min(n_ops, max(1, KRAUS_CHUNK_BYTES // (16 * n * n)))
+
+
+def _kraus_sum_chunks(chunks, r: int, b: np.ndarray) -> np.ndarray:
+    """sum_k D_k B D_k^dagger over an iterable of (m, n, n) chunks, m <= r.
+
+    Per chunk of m operators, one GEMM forms every D_k B, one batched
+    matmul writes (D_k B) D_k^dagger into slots 1..m of ``buf`` and a sum
     over axis 0 adds them to the running total in slot 0.  That sum runs
     slot by slot, so the terms are added in operator order, as a loop
-    ``out = out + D_k B D_k^dagger`` adds them.
+    ``out = out + D_k B D_k^dagger`` adds them.  A chunk is read only
+    before the next one is drawn, so a producer may reuse one buffer.
     """
-    n_ops, n, _ = stack.shape
-    r = min(n_ops, max(1, KRAUS_CHUNK_BYTES // stack[0].nbytes))
+    n = b.shape[0]
     buf = np.zeros((r + 1, n, n), dtype=complex)
-    for start in range(0, n_ops, r):
-        ops = stack[start:start + r]
+    for ops in chunks:
         m = len(ops)
         db = (ops.reshape(m * n, n) @ b).reshape(m, n, n)
         np.matmul(db, ops.conj().transpose(0, 2, 1), out=buf[1:m + 1])

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -195,6 +196,19 @@ def _ensure_array_fits(shape: tuple[int, ...], itemsize: int, name: str) -> None
     if size > MAX_ARRAY_BYTES:
         raise DimensionError(f"{name} of shape {tuple(shape)} with {itemsize}-byte items needs "
                              f"{size / 2**30:.2f} GiB, above the {MAX_ARRAY_BYTES / 2**30:g} GiB array budget")
+
+
+def _ensure_size(value, name: str) -> int:
+    """``value`` as a Python int >= 1.  Integers, numpy's included, pass
+    through operator.index; a bool, a float or anything else raises
+    DimensionError, as does a value below 1."""
+    try:
+        size = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        size = None
+    if size is None or size < 1:
+        raise DimensionError(f"{name} must be an integer >= 1, got {value!r}")
+    return size
 
 
 def _ensure_min_dim(d: int, name: str = "d") -> None:

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -128,6 +129,22 @@ def primal_loop(kset, rho):
     for op in kset.stack:
         out += op.conj().T @ rho @ op
     return out
+
+
+def traced_peak_bytes(fn, *args):
+    """Peak bytes allocated above the starting level while ``fn(*args)`` runs,
+    as tracemalloc counts them; numpy reports its data buffers to it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 # --- the rejection tables -----------------------------------------------------

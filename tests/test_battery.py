@@ -6,6 +6,7 @@ from cpumap import (
     EnvState,
     aligned_env,
     alignment_unitary,
+    apply_dual_kraus,
     dual_apply_number,
     env_kraus,
     kron,
@@ -16,9 +17,19 @@ from cpumap import (
     swap_unitary,
     unitality_residual,
 )
+from cpumap.dual_map import KRAUS_CHUNK_BYTES
 from cpumap.linalg import max_abs
 
-from conftest import cases, primal_loop, random_density, random_env, random_spectrum, rng_for, swap_oracle
+from conftest import (
+    cases,
+    primal_loop,
+    random_density,
+    random_env,
+    random_spectrum,
+    rng_for,
+    swap_oracle,
+    traced_peak_bytes,
+)
 from test_rejections import REJECTIONS, assert_tagged_rejections
 
 
@@ -139,7 +150,7 @@ def test_env_kraus_aligned_structure():
 
 def test_env_kraus_equals_outer_product_loop():
     rng = rng_for(419)
-    for d in (2, 3, 4, 8):
+    for d in (2, 3, 4, 8, 24):
         env = random_env(rng, d)
         kset = env_kraus(env)
         tags, want = [], []
@@ -220,6 +231,23 @@ def test_dual_apply_number_proportional_to_identity():
     assert float(np.max(diag) - np.min(diag)) < 1e-10
     assert abs(float(np.real(np.trace(out))) / 6 - phi(env)) < 1e-10
     assert max_abs(out - phi(env) * np.eye(6)) < 1e-9
+
+
+# d = 24 ends in a partial chunk: 28 operators per chunk, 576 operators
+@pytest.mark.parametrize("d", [2, 3, 8, 16, 24, 32])
+@pytest.mark.parametrize("basis", ["aligned", "random"])
+def test_dual_apply_number_bits_equal_stack_sum(basis, d):
+    rng = rng_for(420, d)
+    env = aligned_env(d, random_spectrum(rng, d)) if basis == "aligned" else random_env(rng, d)
+    want = apply_dual_kraus(env_kraus(env), number_operator(d))
+    assert dual_apply_number(env).tobytes() == want.tobytes()
+
+
+def test_dual_apply_number_streams_its_operators():
+    # the stack of env_kraus at d = 32 takes 16 MiB
+    env = random_env(rng_for(421), 32)
+    dual_apply_number(env)
+    assert traced_peak_bytes(dual_apply_number, env) < 8 * KRAUS_CHUNK_BYTES
 
 
 def test_simulate_charging_zero_start():

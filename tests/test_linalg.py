@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cpumap import ChoiMatrix, build_fixed_point_choi, choi_is_psd, eig_hermitian, is_psd, kron, partial_trace_second
+from cpumap import (
+    BatteryConfig, ChoiMatrix, EnvState, KrausSet, build_fixed_point_choi, choi_is_psd, eig_hermitian, is_psd, kron,
+    partial_trace_second,
+)
 from cpumap.choi import PSD_TOL
 from cpumap.linalg import HERM_TOL, _psd_verdicts, ensure_hermitian, max_abs
 
@@ -203,3 +206,12 @@ def test_eig_rejects_non_hermitian(request):
 
 def test_as_matrix_rejects_nonfinite(request):
     assert_tagged_rejections(request)
+
+
+def test_numpy_integer_dimensions_pass_as_int():
+    d = np.int64(2)
+    env = EnvState(dim=d, spectrum=[0.5, 0.5], basis=np.eye(2))
+    assert type(env.dim) is int
+    assert type(BatteryConfig(d=d, env=env, rho0=np.eye(2) / 2).d) is int
+    assert type(KrausSet(dim=d, stack=np.eye(2)[None], tags=("B0",)).dim) is int
+    assert type(ChoiMatrix(dim=d, matrix=np.eye(4)).dim) is int

@@ -35,6 +35,7 @@ from cpumap import (
     check_fixed_point,
     check_unital,
     dilation_factor,
+    dual_apply_number,
     eig_hermitian,
     env_kraus,
     evolve_linear,
@@ -168,12 +169,24 @@ REJECTIONS = tag_rest("test_rejection", [
              Rejection("env-spectrum-length", lambda: env3([0.5, 0.5]), DimensionError),
              Rejection("env-nan-basis", lambda: env3([0.5, 0.3, 0.2], NAN_BASIS), DomainError)),
     Rejection("env-d0", lambda: EnvState(dim=0, spectrum=[], basis=np.zeros((0, 0))), DimensionError),
+    # a float or bool dimension once reached numpy and raised a bare TypeError
+    Rejection("env-d-float", lambda: EnvState(dim=2.0, spectrum=[0.5, 0.5], basis=np.eye(2)), DimensionError,
+              "integer"),
+    Rejection("env-d-bool", lambda: EnvState(dim=True, spectrum=[1.0], basis=np.eye(1)), DimensionError,
+              "integer"),
+    Rejection("battery-d-float", lambda: BatteryConfig(d=3.0, env=random_env(rng_for(415), 3), rho0=RHO_3),
+              DimensionError, "integer"),
     # abs(nan - 1) > tol is False, so a NaN weight once slipped through
     *read_by("test_env_state_rejects_nan_spectrum",
              Rejection("env-nan-spectrum", lambda: env3([0.5, np.nan, 0.5]), DomainError)),
     # the size budget refuses each array before it is allocated
     Rejection("env-kraus-above-budget", lambda: env_kraus(BIG_ENV), DimensionError, "budget",
               patch={"numpy.zeros": forbidden}),
+    # dual_apply_number holds no stack, but the budget still bounds its O(d^5) work
+    Rejection("dual-apply-number-above-budget", lambda: dual_apply_number(BIG_ENV), DimensionError, "budget",
+              patch={"numpy.zeros": forbidden, "numpy.empty": forbidden}),
+    Rejection("dual-apply-number-d1", lambda: dual_apply_number(EnvState(dim=1, spectrum=[1.0], basis=np.eye(1))),
+              DimensionError, "d >= 2"),
     Rejection("env-rows-basis-not-unitary", lambda: _validate_env(
         metric._spectra(np.array([0.0, 1.5, 2.0, 9.0]), 4)[0], 2.0 * np.eye(4, dtype=complex)), DomainError),
     # choi; both residuals once returned inf, the fixed-point one after a numpy warning
@@ -216,6 +229,7 @@ REJECTIONS = tag_rest("test_rejection", [
     Rejection("choi-stack-above-budget", lambda: build_fixed_point_choi(BIG_SPEC), DimensionError, "budget",
               patch={"cpumap.choi._kron": forbidden}),
     Rejection("choi-d0", lambda: ChoiMatrix(dim=0, matrix=np.zeros((0, 0))), DimensionError),
+    Rejection("choi-d-float", lambda: ChoiMatrix(dim=2.0, matrix=np.eye(4)), DimensionError, "integer"),
     # dual_map
     *read_by("test_apply_dual_choi_dimension_mismatch",
              Rejection("dual-choi-dimension-mismatch",
@@ -261,6 +275,8 @@ REJECTIONS = tag_rest("test_rejection", [
     Rejection("choi-from-kraus-above-budget", lambda: choi_from_kraus(BIG_KRAUS), DimensionError, "budget",
               patch={"numpy.matmul": forbidden}),
     Rejection("kraus-d0", lambda: KrausSet(dim=0, stack=np.zeros((0, 0, 0)), tags=()), DimensionError),
+    Rejection("kraus-d-float", lambda: KrausSet(dim=2.0, stack=np.eye(2)[None], tags=("B0",)), DimensionError,
+              "integer"),
     # an empty set once applied as the zero map
     *read_by("test_kraus_set_needs_an_operator",
              Rejection("kraus-no-ops", lambda: KrausSet(dim=2, stack=np.zeros((0, 2, 2)), tags=()), DimensionError,
