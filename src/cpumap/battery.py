@@ -26,7 +26,6 @@ from .linalg import (
     _ensure_array_fits,
     _ensure_dim,
     _ensure_grid,
-    _ensure_min_dim,
     _ensure_positive,
     _ensure_size,
     ensure_density_matrix,
@@ -120,13 +119,13 @@ class BatteryConfig:
 
 def number_operator(d: int) -> np.ndarray:
     """diag(0, 1, ..., d-1): the excitation-number observable."""
-    _ensure_min_dim(d)
+    d = _ensure_size(d, "d", 2)
     return np.diag(np.arange(d, dtype=float)).astype(complex)
 
 
 def swap_unitary(d: int) -> np.ndarray:
     """Permutation exchanging the two tensor factors; U^2 = I and U = U^dagger."""
-    _ensure_min_dim(d)
+    d = _ensure_size(d, "d", 2)
     n, r = np.divmod(np.arange(d * d), d)
     u = np.zeros((d * d, d * d))
     u[n * d + r, r * d + n] = 1.0
@@ -224,7 +223,7 @@ def alignment_unitary(d: int, theta: float) -> np.ndarray:
     nondecreasing in theta; a spectrum concentrated on the top eigenvector
     gives phi(0) = 0 and phi(1) = d - 1.
     """
-    _ensure_min_dim(d)
+    d = _ensure_size(d, "d", 2)
     if not 0.0 <= theta <= 1.0:
         raise DomainError(f"theta must lie in [0, 1], got {theta}")
     angle = (1.0 - theta) * np.pi / 2.0

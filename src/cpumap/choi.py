@@ -32,7 +32,7 @@ from .errors import (
     ZeroTrace,
 )
 from .linalg import (
-    HERM_TOL, _ensure_array_fits, _ensure_dim, _ensure_min_dim, _ensure_no_overflow, _ensure_size, _hermiticity_message,
+    HERM_TOL, _ensure_array_fits, _ensure_dim, _ensure_no_overflow, _ensure_size, _hermiticity_message,
     _non_hermitian, _psd_verdicts, as_matrix, ensure_hermitian,
 )
 
@@ -287,7 +287,7 @@ def _bound_minima(a, e, t) -> np.ndarray:
     """(B, 2) minimum eigenvalues of A - I (trA - e)/(N - 1) and e I - A:
     lambda_min(A) - (trA - e)/(N - 1) and e - lambda_max(A), from one eigvalsh(A)."""
     n = a.shape[-1]
-    _ensure_min_dim(n, "dimension N")  # the lower bound divides by N - 1
+    _ensure_size(n, "dimension N", 2)  # the lower bound divides by N - 1
     evals = np.linalg.eigvalsh(a)
     e, t = np.reshape(e, -1), np.reshape(t, -1)
     return np.stack([evals[:, 0] - (t - e) / (n - 1), e - evals[:, -1]], axis=1)

@@ -85,6 +85,7 @@ def partial_trace_second(m, d1: int, d2: int) -> np.ndarray:
     Preserves the total trace: tr(out) == tr(m).
     """
     a = as_matrix(m)
+    d1, d2 = _ensure_size(d1, "d1"), _ensure_size(d2, "d2")
     if a.shape != (d1 * d2, d1 * d2):
         raise DimensionError(
             f"expected shape {(d1 * d2, d1 * d2)} for d1={d1}, d2={d2}, got {a.shape}"
@@ -198,22 +199,19 @@ def _ensure_array_fits(shape: tuple[int, ...], itemsize: int, name: str) -> None
                              f"{size / 2**30:.2f} GiB, above the {MAX_ARRAY_BYTES / 2**30:g} GiB array budget")
 
 
-def _ensure_size(value, name: str) -> int:
-    """``value`` as a Python int >= 1.  Integers, numpy's included, pass
-    through operator.index; a bool, a float or anything else raises
-    DimensionError, as does a value below 1."""
+def _ensure_size(value, name: str, low: int = 1, high: int | None = None) -> int:
+    """``value`` as a Python int in [low, high], the one check of every size.
+    Integers, numpy's included, pass through operator.index; a bool, a float
+    or anything else raises DimensionError, as does a value out of range."""
     try:
         size = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         size = None
-    if size is None or size < 1:
-        raise DimensionError(f"{name} must be an integer >= 1, got {value!r}")
+    if size is None or size < low:
+        raise DimensionError(f"need integer {name} >= {low}, got {value!r}")
+    if high is not None and size > high:
+        raise DimensionError(f"need integer {name} <= {high}, got {value!r}")
     return size
-
-
-def _ensure_min_dim(d: int, name: str = "d") -> None:
-    if d < 2:
-        raise DimensionError(f"need {name} >= 2, got {d}")
 
 
 def _ensure_positive(x: float, name: str) -> None:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .battery import EnvState, _validate_env
-from .errors import DimensionError, DomainError
-from .linalg import _ensure_array_fits, _ensure_grid, _ensure_min_dim, _ensure_positive
+from .errors import DomainError
+from .linalg import _ensure_array_fits, _ensure_grid, _ensure_positive, _ensure_size
 
 MAX_TRUNCATION = 1024  # largest d; a profile allocates one d x d basis and P x d spectra
 # a profile's memory per point besides its spectrum row: the record, its
@@ -36,14 +36,8 @@ class MetricParams:
     def __post_init__(self):
         _ensure_positive(self.M, "mass")
         _ensure_positive(self.r0, "offset r0")
-        _check_truncation(self.d)
+        object.__setattr__(self, "d", _ensure_size(self.d, "truncation d", 2, MAX_TRUNCATION))
         object.__setattr__(self, "r_grid", _ensure_grid(self.r_grid, "radial grid"))
-
-
-def _check_truncation(d: int) -> None:
-    _ensure_min_dim(d, "truncation d")
-    if d > MAX_TRUNCATION:
-        raise DimensionError(f"truncation d must be at most {MAX_TRUNCATION}, got {d}")
 
 
 def default_r0(M: float) -> float:
@@ -101,7 +95,7 @@ def _spectra(targets: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     bad = ~(targets >= 0)  # NaN is bad too
     if bad.any():
         raise DomainError(f"target phi must be nonnegative, got {float(targets[bad][0])}")
-    _check_truncation(d)
+    d = _ensure_size(d, "truncation d", 2, MAX_TRUNCATION)
     clipped = targets > d - 1
     spectra = np.zeros((targets.size, d))
     spectra[clipped, d - 1] = 1.0

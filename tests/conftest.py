@@ -149,39 +149,14 @@ def traced_peak_bytes(fn, *args):
 
 # --- the rejection tables -----------------------------------------------------
 # Every row of the library table (test_rejections.REJECTIONS) and of the CLI
-# table (test_cli.CLI_ERRORS) is run once, by the test its ``test`` tag names:
-# ``name``, or ``name[case]`` for a test with cases.  A row that replaced a
-# per-case test is tagged with that test's name, so the name stays in the
-# suite; every other row is tagged with the table's own test, ``table_test[id]``.
-
-
-def read_by(test, *rows):
-    """``rows`` tagged to be run by the test ``test``."""
-    return [row._replace(test=test) for row in rows]
-
-
-def tag_rest(table_test, rows):
-    """``rows``, each one still untagged tagged ``table_test[id]``."""
-    return [row if row.test else row._replace(test=f"{table_test}[{row.id}]") for row in rows]
+# table (test_cli.CLI_ERRORS) runs once, as ``test_rejection[id]`` or
+# ``test_error_exit[id]``.
 
 
 def forbidden(*args, **kwargs):
     """A stand-in for a call that a rejected input must never reach, such as
     an allocation the size budget refuses."""
     raise AssertionError("the command made a call it must not make")
-
-
-def tagged_rows(table, request):
-    """The rows of ``table`` tagged with the running test's node name."""
-    rows = [row for row in table if row.test == request.node.name]
-    assert rows, f"no row is tagged {request.node.name}"
-    return rows
-
-
-def cases(table, test):
-    """The case ids of the ``test[case]`` tags in ``table``, in table order."""
-    prefix = test + "["
-    return list(dict.fromkeys(row.test[len(prefix):-1] for row in table if (row.test or "").startswith(prefix)))
 
 
 # --- the command line --------------------------------------------------------

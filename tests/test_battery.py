@@ -21,7 +21,6 @@ from cpumap.dual_map import KRAUS_CHUNK_BYTES
 from cpumap.linalg import max_abs
 
 from conftest import (
-    cases,
     primal_loop,
     random_density,
     random_env,
@@ -30,7 +29,6 @@ from conftest import (
     swap_oracle,
     traced_peak_bytes,
 )
-from test_rejections import REJECTIONS, assert_tagged_rejections
 
 
 def test_number_operator():
@@ -345,31 +343,3 @@ def test_alignment_pure_top_reaches_zero_and_max():
 def test_env_state_needs_d_at_least_one():
     env = EnvState(dim=1, spectrum=[1.0], basis=np.eye(1))
     assert phi(env) == 0.0 and env.phi_max() == 0.0
-
-
-# --- rejections: rows of test_rejections.REJECTIONS tagged with these names ---
-
-
-def test_battery_config_validation(request):
-    assert_tagged_rejections(request)
-
-
-@pytest.mark.parametrize("case", cases(REJECTIONS, "test_simulate_charging_rejects_non_finite_times"))
-def test_simulate_charging_rejects_non_finite_times(case, request):
-    assert_tagged_rejections(request)
-
-
-def test_simulate_charging_rejects_overflowing_trajectory(request):
-    assert_tagged_rejections(request)
-
-
-def test_alignment_unitary_domain(request):
-    assert_tagged_rejections(request)
-
-
-def test_env_state_validation(request):
-    assert_tagged_rejections(request)
-
-
-def test_env_state_rejects_nan_spectrum(request):
-    assert_tagged_rejections(request)

@@ -11,7 +11,6 @@ from cpumap.choi import PSD_TOL
 from cpumap.linalg import HERM_TOL, _psd_verdicts, ensure_hermitian, max_abs
 
 from conftest import pencil_spec, psd_reference, random_hermitian, random_spec, rng_for
-from test_rejections import assert_tagged_rejections
 
 
 def kron_loop_oracle(a, b):
@@ -191,21 +190,6 @@ def test_choi_psd_verdicts_match_eigvalsh_reference_on_both_sides(n):
             assert_verdicts_match_reference(z, verdict)
             verdicts.add(verdict)
     assert verdicts == {True, False}
-
-
-# --- rejections: rows of test_rejections.REJECTIONS tagged with these names ---
-
-
-def test_partial_trace_dimension_mismatch(request):
-    assert_tagged_rejections(request)
-
-
-def test_eig_rejects_non_hermitian(request):
-    assert_tagged_rejections(request)
-
-
-def test_as_matrix_rejects_nonfinite(request):
-    assert_tagged_rejections(request)
 
 
 def test_numpy_integer_dimensions_pass_as_int():

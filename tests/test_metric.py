@@ -16,8 +16,7 @@ from cpumap import (
 )
 from cpumap import metric
 
-from conftest import cases, make_params, random_density, rng_for
-from test_rejections import REJECTIONS, assert_tagged_rejections
+from conftest import make_params, random_density, rng_for
 
 
 def test_dilation_factor_horizon_value():
@@ -94,7 +93,8 @@ def test_synth_env_round_trip():
 
 
 def test_build_profile_basic():
-    params = make_params()
+    params = make_params(d=np.int64(16))
+    assert type(params.d) is int and params.d == 16
     profile = build_profile(params)
     assert len(profile.records) == 3
     for rec in profile.records:
@@ -224,47 +224,3 @@ def test_shared_validator_rejects_bad_row_like_env_state():
         with pytest.raises(DomainError) as single:
             EnvState(dim=d, spectrum=np.array(bad), basis=eye)
         assert str(batched.value) == str(single.value)
-
-
-# --- rejections: rows of test_rejections.REJECTIONS tagged with these names ---
-
-
-def test_dilation_factor_domain(request):
-    assert_tagged_rejections(request)
-
-
-def test_dilation_factor_rejects_overflow(request):
-    assert_tagged_rejections(request)
-
-
-def test_truncation_cap(request):
-    assert_tagged_rejections(request)
-
-
-def test_synth_env_negative_target(request):
-    assert_tagged_rejections(request)
-
-
-def test_synth_env_rejects_nan_target(request):
-    assert_tagged_rejections(request)
-
-
-def test_metric_params_validation(request):
-    assert_tagged_rejections(request)
-
-
-def test_metric_params_rejects_nan_mass(request):
-    assert_tagged_rejections(request)
-
-
-def test_metric_params_rejects_infinite_offset(request):
-    assert_tagged_rejections(request)
-
-
-def test_metric_params_rejects_nan_grid(request):
-    assert_tagged_rejections(request)
-
-
-@pytest.mark.parametrize("case", cases(REJECTIONS, "test_metric_params_rejects_non_finite_grid"))
-def test_metric_params_rejects_non_finite_grid(case, request):
-    assert_tagged_rejections(request)

@@ -1,9 +1,7 @@
 """Every library rejection, one row each: the call, the exact error class it
 raises and, where the message matters, a pattern the message must contain.
 A new rejection case is one more row here, run as ``test_rejection[id]``
-(the CLI's error exits are the ``CLI_ERRORS`` table in ``test_cli.py``).  A
-row tagged with a topic test by ``read_by`` is run by that test instead (see
-``conftest``)."""
+(the CLI's error exits are the ``CLI_ERRORS`` table in ``test_cli.py``)."""
 
 import math
 from typing import Callable, NamedTuple
@@ -50,6 +48,7 @@ from cpumap import (
     selftest,
     serialize as ser,
     simulate_charging,
+    swap_unitary,
     synth_env,
     unitality_residual,
 )
@@ -61,7 +60,6 @@ from conftest import (
     NEGATED_IDENTITY_Z,
     OVERFLOWING_SPECS,
     OVERFLOWING_TRACE_Z,
-    cases,
     forbidden,
     make_params as params,
     pencil_spec,
@@ -70,9 +68,6 @@ from conftest import (
     random_hermitian,
     random_spec,
     rng_for,
-    read_by,
-    tag_rest,
-    tagged_rows,
 )
 
 
@@ -83,7 +78,6 @@ class Rejection(NamedTuple):
     call: Callable[[], object]
     cls: type
     match: str | None = None
-    test: str | None = None
     patch: dict | None = None
 
 
@@ -139,35 +133,29 @@ KRAUS_OPS = [
     {"tag": "B1", "matrix": {"rows": 2, "cols": 2, "re": ["x"] * 4, "im": [0.0] * 4}},
 ]
 
-REJECTIONS = tag_rest("test_rejection", [
+REJECTIONS = [
     # battery
     Rejection("number-operator-d1", lambda: number_operator(1), DimensionError),
-    *read_by("test_battery_config_validation",
-             Rejection("battery-rho0-trace-3", lambda: battery_config(rho0=np.eye(3)), InvalidDensityMatrix),
-             Rejection("battery-rate-zero", lambda: battery_config(rate=0.0), DomainError),
-             Rejection("battery-rate-nan", lambda: battery_config(rate=math.nan), DomainError),
-             Rejection("charging-descending-times",
-                       lambda: simulate_charging(battery_config(seeds=(415, 417)), [1.0, 0.0]), DomainError)),
+    Rejection("battery-rho0-trace-3", lambda: battery_config(rho0=np.eye(3)), InvalidDensityMatrix),
+    Rejection("battery-rate-zero", lambda: battery_config(rate=0.0), DomainError),
+    Rejection("battery-rate-nan", lambda: battery_config(rate=math.nan), DomainError),
+    Rejection("charging-descending-times", lambda: simulate_charging(battery_config(seeds=(415, 417)), [1.0, 0.0]),
+              DomainError),
     Rejection("battery-rho0-not-square", lambda: battery_config(rho0=np.ones((2, 3))), InvalidDensityMatrix,
               "square"),
     Rejection("charging-times-empty", lambda: simulate_charging(battery_config(seeds=(418, 419)), []), DomainError,
               "is empty"),
     *(Rejection(f"charging-times-{name}", lambda t=t: simulate_charging(battery_config(seeds=(418, 419)), t),
-                DomainError, test=f"test_simulate_charging_rejects_non_finite_times[times{i}]")
-      for i, (name, t) in enumerate(NON_FINITE_TIMES.items())),
-    *read_by("test_simulate_charging_rejects_overflowing_trajectory",
-             Rejection("charging-overflows", lambda: simulate_charging(
-                 battery_config(rate=1e300, seeds=(418, 419)), [0.0, 1e300]), DomainError)),
-    *read_by("test_alignment_unitary_domain",
-             Rejection("alignment-theta-1.5", lambda: alignment_unitary(4, 1.5), DomainError),
-             Rejection("alignment-d1", lambda: alignment_unitary(1, 0.5), DimensionError)),
-    *read_by("test_env_state_validation",
-             Rejection("env-weights-sum-1.1", lambda: env3([0.5, 0.4, 0.2]), DomainError),
-             Rejection("env-negative-weight", lambda: env3([1.2, -0.2, 0.0]), DomainError),
-             Rejection("env-basis-not-unitary", lambda: env3([0.5, 0.3, 0.2], 2.0 * np.eye(3, dtype=complex)),
-                       DomainError),
-             Rejection("env-spectrum-length", lambda: env3([0.5, 0.5]), DimensionError),
-             Rejection("env-nan-basis", lambda: env3([0.5, 0.3, 0.2], NAN_BASIS), DomainError)),
+                DomainError) for name, t in NON_FINITE_TIMES.items()),
+    Rejection("charging-overflows",
+              lambda: simulate_charging(battery_config(rate=1e300, seeds=(418, 419)), [0.0, 1e300]), DomainError),
+    Rejection("alignment-theta-1.5", lambda: alignment_unitary(4, 1.5), DomainError),
+    Rejection("alignment-d1", lambda: alignment_unitary(1, 0.5), DimensionError),
+    Rejection("env-weights-sum-1.1", lambda: env3([0.5, 0.4, 0.2]), DomainError),
+    Rejection("env-negative-weight", lambda: env3([1.2, -0.2, 0.0]), DomainError),
+    Rejection("env-basis-not-unitary", lambda: env3([0.5, 0.3, 0.2], 2.0 * np.eye(3, dtype=complex)), DomainError),
+    Rejection("env-spectrum-length", lambda: env3([0.5, 0.5]), DimensionError),
+    Rejection("env-nan-basis", lambda: env3([0.5, 0.3, 0.2], NAN_BASIS), DomainError),
     Rejection("env-d0", lambda: EnvState(dim=0, spectrum=[], basis=np.zeros((0, 0))), DimensionError),
     # a float or bool dimension once reached numpy and raised a bare TypeError
     Rejection("env-d-float", lambda: EnvState(dim=2.0, spectrum=[0.5, 0.5], basis=np.eye(2)), DimensionError,
@@ -176,9 +164,11 @@ REJECTIONS = tag_rest("test_rejection", [
               "integer"),
     Rejection("battery-d-float", lambda: BatteryConfig(d=3.0, env=random_env(rng_for(415), 3), rho0=RHO_3),
               DimensionError, "integer"),
+    Rejection("swap-unitary-d-float", lambda: swap_unitary(3.0), DimensionError, "integer"),
+    Rejection("alignment-d-float", lambda: alignment_unitary(4.0, 0.5), DimensionError, "integer"),
+    Rejection("number-operator-d-bool", lambda: number_operator(True), DimensionError, "integer"),
     # abs(nan - 1) > tol is False, so a NaN weight once slipped through
-    *read_by("test_env_state_rejects_nan_spectrum",
-             Rejection("env-nan-spectrum", lambda: env3([0.5, np.nan, 0.5]), DomainError)),
+    Rejection("env-nan-spectrum", lambda: env3([0.5, np.nan, 0.5]), DomainError),
     # the size budget refuses each array before it is allocated
     Rejection("env-kraus-above-budget", lambda: env_kraus(BIG_ENV), DimensionError, "budget",
               patch={"numpy.zeros": forbidden}),
@@ -190,86 +180,65 @@ REJECTIONS = tag_rest("test_rejection", [
     Rejection("env-rows-basis-not-unitary", lambda: _validate_env(
         metric._spectra(np.array([0.0, 1.5, 2.0, 9.0]), 4)[0], 2.0 * np.eye(4, dtype=complex)), DomainError),
     # choi; both residuals once returned inf, the fixed-point one after a numpy warning
-    *read_by("test_overflowing_residuals_raise_domain_error",
-             Rejection("unitality-residual-overflows", lambda: check_unital(OVERFLOWING_TRACE_Z), DomainError,
-                       "unitality residual"),
-             Rejection("fixed-point-residual-overflows",
-                       lambda: check_fixed_point(NEGATED_IDENTITY_Z, np.diag([1e308, 1.0])), DomainError,
-                       "fixed-point residual")),
+    Rejection("unitality-residual-overflows", lambda: check_unital(OVERFLOWING_TRACE_Z), DomainError,
+              "unitality residual"),
+    Rejection("fixed-point-residual-overflows", lambda: check_fixed_point(NEGATED_IDENTITY_Z, np.diag([1e308, 1.0])),
+              DomainError, "fixed-point residual"),
     # where Phi[A] itself overflows, the residual that holds it is what is reported
     Rejection("fixed-point-dual-action-overflows", lambda: check_fixed_point(
         build_fixed_point_choi(selftest.pencil_spec(42, 3, 0)), np.full((3, 3), 1.7e308)), DomainError,
         "fixed-point residual overflows"),
-    *read_by("test_check_fixed_point_dimension_mismatch",
-             Rejection("fixed-point-dimension-mismatch",
-                       lambda: check_fixed_point(build_fixed_point_choi(spec(*DIAG21)), np.eye(3)), DimensionError)),
-    *read_by("test_bounds_reject_dim_one",
-             Rejection("bounds-dim-one", lambda: positivity_bounds(spec([[2.0]], [1.0])), DimensionError)),
-    *read_by("test_zero_trace_rejected",
-             Rejection("zero-trace", lambda: spec(np.diag([1.0, -1.0]), [1.0, 0.0]), ZeroTrace)),
-    *read_by("test_zero_expectation_rejected",
-             Rejection("zero-expectation",
-                       lambda: spec(np.diag([1.0, -1.0, 1.0]), np.array([1.0, 1.0, 0.0]) / np.sqrt(2)),
-                       ZeroExpectation)),
+    Rejection("fixed-point-dimension-mismatch",
+              lambda: check_fixed_point(build_fixed_point_choi(spec(*DIAG21)), np.eye(3)), DimensionError),
+    Rejection("bounds-dim-one", lambda: positivity_bounds(spec([[2.0]], [1.0])), DimensionError),
+    Rejection("zero-trace", lambda: spec(np.diag([1.0, -1.0]), [1.0, 0.0]), ZeroTrace),
+    Rejection("zero-expectation", lambda: spec(np.diag([1.0, -1.0, 1.0]), np.array([1.0, 1.0, 0.0]) / np.sqrt(2)),
+              ZeroExpectation),
     # <v|A|v> = 1 = tr(A)/N
-    *read_by("test_degenerate_denominator_rejected",
-             Rejection("degenerate-denominator",
-                       lambda: spec(np.diag([2.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2)), DegenerateDenominator)),
-    *(Rejection(f"spec-overflows-{name}", lambda a=a, v=v: spec(a, v), DomainError,
-                test=f"test_overflowing_construction_rejected[{name}]")
+    Rejection("degenerate-denominator", lambda: spec(np.diag([2.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2)),
+              DegenerateDenominator),
+    *(Rejection(f"spec-overflows-{name}", lambda a=a, v=v: spec(a, v), DomainError)
       for name, (a, v) in OVERFLOWING_SPECS.items()),
     # a NaN v once passed the norm check
-    *read_by("test_nan_reference_vector_rejected",
-             Rejection("spec-nan-v", lambda: spec(np.eye(2), [np.nan, 0.0]), DimensionError)),
+    Rejection("spec-nan-v", lambda: spec(np.eye(2), [np.nan, 0.0]), DimensionError),
     Rejection("spec-v-norm-1.1", lambda: spec(DIAG21[0], [1.1, 0.0]), DimensionError),
     Rejection("spec-nan-a", lambda: spec([[np.nan, 0.0], [0.0, 1.0]], DIAG21[1]), DimensionError, "NaN or Inf"),
     Rejection("spec-non-hermitian-a", lambda: spec([[2.0, 1.0], [0.0, 1.0]], DIAG21[1]), HermiticityError),
-    *read_by("test_v_length_mismatch",
-             Rejection("spec-v-length", lambda: spec(DIAG21[0], [1.0, 0.0, 0.0]), DimensionError)),
+    Rejection("spec-v-length", lambda: spec(DIAG21[0], [1.0, 0.0, 0.0]), DimensionError),
     Rejection("choi-stack-above-budget", lambda: build_fixed_point_choi(BIG_SPEC), DimensionError, "budget",
               patch={"cpumap.choi._kron": forbidden}),
     Rejection("choi-d0", lambda: ChoiMatrix(dim=0, matrix=np.zeros((0, 0))), DimensionError),
     Rejection("choi-d-float", lambda: ChoiMatrix(dim=2.0, matrix=np.eye(4)), DimensionError, "integer"),
     # dual_map
-    *read_by("test_apply_dual_choi_dimension_mismatch",
-             Rejection("dual-choi-dimension-mismatch",
-                       lambda: apply_dual_choi(build_fixed_point_choi(random_spec(rng_for(304), 2)), np.eye(3)),
-                       DimensionError)),
-    *read_by("test_overflowing_idempotence_residual_raises_domain_error",
-             Rejection("idempotence-residual-overflows",
-                       lambda: idempotence_residual(NEGATED_IDENTITY_Z, np.diag([1e308, 1.0])), DomainError,
-                       "idempotence residual")),
+    Rejection("dual-choi-dimension-mismatch",
+              lambda: apply_dual_choi(build_fixed_point_choi(random_spec(rng_for(304), 2)), np.eye(3)),
+              DimensionError),
+    Rejection("idempotence-residual-overflows",
+              lambda: idempotence_residual(NEGATED_IDENTITY_Z, np.diag([1e308, 1.0])), DomainError,
+              "idempotence residual"),
     # three distinct eigenvalues with aligned v: unital but not completely positive
-    *read_by("test_kraus_rejects_non_positive_spec",
-             Rejection("kraus-non-positive-spec",
-                       lambda: kraus_from_fixed_point(spec(np.diag([3.0, 2.0, 1.0]), [1, 0, 0])),
-                       NegativeSqrtArgument)),
-    *read_by("test_evolve_linear_validates_inputs",
-             Rejection("evolve-rho-trace-2", lambda: evolve(rho=np.eye(2)), InvalidDensityMatrix),
-             Rejection("evolve-descending-times", lambda: evolve(times=[1.0, 0.5]), DomainError),
-             Rejection("evolve-negative-time", lambda: evolve(times=[-1.0, 0.5]), DomainError)),
-    *(Rejection(f"{route.__name__}-times-{name}", lambda t=t, route=route: evolve(times=t, route=route), DomainError,
-                test=f"test_evolve_rejects_non_finite_times[times{i}]")
-      for i, (name, t) in enumerate(NON_FINITE_TIMES.items()) for route in (evolve_linear, evolve_linear_euler)),
+    Rejection("kraus-non-positive-spec", lambda: kraus_from_fixed_point(spec(np.diag([3.0, 2.0, 1.0]), [1, 0, 0])),
+              NegativeSqrtArgument),
+    Rejection("evolve-rho-trace-2", lambda: evolve(rho=np.eye(2)), InvalidDensityMatrix),
+    Rejection("evolve-descending-times", lambda: evolve(times=[1.0, 0.5]), DomainError),
+    Rejection("evolve-negative-time", lambda: evolve(times=[-1.0, 0.5]), DomainError),
+    *(Rejection(f"{route.__name__}-times-{name}", lambda t=t, route=route: evolve(times=t, route=route), DomainError)
+      for name, t in NON_FINITE_TIMES.items() for route in (evolve_linear, evolve_linear_euler)),
     *(Rejection(f"{route.__name__}-times-empty", lambda route=route: evolve(times=[], route=route), DomainError,
                 "is empty") for route in (evolve_linear, evolve_linear_euler)),
     *(Rejection(f"{route.__name__}-rho-dim-3", lambda route=route: evolve(rho=RHO_3, route=route), DimensionError,
-                "rho shape", f"test_evolve_rejects_rho_of_wrong_dimension[{route.__name__}]")
-      for route in (evolve_linear, evolve_linear_euler)),
+                "rho shape") for route in (evolve_linear, evolve_linear_euler)),
     # evolve once printed the real part of a complex slope
     *(Rejection(f"{route.__name__}-non-hermitian-a0", lambda route=route: evolve(a0=np.diag([1.0, 1j]), route=route),
                 HermiticityError) for route in (evolve_linear, evolve_linear_euler)),
     Rejection("evolve-rate-negative", lambda: evolve(rate=-1.0), DomainError, "rate"),
     Rejection("evolve-rate-zero", lambda: evolve(rate=0.0), DomainError, "rate"),
-    *read_by("test_evolve_rejects_overflowing_trajectory",
-             Rejection("evolve-overflows", overflowing_evolution, DomainError)),
-    *read_by("test_kraus_set_validates_shapes",
-             Rejection("kraus-op-shape", lambda: KrausSet.from_ops(2, [("B0", np.eye(3))]), DimensionError),
-             Rejection("kraus-one-tag-two-ops", lambda: KrausSet(dim=2, stack=np.zeros((2, 2, 2)), tags=("B0",)),
-                       DimensionError),
-             Rejection("kraus-nan-op",
-                       lambda: KrausSet.from_ops(2, [("B0", np.array([[np.nan, 0.0], [0.0, 1.0]]))]),
-                       DimensionError)),
+    Rejection("evolve-overflows", overflowing_evolution, DomainError),
+    Rejection("kraus-op-shape", lambda: KrausSet.from_ops(2, [("B0", np.eye(3))]), DimensionError),
+    Rejection("kraus-one-tag-two-ops", lambda: KrausSet(dim=2, stack=np.zeros((2, 2, 2)), tags=("B0",)),
+              DimensionError),
+    Rejection("kraus-nan-op", lambda: KrausSet.from_ops(2, [("B0", np.array([[np.nan, 0.0], [0.0, 1.0]]))]),
+              DimensionError),
     Rejection("kraus-stack-above-budget", lambda: kraus_from_fixed_point(BIG_SPEC), DimensionError, "budget",
               patch={"numpy.empty": forbidden}),
     Rejection("choi-from-kraus-above-budget", lambda: choi_from_kraus(BIG_KRAUS), DimensionError, "budget",
@@ -278,28 +247,27 @@ REJECTIONS = tag_rest("test_rejection", [
     Rejection("kraus-d-float", lambda: KrausSet(dim=2.0, stack=np.eye(2)[None], tags=("B0",)), DimensionError,
               "integer"),
     # an empty set once applied as the zero map
-    *read_by("test_kraus_set_needs_an_operator",
-             Rejection("kraus-no-ops", lambda: KrausSet(dim=2, stack=np.zeros((0, 2, 2)), tags=()), DimensionError,
-                       "at least one operator"),
-             Rejection("kraus-no-pairs", lambda: KrausSet.from_ops(2, []), DimensionError, "at least one operator")),
-    *(row for name, k in OVERFLOWING_KRAUS.items() for row in read_by(
-        f"test_kraus_sums_reject_overflow[{name}-overflows]",
+    Rejection("kraus-no-ops", lambda: KrausSet(dim=2, stack=np.zeros((0, 2, 2)), tags=()), DimensionError,
+              "at least one operator"),
+    Rejection("kraus-no-pairs", lambda: KrausSet.from_ops(2, []), DimensionError, "at least one operator"),
+    *(row for name, k in OVERFLOWING_KRAUS.items() for row in (
         Rejection(f"kraus-{name}-overflows-dual-action", lambda k=k: apply_dual_kraus(k, np.eye(2)), DomainError,
                   "dual action overflows"),
         Rejection(f"kraus-{name}-overflows-unitality", lambda k=k: unitality_residual(k), DomainError,
                   "unitality residual overflows"))),
-    *read_by("test_apply_dual_kraus_rejects_nan_observable",
-             Rejection("dual-kraus-nan-observable", lambda: apply_dual_kraus(
-                 KrausSet.from_ops(2, [("B0", np.eye(2))]), np.array([[np.nan, 0.0], [0.0, 1.0]])), DimensionError,
-                 "NaN")),
+    Rejection("dual-kraus-nan-observable", lambda: apply_dual_kraus(
+        KrausSet.from_ops(2, [("B0", np.eye(2))]), np.array([[np.nan, 0.0], [0.0, 1.0]])), DimensionError, "NaN"),
     # linalg
-    *read_by("test_partial_trace_dimension_mismatch",
-             Rejection("partial-trace-shape", lambda: partial_trace_second(np.eye(6), 2, 2), DimensionError)),
-    *read_by("test_eig_rejects_non_hermitian",
-             Rejection("eig-non-hermitian", lambda: eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]])),
-                       HermiticityError)),
-    *read_by("test_as_matrix_rejects_nonfinite",
-             Rejection("as-matrix-nan", lambda: as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]])), DimensionError)),
+    Rejection("partial-trace-shape", lambda: partial_trace_second(np.eye(6), 2, 2), DimensionError),
+    # only the product d1 d2 was compared, so bad factors once reached reshape
+    Rejection("partial-trace-d-negative", lambda: partial_trace_second(np.eye(4), -2, -2), DimensionError,
+              "integer"),
+    Rejection("partial-trace-d-float", lambda: partial_trace_second(np.eye(4), 2.0, 2.0), DimensionError,
+              "integer"),
+    Rejection("partial-trace-d-bool", lambda: partial_trace_second(np.eye(1), True, True), DimensionError,
+              "integer"),
+    Rejection("eig-non-hermitian", lambda: eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]])), HermiticityError),
+    Rejection("as-matrix-nan", lambda: as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]])), DimensionError),
     # the residual 1 is far above HERM_TOL x max(1, ||M||_max) = 0.1
     Rejection("hermitian-large-entries-asymmetric",
               lambda: ensure_hermitian(np.array([[1e8, 1.0], [0.0, 1e8]])), HermiticityError),
@@ -307,96 +275,72 @@ REJECTIONS = tag_rest("test_rejection", [
     *(Rejection(f"is-psd-tol-{name}", lambda tol=tol: is_psd(np.diag([1.0, 0.0]), tol), DomainError, "tol")
       for name, tol in (("nan", math.nan), ("inf", math.inf), ("zero", 0.0), ("negative", -1e-9))),
     # metric
-    *read_by("test_dilation_factor_domain",
-             Rejection("dilation-r-zero", lambda: dilation_factor(0.0, 1.0), DomainError),
-             Rejection("dilation-r-negative", lambda: dilation_factor(-1.0, 1.0), DomainError),
-             Rejection("dilation-mass-zero", lambda: dilation_factor(2.0, 0.0), DomainError)),
-    *read_by("test_dilation_factor_rejects_overflow",
-             Rejection("dilation-mass-cubed-overflows", lambda: dilation_factor(1.0, 1e300), DomainError),
-             Rejection("dilation-factor-overflows", lambda: dilation_factor(1e-300, 1e100), DomainError)),
-    *read_by("test_truncation_cap",
-             Rejection("params-d-above-cap", lambda: params(d=metric.MAX_TRUNCATION + 1), DimensionError),
-             Rejection("synth-env-d-above-cap", lambda: synth_env(1.0, metric.MAX_TRUNCATION + 1), DimensionError)),
-    *read_by("test_synth_env_negative_target",
-             Rejection("synth-env-negative-target", lambda: synth_env(-0.5, 8), DomainError)),
+    Rejection("dilation-r-zero", lambda: dilation_factor(0.0, 1.0), DomainError),
+    Rejection("dilation-r-negative", lambda: dilation_factor(-1.0, 1.0), DomainError),
+    Rejection("dilation-mass-zero", lambda: dilation_factor(2.0, 0.0), DomainError),
+    Rejection("dilation-mass-cubed-overflows", lambda: dilation_factor(1.0, 1e300), DomainError),
+    Rejection("dilation-factor-overflows", lambda: dilation_factor(1e-300, 1e100), DomainError),
+    Rejection("params-d-above-cap", lambda: params(d=metric.MAX_TRUNCATION + 1), DimensionError),
+    Rejection("synth-env-d-above-cap", lambda: synth_env(1.0, metric.MAX_TRUNCATION + 1), DimensionError),
+    Rejection("synth-env-d-float", lambda: synth_env(0.5, 4.0), DimensionError, "integer"),
+    Rejection("synth-env-negative-target", lambda: synth_env(-0.5, 8), DomainError),
     # nan < 0 is False, so NaN once reached math.ceil and raised ValueError
-    *read_by("test_synth_env_rejects_nan_target",
-             Rejection("synth-env-nan-target", lambda: synth_env(math.nan, 8), DomainError)),
-    *read_by("test_metric_params_validation",
-             Rejection("params-mass-zero", lambda: params(M=0.0), DomainError),
-             Rejection("params-r0-zero", lambda: params(r0=0.0), DomainError),
-             Rejection("params-d1", lambda: params(d=1), DimensionError),
-             Rejection("params-grid-descending", lambda: params(grid=(2.0, 1.0)), DomainError),
-             Rejection("params-grid-negative", lambda: params(grid=(-1.0, 1.0)), DomainError)),
+    Rejection("synth-env-nan-target", lambda: synth_env(math.nan, 8), DomainError),
+    Rejection("params-mass-zero", lambda: params(M=0.0), DomainError),
+    Rejection("params-r0-zero", lambda: params(r0=0.0), DomainError),
+    Rejection("params-d1", lambda: params(d=1), DimensionError),
+    Rejection("params-d-float", lambda: params(d=4.0), DimensionError, "integer"),
+    Rejection("params-grid-descending", lambda: params(grid=(2.0, 1.0)), DomainError),
+    Rejection("params-grid-negative", lambda: params(grid=(-1.0, 1.0)), DomainError),
     # refused before the targets are computed
     *(Rejection(f"profile-above-budget-d{d}", lambda d=d, p=p: build_profile(params(d=d, grid=np.linspace(0, 10, p))),
                 DimensionError, "budget", patch={"cpumap.metric.offset_factor": forbidden,
                                                  "cpumap.metric._spectra": forbidden})
       for d, p in PROFILES_ABOVE_BUDGET),
     Rejection("params-grid-empty", lambda: params(grid=()), DomainError, "is empty"),
-    *read_by("test_metric_params_rejects_nan_mass",
-             Rejection("params-mass-nan", lambda: params(M=math.nan), DomainError)),
+    Rejection("params-mass-nan", lambda: params(M=math.nan), DomainError),
     # r0 = inf once gave an all-zero profile without complaint
-    *read_by("test_metric_params_rejects_infinite_offset",
-             Rejection("params-r0-inf", lambda: params(r0=math.inf), DomainError)),
-    *read_by("test_metric_params_rejects_nan_grid",
-             Rejection("params-grid-inner-nan", lambda: params(grid=(0.0, math.nan, 2.0)), DomainError),
-             Rejection("params-grid-leading-nan", lambda: params(grid=(math.nan, 1.0)), DomainError)),
+    Rejection("params-r0-inf", lambda: params(r0=math.inf), DomainError),
+    Rejection("params-grid-inner-nan", lambda: params(grid=(0.0, math.nan, 2.0)), DomainError),
+    Rejection("params-grid-leading-nan", lambda: params(grid=(math.nan, 1.0)), DomainError),
     # an infinite radius once gave the CSV row "inf,0,0,false"
-    *(Rejection(f"params-grid-{name}", lambda grid=grid: params(grid=grid), DomainError,
-                test=f"test_metric_params_rejects_non_finite_grid[{name}]")
+    *(Rejection(f"params-grid-{name}", lambda grid=grid: params(grid=grid), DomainError)
       for name, grid in {"zero-inf": (0.0, math.inf), "inf": (math.inf,), "zero-nan": (0.0, math.nan)}.items()),
     # serialize
-    *read_by("test_matrix_rejects_bad_payload",
-             Rejection("matrix-entry-count", lambda: ser.matrix_from_json(
-                 {"rows": 2, "cols": 2, "re": [1.0, 2.0], "im": [0.0, 0.0]}), DimensionError)),
-    *(Rejection(f"matrix-to-json-{name}", lambda m=m: ser.matrix_to_json(m), DimensionError,
-                test=f"test_matrix_to_json_rejects_non_finite_or_non_matrix[{name}]")
+    Rejection("matrix-entry-count", lambda: ser.matrix_from_json(
+        {"rows": 2, "cols": 2, "re": [1.0, 2.0], "im": [0.0, 0.0]}), DimensionError),
+    *(Rejection(f"matrix-to-json-{name}", lambda m=m: ser.matrix_to_json(m), DimensionError)
       for name, m in {"inf": np.array([[1.0, np.inf]]), "nan": np.array([[np.nan]]), "vector": np.ones(3)}.items()),
     *(Rejection(f"matrix-non-numeric-{name}", lambda change=change: ser.matrix_from_json(
-        {"rows": 1, "cols": 2, "re": [1.0, 1.0], "im": [0.0, 0.0], **change}), CpuMapError, repr(field),
-        f"test_matrix_rejects_non_numeric_payload[payload{i}-{field}]")
-      for i, (name, change, field) in enumerate((
+        {"rows": 1, "cols": 2, "re": [1.0, 1.0], "im": [0.0, 0.0], **change}), CpuMapError, repr(field))
+      for name, change, field in (
           ("string-re", {"re": ["x", 1.0]}, "re"), ("null-im", {"im": [0.0, None]}, "im"),
           ("string-rows", {"rows": "x"}, "rows"), ("float-cols", {"cols": 2.5}, "cols"),
-          ("ragged-re", {"re": [[1.0], [1.0, 2.0]]}, "re")))),
-    *read_by("test_decoders_reject_malformed_fields",
-             Rejection("vector-null-re", lambda: ser.vector_from_json({"re": [1.0, None], "im": [0.0, 0.0]}),
-                       CpuMapError, "'re'"),
-             Rejection("env-string-spectrum", lambda: ser.env_from_json(ENV_PAYLOAD), CpuMapError, "'spectrum'"),
-             Rejection("env-null-d", lambda: ser.env_from_json(dict(ENV_PAYLOAD, d=None)), CpuMapError, "'d'"),
-             Rejection("kraus-negative-dim", lambda: ser.kraus_from_json({"dim": -1, "ops": []}), CpuMapError,
-                       "'dim'"),
-             Rejection("matrix-list-root", lambda: ser.matrix_from_json([1.0, 2.0]), CpuMapError, "JSON object"),
-             Rejection("kraus-ops-not-list", lambda: ser.kraus_from_json({"dim": 2, "ops": 5}), CpuMapError,
-                       "'ops'"),
-             Rejection("kraus-op-not-object", lambda: ser.kraus_from_json({"dim": 2, "ops": [5]}), CpuMapError,
-                       "'matrix'")),
-    *read_by("test_kraus_decoder_reports_first_bad_entry",
-             Rejection("kraus-first-bad-entry", lambda: ser.kraus_from_json({"dim": 2, "ops": KRAUS_OPS}),
-                       DimensionError, "'B0'"),
-             Rejection("kraus-non-numeric-entry", lambda: ser.kraus_from_json({"dim": 2, "ops": KRAUS_OPS[1:]}),
-                       CpuMapError, "'re'")),
+          ("ragged-re", {"re": [[1.0], [1.0, 2.0]]}, "re"))),
+    Rejection("vector-null-re", lambda: ser.vector_from_json({"re": [1.0, None], "im": [0.0, 0.0]}), CpuMapError,
+              "'re'"),
+    Rejection("env-string-spectrum", lambda: ser.env_from_json(ENV_PAYLOAD), CpuMapError, "'spectrum'"),
+    Rejection("env-null-d", lambda: ser.env_from_json(dict(ENV_PAYLOAD, d=None)), CpuMapError, "'d'"),
+    Rejection("kraus-negative-dim", lambda: ser.kraus_from_json({"dim": -1, "ops": []}), CpuMapError, "'dim'"),
+    Rejection("matrix-list-root", lambda: ser.matrix_from_json([1.0, 2.0]), CpuMapError, "JSON object"),
+    Rejection("kraus-ops-not-list", lambda: ser.kraus_from_json({"dim": 2, "ops": 5}), CpuMapError, "'ops'"),
+    Rejection("kraus-op-not-object", lambda: ser.kraus_from_json({"dim": 2, "ops": [5]}), CpuMapError, "'matrix'"),
+    Rejection("kraus-first-bad-entry", lambda: ser.kraus_from_json({"dim": 2, "ops": KRAUS_OPS}), DimensionError,
+              "'B0'"),
+    Rejection("kraus-non-numeric-entry", lambda: ser.kraus_from_json({"dim": 2, "ops": KRAUS_OPS[1:]}), CpuMapError,
+              "'re'"),
     # the CLI grid parser
-    *read_by("test_non_numeric_grid_is_validation_error",
-             Rejection("grid-non-numeric", lambda: parse_grid("a:b:3"), DomainError),
-             Rejection("grid-fractional-count", lambda: parse_grid("0:1:2.5"), DomainError)),
-    *read_by("test_parse_grid_caps_count",
-             Rejection("grid-count-above-cap", lambda: parse_grid(f"0:1:{MAX_GRID_POINTS + 1}"), DomainError),
-             Rejection("grid-minus-inf", lambda: parse_grid("-inf:1:1"), DomainError)),
-])
+    Rejection("grid-non-numeric", lambda: parse_grid("a:b:3"), DomainError),
+    Rejection("grid-fractional-count", lambda: parse_grid("0:1:2.5"), DomainError),
+    Rejection("grid-count-above-cap", lambda: parse_grid(f"0:1:{MAX_GRID_POINTS + 1}"), DomainError),
+    Rejection("grid-minus-inf", lambda: parse_grid("-inf:1:1"), DomainError),
+]
 
 
-def assert_tagged_rejections(request):
-    """Run the rows tagged with the running test: each raises exactly its class."""
-    for row in tagged_rows(REJECTIONS, request):
-        with pytest.raises(row.cls, match=row.match) as caught, pytest.MonkeyPatch.context() as patch:
-            for target, value in (row.patch or {}).items():
-                patch.setattr(target, value)
-            row.call()
-        assert type(caught.value) is row.cls, row.id
-
-
-@pytest.mark.parametrize("case", cases(REJECTIONS, "test_rejection"))
-def test_rejection(case, request):
-    assert_tagged_rejections(request)
+@pytest.mark.parametrize("row", REJECTIONS, ids=lambda row: row.id)
+def test_rejection(row):
+    with pytest.raises(row.cls, match=row.match) as caught, pytest.MonkeyPatch.context() as patch:
+        for target, value in (row.patch or {}).items():
+            patch.setattr(target, value)
+        row.call()
+    assert type(caught.value) is row.cls

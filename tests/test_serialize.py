@@ -14,8 +14,7 @@ from cpumap import (
 )
 from cpumap import serialize as ser
 
-from conftest import cases, pencil_spec, random_density, rng_for
-from test_rejections import REJECTIONS, assert_tagged_rejections
+from conftest import pencil_spec, random_density, rng_for
 
 
 def test_matrix_round_trip():
@@ -159,28 +158,3 @@ def test_matrix_json_bytes_match_per_element_reference():
     re = _per_element_dumps([float(x) for x in m.real.reshape(-1)]).rstrip("\n")
     im = _per_element_dumps([float(x) for x in m.imag.reshape(-1)]).rstrip("\n")
     assert s == f'{{"rows":4,"cols":5,"re":{re},"im":{im}}}\n'
-
-
-# --- rejections: rows of test_rejections.REJECTIONS tagged with these names ---
-
-
-def test_matrix_rejects_bad_payload(request):
-    assert_tagged_rejections(request)
-
-
-@pytest.mark.parametrize("case", cases(REJECTIONS, "test_matrix_to_json_rejects_non_finite_or_non_matrix"))
-def test_matrix_to_json_rejects_non_finite_or_non_matrix(case, request):
-    assert_tagged_rejections(request)
-
-
-@pytest.mark.parametrize("case", cases(REJECTIONS, "test_matrix_rejects_non_numeric_payload"))
-def test_matrix_rejects_non_numeric_payload(case, request):
-    assert_tagged_rejections(request)
-
-
-def test_decoders_reject_malformed_fields(request):
-    assert_tagged_rejections(request)
-
-
-def test_kraus_decoder_reports_first_bad_entry(request):
-    assert_tagged_rejections(request)
