@@ -120,12 +120,14 @@ class BatteryConfig:
 def number_operator(d: int) -> np.ndarray:
     """diag(0, 1, ..., d-1): the excitation-number observable."""
     d = _ensure_size(d, "d", 2)
+    _ensure_array_fits((d, d), 16, "number operator")
     return np.diag(np.arange(d, dtype=float)).astype(complex)
 
 
 def swap_unitary(d: int) -> np.ndarray:
     """Permutation exchanging the two tensor factors; U^2 = I and U = U^dagger."""
     d = _ensure_size(d, "d", 2)
+    _ensure_array_fits((d * d, d * d), 8, "swap unitary")
     n, r = np.divmod(np.arange(d * d), d)
     u = np.zeros((d * d, d * d))
     u[n * d + r, r * d + n] = 1.0
@@ -226,6 +228,7 @@ def alignment_unitary(d: int, theta: float) -> np.ndarray:
     d = _ensure_size(d, "d", 2)
     if not 0.0 <= theta <= 1.0:
         raise DomainError(f"theta must lie in [0, 1], got {theta}")
+    _ensure_array_fits((d, d), 8, "alignment unitary")
     angle = (1.0 - theta) * np.pi / 2.0
     a = np.arange(d // 2)
     b = d - 1 - a

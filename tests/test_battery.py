@@ -85,26 +85,30 @@ def test_swap_unitary_involution():
         assert np.array_equal(u, u.conj().T)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
-def test_swap_oracle_equals_full_product(d):
-    from cpumap.selftest import _swap_oracle_arrays, _swap_traced
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+def test_swap_oracle_equals_full_product(d, monkeypatch):
+    from cpumap import selftest
 
     rng = rng_for(331, d)
     u = swap_unitary(d)
-    arrays = _swap_oracle_arrays(d)
-    joint = arrays[1]
-    for array in arrays[1:]:
-        array.fill(np.nan)  # anything read before it is written shows in the result
+    joint, cols, vals = selftest._swap_oracle_arrays(d)
+    joint.fill(np.nan)  # anything read before it is written shows in the result
     for _ in range(2):  # the second pair must not see the first
         rho, sigma = random_density(rng, d), random_env(rng, d).sigma_fock()
         # the selftest's product into its joint array is np.kron's, bit for bit
         np.multiply(rho[:, None, :, None], sigma[None, :, None, :], out=joint.reshape(d, d, d, d))
         assert np.array_equal(joint, np.kron(rho, sigma))
-        assert np.array_equal(_swap_traced(*arrays), swap_oracle(rho, sigma, d))
-    # a joint matrix that is neither a product nor Hermitian
-    joint[:] = rng.normal(size=joint.shape) + 1j * rng.normal(size=joint.shape)
-    expected = partial_trace_second(u @ joint @ u.conj().T, d, d)
-    assert np.array_equal(_swap_traced(*arrays), expected)
+        assert np.array_equal(selftest._swap_traced(joint, cols, vals), swap_oracle(rho, sigma, d))
+    # a joint matrix that is neither a product nor Hermitian, under U and under
+    # a signed and scaled U, which shows that the oracle applies U's values
+    generic = rng.normal(size=joint.shape) + 1j * rng.normal(size=joint.shape)
+    scaled = u * np.resize([1.0, -1.0, 0.5], (d * d, 1))
+    monkeypatch.setattr(selftest, "swap_unitary", lambda d: scaled)
+    for unitary, arrays in ((u, (joint, cols, vals)), (scaled, selftest._swap_oracle_arrays(d))):
+        arrays[0][:] = generic
+        expected = partial_trace_second(unitary @ generic @ unitary.conj().T, d, d)
+        assert np.array_equal(selftest._swap_traced(*arrays), expected)
+    assert not np.array_equal(expected, partial_trace_second(u @ generic @ u.conj().T, d, d))
 
 
 def test_env_kraus_pure_aligned_replacement():

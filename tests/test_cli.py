@@ -351,3 +351,4 @@ def test_failing_selftest_report(monkeypatch):
     assert len(selftest.CHECKS) == len(FAILING_CHECKS)
     monkeypatch.setattr(selftest, "CHECKS", FAILING_CHECKS)
     assert selftest.run_selftest(3) == (SELFTEST_STUB_REPORT, False)
+    assert selftest.run_selftest(np.int64(3)) == (SELFTEST_STUB_REPORT, False)  # taken as the int 3

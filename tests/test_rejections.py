@@ -175,6 +175,16 @@ REJECTIONS = [
     # dual_apply_number holds no stack, but the budget still bounds its O(d^5) work
     Rejection("dual-apply-number-above-budget", lambda: dual_apply_number(BIG_ENV), DimensionError, "budget",
               patch={"numpy.zeros": forbidden, "numpy.empty": forbidden}),
+    # swap_unitary(200) asks for 12.8 GB, number_operator(20000) for 6.4 GB, alignment_unitary(20000) for 3.2 GB
+    Rejection("swap-unitary-above-budget", lambda: swap_unitary(200), DimensionError, "budget",
+              patch={"numpy.zeros": forbidden, "numpy.arange": forbidden}),
+    Rejection("number-operator-above-budget", lambda: number_operator(20_000), DimensionError, "budget",
+              patch={"numpy.diag": forbidden, "numpy.arange": forbidden}),
+    Rejection("alignment-unitary-above-budget", lambda: alignment_unitary(20_000, 0.5), DimensionError, "budget",
+              patch={"numpy.eye": forbidden, "numpy.arange": forbidden}),
+    # the selftest seed: a float once escaped as numpy's TypeError, and True ran and printed seed=True
+    *(Rejection(f"selftest-seed-{name}", lambda seed=seed: selftest.run_selftest(seed), DomainError, "integer",
+                patch={"cpumap.selftest.CHECKS": (forbidden,)}) for name, seed in {"float": 1.5, "bool": True}.items()),
     Rejection("dual-apply-number-d1", lambda: dual_apply_number(EnvState(dim=1, spectrum=[1.0], basis=np.eye(1))),
               DimensionError, "d >= 2"),
     Rejection("env-rows-basis-not-unitary", lambda: _validate_env(
