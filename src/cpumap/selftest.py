@@ -324,11 +324,8 @@ def check_alignment_monotone(seed: int):
 def check_metric_profile(seed: int):
     params = MetricParams(M=1.0, r0=0.1, d=16, r_grid=np.linspace(0.0, 10.0, 50))
     profile = build_profile(params)
-    finite = all(
-        math.isfinite(rec.target_factor) and math.isfinite(rec.phi_achieved)
-        for rec in profile.records
-    )
-    horizon_r = min(profile.records, key=lambda rec: abs(rec.r - 2.0 * params.M)).r
+    finite = bool(np.all(np.isfinite(profile.target)) and np.all(np.isfinite(profile.phi)))
+    horizon_r = float(profile.r[np.argmin(np.abs(profile.r - 2.0 * params.M))])
     direct = 32.0 * params.M**3 * math.exp(-(horizon_r + params.r0) / (2 * params.M)) / (
         horizon_r + params.r0
     )
@@ -342,7 +339,7 @@ def check_metric_profile(seed: int):
             BatteryConfig(d=params.d, env=rec.env, rho0=rho0), np.array([0.0, 1.0])
         )
         slope_worst = max(slope_worst, abs(trace.phi_fit - rec.target_factor))
-    clipped = sum(1 for rec in profile.records if rec.clipped)
+    clipped = int(np.count_nonzero(profile.clipped))
     ok = finite and horizon_ok and slope_worst < 1e-9
     return [
         _line(

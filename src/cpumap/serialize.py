@@ -170,11 +170,7 @@ def _kraus_pairs(entries):
 
 
 def env_to_json(env: EnvState) -> dict:
-    return _env_json(env, matrix_to_json(env.basis))
-
-
-def _env_json(env: EnvState, basis: dict) -> dict:
-    return {"d": int(env.dim), "spectrum": env.spectrum.tolist(), "V": basis}
+    return {"d": int(env.dim), "spectrum": env.spectrum.tolist(), "V": matrix_to_json(env.basis)}
 
 
 def env_from_json(obj: dict) -> EnvState:
@@ -202,33 +198,27 @@ def trace_to_json(trace: EvolutionTrace) -> dict:
     }
 
 
+def _profile_rows(profile: MetricProfile):
+    """(r, target, phi, clipped) per point, as Python floats and bools."""
+    return zip(profile.r.tolist(), profile.target.tolist(), profile.phi.tolist(),
+               profile.clipped.tolist())
+
+
 def profile_to_csv(profile: MetricProfile) -> str:
     lines = ["r,target,phi,clipped"]
-    for rec in profile.records:
-        flag = "true" if rec.clipped else "false"
-        lines.append(
-            f"{fmt(rec.r)},{fmt(rec.target_factor)},{fmt(rec.phi_achieved)},{flag}"
-        )
+    for r, target, phi, flag in _profile_rows(profile):
+        lines.append(f"{fmt(r)},{fmt(target)},{fmt(phi)},{'true' if flag else 'false'}")
     return "\n".join(lines) + "\n"
 
 
 def profile_to_json(profile: MetricProfile, verbose: bool = False) -> dict:
-    # the records of a built profile share one basis array: format it once
-    bases: dict[int, _Emitted] = {}
-    records = []
-    for rec in profile.records:
-        entry = {
-            "r": float(rec.r),
-            "target": float(rec.target_factor),
-            "phi": float(rec.phi_achieved),
-            "clipped": bool(rec.clipped),
-        }
-        if verbose:
-            basis = rec.env.basis
-            if id(basis) not in bases:
-                bases[id(basis)] = _Emitted(matrix_to_json(basis))
-            entry["env"] = _env_json(rec.env, bases[id(basis)])
-        records.append(entry)
+    records = [{"r": r, "target": target, "phi": phi, "clipped": flag}
+               for r, target, phi, flag in _profile_rows(profile)]
+    if verbose:
+        # every environment shares the profile's one basis: format it once
+        d, basis = int(profile.params.d), _Emitted(matrix_to_json(profile.basis))
+        for entry, spectrum in zip(records, profile.spectra.tolist()):
+            entry["env"] = {"d": d, "spectrum": spectrum, "V": basis}
     return {
         "M": float(profile.params.M),
         "r0": float(profile.params.r0),

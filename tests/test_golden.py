@@ -2,13 +2,17 @@
 deliberate output change edits the file.  Acceptance criterion 9 pins the
 seed-42 selftest report, and ``golden_n3_{A,v}.json`` are inputs."""
 
+import json
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from conftest import run_cli
+from cpumap import MetricParams, build_profile, metric, serialize as ser
+
+from conftest import forbidden, run_cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -47,3 +51,19 @@ def test_output_matches_pinned_file(tmp_path, name):
         assert run_cli(argv + ["--out", str(tmp_path / name)])[0] == 0
         output = (tmp_path / name).read_bytes()
     assert output == (DATA / name).read_bytes()
+
+
+def test_profile_outputs_never_build_records(tmp_path, monkeypatch):
+    # the writers read the columns; reading .records here fails the test
+    monkeypatch.setattr(metric.MetricProfile, "records", property(forbidden))
+    csv, verbose = ((DATA / f"golden_profile_M1_d16.{ext}").read_bytes() for ext in ("csv", "json"))
+    profile = build_profile(MetricParams(M=1.0, r0=0.1, d=16, r_grid=np.linspace(0.0, 10.0, 200)))
+    plain = json.loads(verbose)
+    for entry in plain["records"]:
+        del entry["env"]
+    assert ser.profile_to_csv(profile).encode() == csv
+    assert ser.dumps(ser.profile_to_json(profile, verbose=True)).encode() == verbose
+    assert ser.dumps(ser.profile_to_json(profile)) == ser.dumps(plain)
+    for name in ("golden_profile_M1_d16.csv", "golden_profile_M1_d16.json"):
+        assert run_cli(PINNED[name] + ["--out", str(tmp_path / name)])[0] == 0
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()

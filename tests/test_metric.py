@@ -207,6 +207,10 @@ def test_build_profile_shares_read_only_arrays():
     assert not basis.flags.writeable
     with pytest.raises(ValueError):
         profile.records[3].env.spectrum[0] = 0.5
+    assert basis is profile.basis and profile.records[3].env.spectrum.base is profile.spectra
+    for name in ("r", "target", "phi", "clipped", "spectra", "basis"):
+        with pytest.raises(ValueError):
+            getattr(profile, name)[0] = 0
 
 
 def test_shared_validator_rejects_bad_row_like_env_state():

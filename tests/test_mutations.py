@@ -8,7 +8,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from cpumap import selftest, swap_unitary
+from cpumap import evolve_linear_euler, metric, selftest, swap_unitary
+from cpumap.linalg import _psd_verdicts
+
+SPECTRA = metric._spectra
 
 
 class Mutation(NamedTuple):
@@ -31,6 +34,17 @@ def extra_nonzero(d):
     return u
 
 
+def leaky_spectra(targets, d):
+    """Move 1e-6 of weight from each unclipped row's upper level to level 0:
+    the spectra stay valid, but their phi falls below the target."""
+    spectra, clipped = SPECTRA(targets, d)
+    rows = np.flatnonzero(~clipped)
+    upper = d - 1 - np.argmax(spectra[rows, ::-1] > 0, axis=1)
+    spectra[rows, upper] -= 1e-6
+    spectra[rows, 0] += 1e-6
+    return spectra, clipped
+
+
 MUTATIONS = [
     Mutation("swap-unitary-rows-exchanged", "cpumap.selftest.swap_unitary", swapped_rows,
              selftest.check_battery_oracle, "battery-replacement"),
@@ -38,6 +52,15 @@ MUTATIONS = [
              selftest.check_battery_oracle, "battery-replacement"),
     Mutation("swap-unitary-identity", "cpumap.selftest.swap_unitary", lambda d: np.eye(d * d),
              selftest.check_battery_oracle, "battery-replacement"),
+    # the slopes are compared with the target column, not with the phi column
+    # computed from the same spectra
+    Mutation("profile-spectra-leak", "cpumap.metric._spectra", leaky_spectra,
+             selftest.check_metric_profile, "metric-profile"),
+    Mutation("euler-scaled", "cpumap.selftest.evolve_linear_euler",
+             lambda *args, **kwargs: evolve_linear_euler(*args, **kwargs) * (1 + 1e-6),
+             selftest.check_evolution, "euler-vs-closed-form"),
+    Mutation("psd-tol-negated", "cpumap.selftest._psd_verdicts", lambda stack, tol: _psd_verdicts(stack, -tol),
+             selftest.check_equivalence, "positivity-equivalence"),
 ]
 
 

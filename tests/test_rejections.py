@@ -123,9 +123,9 @@ OVERFLOWING_KRAUS = {
 BIG_SPEC = FixedPointSpec(a=np.diag([2.0] + [1.0] * 95), v=np.eye(96)[0])
 BIG_ENV = EnvState(dim=96, spectrum=np.eye(96)[0], basis=np.eye(96, dtype=complex))
 BIG_KRAUS = KrausSet.from_ops(96, [("B0", np.eye(96))])
-# (d, P): 2e5 spectrum rows at d = 1024 need 1.53 GiB; at d = 2 the records of
-# 2.1e6 points take the budget
-PROFILES_ABOVE_BUDGET = ((1024, 200_000), (2, 2_100_000))
+# (d, P): 2e5 spectrum rows at d = 1024 need 1.53 GiB; at d = 2 the columns and
+# transient floats of 1.4e7 points (metric.POINT_BYTES each) take the budget
+PROFILES_ABOVE_BUDGET = ((1024, 200_000), (2, 14_000_000))
 ENV_PAYLOAD = {"d": 2, "spectrum": [1.0, "0"], "V": ser.matrix_to_json(np.eye(2))}
 # entry 0 has the wrong shape, entry 1 a non-numeric entry: 0 is reported first
 KRAUS_OPS = [
