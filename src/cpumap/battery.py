@@ -57,6 +57,15 @@ def _validate_env(spectra: np.ndarray, basis: np.ndarray) -> None:
         raise DomainError("basis is not unitary within 1e-9")
 
 
+def _prevalidated(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given,
+    without its __init__ or __post_init__: only for fields that already passed
+    every check the constructor would make."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class EnvState:
     """Environment state: spectrum {sigma_j} and eigenbasis-to-Fock unitary.
@@ -80,15 +89,6 @@ class EnvState:
         _validate_env(sig, v)
         object.__setattr__(self, "spectrum", sig)
         object.__setattr__(self, "basis", v)
-
-    @classmethod
-    def _prevalidated(cls, dim: int, spectrum: np.ndarray, basis: np.ndarray) -> EnvState:
-        """EnvState from arrays that already passed _validate_env, not checked again."""
-        env = object.__new__(cls)
-        object.__setattr__(env, "dim", dim)
-        object.__setattr__(env, "spectrum", spectrum)
-        object.__setattr__(env, "basis", basis)
-        return env
 
     def sigma_fock(self) -> np.ndarray:
         """The state V diag(sigma) V^dagger in the Fock basis."""

@@ -224,6 +224,6 @@ def _ensure_grid(values, name: str) -> np.ndarray:
     t = np.asarray(values, dtype=float).reshape(-1)
     if t.size == 0:
         raise DomainError(f"{name} is empty")
-    if not (np.all(np.isfinite(t)) and t[0] >= 0 and np.all(np.diff(t) >= 0)):
+    if not (np.all(np.isfinite(t)) and t[0] >= 0 and np.all(t[1:] >= t[:-1])):
         raise DomainError(f"{name} must be finite, ascending and nonnegative")
     return t

@@ -283,7 +283,7 @@ CLI_ERRORS = [
     # spectra and a 1.27 GiB Choi matrix at N = 96
     ErrorExit("metric-profile-above-budget", ["metric-profile", "--M", "1", "--d", "1024", "--grid", "0:10:10000000"],
               {}, 2, "dimension", "GiB array budget",
-              patch={"cpumap.metric.offset_factor": forbidden, "cpumap.metric._spectra": forbidden}),
+              patch={"cpumap.metric._targets": forbidden, "cpumap.metric._spectra": forbidden}),
     ErrorExit("choi-build-above-budget", COMMANDS["choi-build"],
               spec_payloads(np.diag([2.0] + [1.0] * 95), np.eye(96)[0]), 2, "dimension", "GiB array budget",
               patch={"cpumap.choi._kron": forbidden}),
@@ -291,9 +291,11 @@ CLI_ERRORS = [
     ErrorExit("negative-seed", ["selftest", "--seed", "-1"], {}, 2, "domain",
               patch={"cpumap.selftest.CHECKS": (forbidden,)}),
     # overflows: these once wrote inf, warned or ended in a traceback
-    *(ErrorExit(name, ["metric-profile", "--grid", "0:10:5", *extra], {}, 2, "domain")
-      for name, extra in {"mass-cubed-overflows": ["--M", "1e300"],
-                          "factor-overflows": ["--M", "1e100", "--r0", "1e-300", "--format", "json"]}.items()),
+    *(ErrorExit(name, ["metric-profile", "--grid", "0:10:5", *extra], {}, 2, "domain",
+                f"dilation factor at r={r}, M={M} is not finite")
+      for name, extra, r, M in (("mass-cubed-overflows", ["--M", "1e300"], "1e+299", "1e+300"),
+                                ("factor-overflows", ["--M", "1e100", "--r0", "1e-300", "--format", "json"],
+                                 "1e-300", "1e+100"))),
     ErrorExit("dual-action-overflows-Z", ["map-apply", "--Z", "{Z}", "--B", "{B}"],
               {"Z": ser.choi_to_json(build_fixed_point_choi(PENCIL)), "B": OVERFLOWING_B}, 2, "domain"),
     ErrorExit("dual-action-overflows-kraus", ["map-apply", "--kraus", "{kraus}", "--B", "{B}"],

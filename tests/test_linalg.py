@@ -8,9 +8,10 @@ from cpumap import (
     partial_trace_second,
 )
 from cpumap.choi import PSD_TOL
-from cpumap.linalg import HERM_TOL, _psd_verdicts, ensure_hermitian, max_abs
+from cpumap.errors import DomainError
+from cpumap.linalg import HERM_TOL, _ensure_grid, _psd_verdicts, ensure_hermitian, max_abs
 
-from conftest import pencil_spec, psd_reference, random_hermitian, random_spec, rng_for
+from conftest import pencil_spec, psd_reference, random_hermitian, random_spec, rng_for, traced_peak_bytes
 
 
 def kron_loop_oracle(a, b):
@@ -199,3 +200,14 @@ def test_numpy_integer_dimensions_pass_as_int():
     assert type(BatteryConfig(d=d, env=env, rho0=np.eye(2) / 2).d) is int
     assert type(KrausSet(dim=d, stack=np.eye(2)[None], tags=("B0",)).dim) is int
     assert type(ChoiMatrix(dim=d, matrix=np.eye(4)).dim) is int
+
+
+def test_grid_check_allocates_bools_not_a_float_difference():
+    p = 10**6
+    grid = np.linspace(0.0, 1.0, p)
+    assert np.shares_memory(_ensure_grid(grid, "grid"), grid)  # no copy of the grid
+    # one P-byte bool array at a time; a float difference would take 8P
+    assert traced_peak_bytes(_ensure_grid, grid, "grid") < 1.5 * p
+    grid[p // 2] = grid[p // 2 - 1] - 1e-9
+    with pytest.raises(DomainError, match="ascending"):
+        _ensure_grid(grid, "grid")

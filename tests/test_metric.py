@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from cpumap import (
     BatteryConfig,
     DomainError,
     EnvState,
+    ProfileRecord,
     build_profile,
     dilation_factor,
     offset_factor,
@@ -157,11 +159,11 @@ def loop_synth_env(target_phi, d):
     return EnvState(dim=d, spectrum=spectrum, basis=eye), False
 
 
-def assert_profile_equals_loop(params):
+def assert_profile_equals_loop(params, target_at=metric.offset_factor):
     profile = build_profile(params)
     assert len(profile.records) == params.r_grid.size
     for r, rec in zip(params.r_grid, profile.records):
-        target = metric.offset_factor(float(r), params)
+        target = target_at(float(r), params)
         env, clipped = loop_synth_env(target, params.d)
         assert rec.r == float(r)
         assert rec.target_factor == target
@@ -188,10 +190,10 @@ def test_build_profile_equals_per_point_loop(d):
 @pytest.mark.parametrize("d", [2, 3, 12, 16, 20, 32])
 def test_build_profile_equals_loop_on_exact_targets(monkeypatch, d):
     # the target at r is r itself: integers, exactly d - 1, and just above it
-    monkeypatch.setattr(metric, "offset_factor", lambda r, params: r)
+    monkeypatch.setattr(metric, "_targets", lambda r, params: r.copy())
     top = float(d - 1)
     grid = sorted({0.0, 0.25, 1.0, 2.0, top - 0.5, top, math.nextafter(top, math.inf), top + 3.0})
-    profile = assert_profile_equals_loop(make_params(d=d, grid=grid))
+    profile = assert_profile_equals_loop(make_params(d=d, grid=grid), lambda r, params: r)
     by_target = {rec.target_factor: rec for rec in profile.records}
     assert not by_target[top].clipped and by_target[top].phi_achieved == top
     assert by_target[math.nextafter(top, math.inf)].clipped
@@ -211,6 +213,42 @@ def test_build_profile_shares_read_only_arrays():
     for name in ("r", "target", "phi", "clipped", "spectra", "basis"):
         with pytest.raises(ValueError):
             getattr(profile, name)[0] = 0
+
+
+@pytest.mark.parametrize("d", [2, 16, 1024])
+def test_records_equal_validated_constructors(monkeypatch, d):
+    # one zero, one mixed, exactly d - 1 and one clipped target: each check at d = 1024 costs 0.1 s
+    monkeypatch.setattr(metric, "_targets", lambda r, params: r.copy())
+    profile = build_profile(make_params(d=d, grid=(0.0, 0.25, d - 1.0, d + 2.0)))
+    records = profile.records
+    assert [rec.clipped for rec in records] == [False, False, False, True]
+    for i, rec in enumerate(records):
+        env = EnvState(dim=d, spectrum=profile.spectra[i], basis=profile.basis)
+        ref = ProfileRecord(r=float(profile.r[i]), target_factor=float(profile.target[i]),
+                            phi_achieved=float(profile.phi[i]), clipped=bool(profile.clipped[i]), env=env)
+        # == on two records would compare distinct arrays, which has no one truth value,
+        # so the environments are compared apart
+        assert dataclasses.replace(rec, env=None) == dataclasses.replace(ref, env=None)
+        assert rec.env.dim == env.dim and type(rec.env.dim) is int
+        assert np.array_equal(rec.env.spectrum, env.spectrum) and rec.env.spectrum.dtype == env.spectrum.dtype
+        assert np.array_equal(rec.env.basis, env.basis) and rec.env.basis.dtype == env.basis.dtype
+        assert repr(rec) == repr(ref)
+        assert rec.env.basis is profile.basis
+        assert rec.env.spectrum.base is profile.spectra and not rec.env.spectrum.flags.writeable
+
+
+def test_targets_equal_per_point_loop():
+    rng = rng_for(811)
+    count = 0
+    # a tiny r0, and M**3 within a factor 32 of the float range
+    for M, r0 in ((1.0, 0.1), (0.37, 1e-300), (2.5, 1e-9), (1e-3, 1e-3), (1.7e102, 1.0)):
+        grid = np.sort(rng.uniform(0.0, 40.0 * M, 20_000))
+        grid[0] = 0.0
+        params = make_params(M=M, r0=r0, grid=grid)
+        loop = np.array([offset_factor(r, params) for r in grid.tolist()])
+        assert build_profile(params).target.tobytes() == loop.tobytes()
+        count += grid.size
+    assert count >= 100_000
 
 
 def test_shared_validator_rejects_bad_row_like_env_state():

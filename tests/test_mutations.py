@@ -3,15 +3,18 @@ fault in one side of one check.  A row replaces ``target`` with the faulty
 version while its check runs, and the check must return its ``line`` as a
 FAIL line instead of raising.  A new mutation is one more row here."""
 
+import dataclasses
 from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
 from cpumap import evolve_linear_euler, metric, selftest, swap_unitary
+from cpumap.dual_map import _kraus_sum
 from cpumap.linalg import _psd_verdicts
 
 SPECTRA = metric._spectra
+RECORDS = metric.MetricProfile.records
 
 
 class Mutation(NamedTuple):
@@ -45,6 +48,23 @@ def leaky_spectra(targets, d):
     return spectra, clipped
 
 
+def first_factor_traced(m, d1, d2):
+    """The partial trace over the wrong factor: sum_k <k,i|M|k,j>."""
+    return np.einsum("kikj->ij", np.asarray(m).reshape(d1, d2, d1, d2))
+
+
+def env_ops_wrong_row(out, rows, start):
+    """Give E_{i,j} the row of index i instead of j."""
+    m, d, _ = out.shape
+    i, _ = np.divmod(np.arange(start, start + m), d)
+    out[np.arange(m), i] = rows[i]
+
+
+def records_off_by_one(profile):
+    """Each record's environment takes the next point's spectrum row."""
+    return RECORDS.fget(dataclasses.replace(profile, spectra=np.roll(profile.spectra, -1, axis=0)))
+
+
 MUTATIONS = [
     Mutation("swap-unitary-rows-exchanged", "cpumap.selftest.swap_unitary", swapped_rows,
              selftest.check_battery_oracle, "battery-replacement"),
@@ -52,9 +72,19 @@ MUTATIONS = [
              selftest.check_battery_oracle, "battery-replacement"),
     Mutation("swap-unitary-identity", "cpumap.selftest.swap_unitary", lambda d: np.eye(d * d),
              selftest.check_battery_oracle, "battery-replacement"),
+    # the other side of the oracle: the primal Kraus sum it is compared with
+    Mutation("primal-sum-drops-last-operator", "cpumap.selftest._kraus_sum",
+             lambda stack, b: _kraus_sum(stack[:-1], b), selftest.check_battery_oracle, "battery-replacement"),
+    Mutation("partial-trace-first-factor", "cpumap.selftest.partial_trace_second", first_factor_traced,
+             selftest.check_battery_oracle, "battery-replacement"),
+    # env_kraus and dual_apply_number share this writer, so only the oracle sees it
+    Mutation("env-ops-wrong-row", "cpumap.battery._write_env_ops", env_ops_wrong_row,
+             selftest.check_battery_oracle, "battery-replacement"),
     # the slopes are compared with the target column, not with the phi column
     # computed from the same spectra
     Mutation("profile-spectra-leak", "cpumap.metric._spectra", leaky_spectra,
+             selftest.check_metric_profile, "metric-profile"),
+    Mutation("profile-records-off-by-one", "cpumap.metric.MetricProfile.records", property(records_off_by_one),
              selftest.check_metric_profile, "metric-profile"),
     Mutation("euler-scaled", "cpumap.selftest.evolve_linear_euler",
              lambda *args, **kwargs: evolve_linear_euler(*args, **kwargs) * (1 + 1e-6),

@@ -288,8 +288,15 @@ REJECTIONS = [
     Rejection("dilation-r-zero", lambda: dilation_factor(0.0, 1.0), DomainError),
     Rejection("dilation-r-negative", lambda: dilation_factor(-1.0, 1.0), DomainError),
     Rejection("dilation-mass-zero", lambda: dilation_factor(2.0, 0.0), DomainError),
-    Rejection("dilation-mass-cubed-overflows", lambda: dilation_factor(1.0, 1e300), DomainError),
-    Rejection("dilation-factor-overflows", lambda: dilation_factor(1e-300, 1e100), DomainError),
+    Rejection("dilation-mass-cubed-overflows", lambda: dilation_factor(1.0, 1e300), DomainError,
+              r"^dilation factor at r=1\.0, M=1e\+300 is not finite$"),
+    Rejection("dilation-factor-overflows", lambda: dilation_factor(1e-300, 1e100), DomainError,
+              r"^dilation factor at r=1e-300, M=1e\+100 is not finite$"),
+    # build_profile raises offset_factor's error for the first grid point whose target is not finite
+    Rejection("profile-mass-cubed-overflows", lambda: build_profile(params(M=1e300, grid=(0.0, 1.0))), DomainError,
+              r"^dilation factor at r=0\.1, M=1e\+300 is not finite$"),
+    Rejection("profile-factor-overflows", lambda: build_profile(params(M=1e100, r0=1e-300, grid=(0.0, 1.0))),
+              DomainError, r"^dilation factor at r=1e-300, M=1e\+100 is not finite$"),
     Rejection("params-d-above-cap", lambda: params(d=metric.MAX_TRUNCATION + 1), DimensionError),
     Rejection("synth-env-d-above-cap", lambda: synth_env(1.0, metric.MAX_TRUNCATION + 1), DimensionError),
     Rejection("synth-env-d-float", lambda: synth_env(0.5, 4.0), DimensionError, "integer"),
@@ -304,7 +311,7 @@ REJECTIONS = [
     Rejection("params-grid-negative", lambda: params(grid=(-1.0, 1.0)), DomainError),
     # refused before the targets are computed
     *(Rejection(f"profile-above-budget-d{d}", lambda d=d, p=p: build_profile(params(d=d, grid=np.linspace(0, 10, p))),
-                DimensionError, "budget", patch={"cpumap.metric.offset_factor": forbidden,
+                DimensionError, "budget", patch={"cpumap.metric._targets": forbidden,
                                                  "cpumap.metric._spectra": forbidden})
       for d, p in PROFILES_ABOVE_BUDGET),
     Rejection("params-grid-empty", lambda: params(grid=()), DomainError, "is empty"),
