@@ -185,8 +185,10 @@ def dual_apply_number(env: EnvState) -> np.ndarray:
     one reused buffer and summed as they come, in the chunks and with the
     bits of ``apply_dual_kraus(env_kraus(env), number_operator(d))``, so the
     call holds O(KRAUS_CHUNK_BYTES) of operators instead of the 16 d^4 bytes
-    of the stack.  The work stays O(d^5); the array budget still refuses a d
-    whose stack would exceed it, so it bounds that work.
+    of the stack.  Each E_{i,j} has one nonzero row, so every chunk is summed
+    through its rows and the work is O(d^4); the result matches a
+    per-operator loop to rounding, not bit for bit.  The array budget still
+    refuses a d whose stack would exceed it.
     """
     d = env.dim
     _ensure_env_fits(d)

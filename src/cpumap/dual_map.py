@@ -143,21 +143,65 @@ def _kraus_chunk_len(n_ops: int, n: int) -> int:
 def _kraus_sum_chunks(chunks, r: int, b: np.ndarray) -> np.ndarray:
     """sum_k D_k B D_k^dagger over an iterable of (m, n, n) chunks, m <= r.
 
-    Per chunk of m operators, one GEMM forms every D_k B, one batched
-    matmul writes (D_k B) D_k^dagger into slots 1..m of ``buf`` and a sum
-    over axis 0 adds them to the running total in slot 0.  That sum runs
-    slot by slot, so the terms are added in operator order, as a loop
-    ``out = out + D_k B D_k^dagger`` adds them.  A chunk is read only
-    before the next one is drawn, so a producer may reuse one buffer.
+    The running total is slot 0 of ``buf``.  If every operator of a chunk
+    has exactly one nonzero row, :func:`_add_row_terms` adds its terms
+    through those rows in O(m n^2); otherwise :func:`_add_dense_terms` forms
+    them with two dense products in O(m n^3).  Only the operators select the
+    branch, and a zero operator goes to the dense one.  The swap channel's
+    d^2 operators E_{i,j} each have one nonzero row, so their sum costs
+    O(d^4) instead of O(d^5).  Both branches add the terms in operator
+    order, as a loop ``out = out + D_k B D_k^dagger`` does; the dense branch
+    keeps that loop's bits, the row branch rounds each term differently and
+    matches it to rounding only.  A chunk is read only before the next one
+    is drawn, so a producer may reuse one buffer.
     """
     n = b.shape[0]
     buf = np.zeros((r + 1, n, n), dtype=complex)
     for ops in chunks:
-        m = len(ops)
-        db = (ops.reshape(m * n, n) @ b).reshape(m, n, n)
-        np.matmul(db, ops.conj().transpose(0, 2, 1), out=buf[1:m + 1])
-        buf[:m + 1].sum(axis=0, out=buf[0])
+        rows = _single_rows(ops)
+        if rows is None:
+            _add_dense_terms(buf, ops, b)
+        else:
+            _add_row_terms(buf[0], ops, rows, b)
     return buf[0].copy()
+
+
+def _single_rows(ops: np.ndarray):
+    """The index of each operator's one nonzero row in an (m, n, n) chunk, or
+    None unless every operator has exactly one.  The first operator is tested
+    on its own first, so a chunk that fails there costs one operator's read;
+    one row holds 1 to n nonzero entries, so a count of them refuses a dense
+    or zero operator before its rows are read."""
+    first = ops[0]
+    if not 0 < np.count_nonzero(first) <= len(first) or np.count_nonzero(first.any(axis=1)) != 1:
+        return None
+    nonzero = ops.any(axis=2)
+    if not np.all(nonzero.sum(axis=1) == 1):
+        return None
+    return nonzero.argmax(axis=1)
+
+
+def _add_row_terms(total: np.ndarray, ops: np.ndarray, rows: np.ndarray, b: np.ndarray) -> None:
+    """Add D_k B D_k^dagger to ``total`` for operators whose one nonzero row
+    is ``rows[k]``: with s_k that row, the term is the scalar
+    q_k = s_k B s_k^dagger at entry (rows[k], rows[k]).  One GEMM forms every
+    s_k B, row dot products give q, and ``np.add.at`` adds each q_k to the
+    diagonal in operator order; ``total`` is contiguous, so its flat
+    diagonal is a view."""
+    s = ops[np.arange(len(ops)), rows]
+    n = total.shape[0]
+    np.add.at(total.reshape(-1)[::n + 1], rows, np.einsum("kl,kl->k", s @ b, s.conj()))
+
+
+def _add_dense_terms(buf: np.ndarray, ops: np.ndarray, b: np.ndarray) -> None:
+    """Add D_k B D_k^dagger for every operator of a chunk to ``buf[0]``: one
+    GEMM forms every D_k B, one batched matmul writes (D_k B) D_k^dagger into
+    slots 1..m and a sum over axis 0 adds them to slot 0.  That sum runs slot
+    by slot, so the terms are added in operator order."""
+    m, n, _ = ops.shape
+    db = (ops.reshape(m * n, n) @ b).reshape(m, n, n)
+    np.matmul(db, ops.conj().transpose(0, 2, 1), out=buf[1:m + 1])
+    buf[:m + 1].sum(axis=0, out=buf[0])
 
 
 def unitality_residual(k: KrausSet) -> float:

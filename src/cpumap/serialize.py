@@ -183,11 +183,27 @@ def env_from_json(obj: dict) -> EnvState:
 
 # --- traces and profiles ---------------------------------------------------
 
+CSV_BLOCK_ROWS = 4096  # rows a CSV writer formats per C-level % call
+
+
+def _csv(header: str, columns) -> str:
+    """``header`` and one line per row of the equal-length 1-D ``columns``:
+    floats in FLOAT_FORMAT, bools as ``true``/``false``, comma-separated.
+    The columns are read CSV_BLOCK_ROWS rows at a time, and each block is
+    formatted by one ``%`` call on a row format repeated over the block."""
+    row = ",".join("%s" if c.dtype == bool else FLOAT_FORMAT for c in columns) + "\n"
+    width, parts = len(columns), [header + "\n"]
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        blocks = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
+        values = [None] * (width * len(blocks[0]))
+        for j, block in enumerate(blocks):
+            values[j::width] = (np.where(block, "true", "false") if block.dtype == bool else block).tolist()
+        parts.append(row * len(blocks[0]) % tuple(values))
+    return "".join(parts)
+
+
 def trace_to_csv(trace: EvolutionTrace) -> str:
-    lines = ["t,expectation"]
-    for t, x in zip(trace.times, trace.values):
-        lines.append(f"{fmt(t)},{fmt(x)}")
-    return "\n".join(lines) + "\n"
+    return _csv("t,expectation", (trace.times, trace.values))
 
 
 def trace_to_json(trace: EvolutionTrace) -> dict:
@@ -205,10 +221,7 @@ def _profile_rows(profile: MetricProfile):
 
 
 def profile_to_csv(profile: MetricProfile) -> str:
-    lines = ["r,target,phi,clipped"]
-    for r, target, phi, flag in _profile_rows(profile):
-        lines.append(f"{fmt(r)},{fmt(target)},{fmt(phi)},{'true' if flag else 'false'}")
-    return "\n".join(lines) + "\n"
+    return _csv("r,target,phi,clipped", (profile.r, profile.target, profile.phi, profile.clipped))
 
 
 def profile_to_json(profile: MetricProfile, verbose: bool = False) -> dict:

@@ -187,6 +187,9 @@ PERTURBED_Z["re"][0] += 1e-3
 # Phi[Phi[I]] = 36I)
 DOUBLED_KRAUS = ser.kraus_to_json(KrausSet.from_ops(2, [("B0", 2.0 * np.eye(2))]))
 HUGE_KRAUS = ser.kraus_to_json(KrausSet.from_ops(2, [("B0", 1e200 * np.eye(2))]))
+# one operator whose only nonzero entry, 1e200 in row 0, overflows the sum
+# taken through that row
+HUGE_ROW_KRAUS = ser.kraus_to_json(KrausSet.from_ops(2, [("B0", [[1e200, 0.0], [0.0, 0.0]])]))
 NON_UNITAL_Z = ser.choi_to_json(ChoiMatrix(dim=2, matrix=3.0 * np.eye(4)))
 # a CP spec on 3 levels and an observable whose dual action overflows
 PENCIL = selftest.pencil_spec(42, 3, 0)
@@ -300,6 +303,8 @@ CLI_ERRORS = [
               {"Z": ser.choi_to_json(build_fixed_point_choi(PENCIL)), "B": OVERFLOWING_B}, 2, "domain"),
     ErrorExit("dual-action-overflows-kraus", ["map-apply", "--kraus", "{kraus}", "--B", "{B}"],
               {"kraus": ser.kraus_to_json(kraus_from_fixed_point(PENCIL)), "B": OVERFLOWING_B}, 2, "domain"),
+    ErrorExit("dual-action-overflows-row-kraus", ["map-apply", "--kraus", "{kraus}", "--B", "{I}"],
+              {"kraus": HUGE_ROW_KRAUS}, 2, "domain", "unitality residual overflows the float range"),
     ErrorExit("fixed-point-dual-action-overflows", CHOI_CHECK,
               {"Z": ser.choi_to_json(build_fixed_point_choi(PENCIL)), "A": OVERFLOWING_B}, 2, "domain",
               "fixed-point residual overflows the float range"),

@@ -4,10 +4,12 @@ import pytest
 from cpumap import (
     FixedPointSpec,
     KrausSet,
+    aligned_env,
     apply_dual_choi,
     apply_dual_kraus,
     build_fixed_point_choi,
     choi_from_kraus,
+    dual_apply_number,
     env_kraus,
     evolve_linear,
     evolve_linear_euler,
@@ -17,6 +19,7 @@ from cpumap import (
     partial_trace_second,
     unitality_residual,
 )
+from cpumap import dual_map
 from cpumap.dual_map import KRAUS_CHUNK_BYTES, complete_basis
 from cpumap.linalg import eig_hermitian, max_abs
 from cpumap.selftest import equivalence_spec
@@ -31,6 +34,7 @@ from conftest import (
     random_env,
     random_hermitian,
     random_spec,
+    random_spectrum,
     random_unit,
     rng_for,
 )
@@ -335,10 +339,32 @@ def one_and_a_half_chunks(rng):
     return random_kraus(rng, per_chunk + per_chunk // 2 + 1, 16)
 
 
+def zero_weight_env(rng):
+    """aligned_env at theta = 1 on 32 levels whose level 0 has weight 0: the
+    operators E_{i,0} are zero, so each chunk holding one is summed densely
+    and every other chunk through its rows."""
+    sigma = random_spectrum(rng, 32)
+    sigma[0] = 0.0
+    sigma /= sigma.sum()
+    return aligned_env(32, sigma / sigma.sum(), theta=1.0)
+
+
+def env_and_dense_operator(rng):
+    """The swap channel's 256 operators on 16 levels, four chunks summed
+    through their rows, then one dense operator in a last chunk of its own."""
+    k = env_kraus(random_env(rng, 16))
+    dense = random_kraus(rng, 1, 16)
+    return KrausSet(dim=16, stack=np.concatenate([k.stack, dense.stack]), tags=k.tags + ("X",))
+
+
 KRAUS_FAMILIES = {
     "env-d2": lambda rng: env_kraus(random_env(rng, 2)),
+    "env-d3": lambda rng: env_kraus(random_env(rng, 3)),
     "env-d8": lambda rng: env_kraus(random_env(rng, 8)),
+    "env-d13": lambda rng: env_kraus(random_env(rng, 13)),
     "env-d32": lambda rng: env_kraus(random_env(rng, 32)),
+    "aligned-env-zero-weight": lambda rng: env_kraus(zero_weight_env(rng)),
+    "env-then-dense": env_and_dense_operator,
     "fixed-point-n2": lambda rng: kraus_from_fixed_point(pencil_spec(rng, 2)),
     "fixed-point-n16": lambda rng: kraus_from_fixed_point(pencil_spec(rng, 16)),
     "partial-chunk": one_and_a_half_chunks,
@@ -366,6 +392,37 @@ def test_kraus_sums_equal_operator_loop(family):
         assert max_abs(apply_dual_kraus(k, b) - want) <= 1e-12 * scale
     want, scale = literal_kraus_sum(k, np.eye(d))
     assert abs(unitality_residual(k) - max_abs(want - np.eye(d))) <= 1e-12 * scale
+
+
+def dense_chunks(monkeypatch, call, *args):
+    """How many chunks ``call(*args)`` sums through the dense products."""
+    counted, real_add_dense_terms = [], dual_map._add_dense_terms
+
+    def add_dense_terms(buf, ops, b):
+        counted.append(len(ops))
+        real_add_dense_terms(buf, ops, b)
+
+    monkeypatch.setattr(dual_map, "_add_dense_terms", add_dense_terms)
+    call(*args)
+    monkeypatch.undo()
+    return len(counted)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 13, 16, 32])
+def test_kraus_sum_branches_follow_the_operators(monkeypatch, d):
+    # every swap-channel operator has one nonzero row, so no chunk of theirs
+    # reaches the dense products; a pencil family's operators are dense, so
+    # every chunk does
+    rng = rng_for(332, d)
+    env = random_env(rng, d)
+    k = env_kraus(env)
+    assert dense_chunks(monkeypatch, apply_dual_kraus, k, random_hermitian(rng, d)) == 0
+    assert dense_chunks(monkeypatch, unitality_residual, k) == 0
+    assert dense_chunks(monkeypatch, dual_apply_number, env) == 0
+    pencil = kraus_from_fixed_point(pencil_spec(rng, d))
+    chunks = -(-d * d // dual_map._kraus_chunk_len(d * d, d))
+    assert dense_chunks(monkeypatch, apply_dual_kraus, pencil, random_hermitian(rng, d)) == chunks
+    assert dense_chunks(monkeypatch, unitality_residual, pencil) == chunks
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42, 99])

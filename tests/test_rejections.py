@@ -114,9 +114,14 @@ NON_FINITE_TIMES = {"0-nan": [0.0, math.nan], "nan-1": [math.nan, 1.0], "0-inf":
 RHO_3 = random_density(rng_for(323), 3)
 NAN_BASIS = np.eye(3, dtype=complex)
 NAN_BASIS[1, 2] = np.nan
+# the row- sets hold operators with one nonzero row, which the Kraus sum adds
+# through that row; the others are dense
+ROW_0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 OVERFLOWING_KRAUS = {
     "term": KrausSet.from_ops(2, [("B0", 1e200 * np.eye(2))]),
     "sum": KrausSet.from_ops(2, [("B0", 1.3e154 * np.eye(2)), ("B1", 1.3e154 * np.eye(2))]),
+    "row-term": KrausSet.from_ops(2, [("B0", 1e200 * ROW_0)]),
+    "row-sum": KrausSet.from_ops(2, [("B0", 1.3e154 * ROW_0), ("B1", 1.3e154 * ROW_0)]),
 }
 # inputs whose arrays exceed linalg.MAX_ARRAY_BYTES: the Choi matrix and the
 # Kraus stacks of N = 96 and d = 96 need 1.27 GiB each

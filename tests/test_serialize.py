@@ -6,6 +6,7 @@ import pytest
 from cpumap import (
     BatteryConfig,
     EnvState,
+    EvolutionTrace,
     MetricParams,
     build_fixed_point_choi,
     build_profile,
@@ -96,6 +97,32 @@ def test_profile_csv():
     first = lines[1].split(",")
     assert first[3] == "true"  # origin point is clipped at d-1 = 15
     assert float(first[2]) == 15.0
+
+
+def assert_same_lines(got: str, want: str):
+    """Compare two long texts line by line and name the first differing line,
+    instead of letting pytest diff the whole texts."""
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    first = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b), None)
+    assert first is None, f"line {first}: {got_lines[first]!r} != {want_lines[first]!r}"
+    assert len(got_lines) == len(want_lines)
+
+
+def test_csv_writers_match_per_row_formatting():
+    # two full blocks of rows and a partial one, against one fmt call per value
+    p = 2 * ser.CSV_BLOCK_ROWS + ser.CSV_BLOCK_ROWS // 2
+    rng = rng_for(611)
+    times = np.sort(rng.uniform(0.0, 1e3, p))
+    values = rng.normal(size=p) * np.logspace(-300, 300, p)
+    values[:2] = 0.0, -0.0
+    want = "t,expectation\n" + "".join(f"{ser.fmt(t)},{ser.fmt(x)}\n" for t, x in zip(times, values))
+    assert_same_lines(ser.trace_to_csv(EvolutionTrace(times=times, values=values, phi_fit=1.0)), want)
+    profile = build_profile(MetricParams(M=1.0, r0=0.1, d=4, r_grid=np.linspace(0.0, 30.0, p)))
+    assert profile.clipped.any() and not profile.clipped.all()
+    want = "r,target,phi,clipped\n" + "".join(
+        f"{ser.fmt(r)},{ser.fmt(target)},{ser.fmt(phi)},{'true' if flag else 'false'}\n"
+        for r, target, phi, flag in zip(profile.r, profile.target, profile.phi, profile.clipped))
+    assert_same_lines(ser.profile_to_csv(profile), want)
 
 
 def test_profile_json_verbose_embeds_env():
