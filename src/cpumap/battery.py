@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_map import EvolutionTrace, KrausSet, _kraus_chunk_len, _kraus_sum_chunks
+from .dual_map import EvolutionTrace, KrausSet, _add_row_terms
 from .errors import DimensionError, DomainError
 from .linalg import (
     _ensure_array_fits,
@@ -139,17 +139,10 @@ def _env_rows(env: EnvState) -> np.ndarray:
     return np.sqrt(np.clip(env.spectrum, 0.0, None))[:, None] * env.basis.conj().T
 
 
-def _write_env_ops(out: np.ndarray, rows: np.ndarray, start: int) -> None:
-    """Write E_k for the flat indices k = i*d + j = start, ..., start + m - 1
-    into the zeroed (m, d, d) buffer ``out``.
-
-    Only row i of E_{i,j} is nonzero; it is set to ``rows[j]`` and every
-    other row is left as it is.  Called again with zero ``rows`` and the same
-    ``start``, it clears what it wrote, so one buffer serves every run of k.
-    """
-    m, d, _ = out.shape
-    i, j = np.divmod(np.arange(start, start + m), d)
-    out[np.arange(m), i] = rows[j]
+def _env_row_index(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The split k = i*d + j of every flat operator index: E_k has its one
+    nonzero row at i, and that row is row j of :func:`_env_rows`."""
+    return np.divmod(np.arange(d * d), d)
 
 
 def _ensure_env_fits(d: int) -> None:
@@ -166,7 +159,8 @@ def env_kraus(env: EnvState) -> KrausSet:
     d = env.dim
     _ensure_env_fits(d)
     stack = np.zeros((d * d, d, d), dtype=complex)   # stack[i*d + j] = E_{i,j}
-    _write_env_ops(stack, _env_rows(env), 0)
+    i, j = _env_row_index(d)
+    stack[np.arange(d * d), i] = _env_rows(env)[j]
     tags = tuple(f"E{i},{j}" for i in range(d) for j in range(d))
     return KrausSet(dim=d, stack=stack, tags=tags)
 
@@ -181,30 +175,22 @@ def phi(env: EnvState) -> float:
 def dual_apply_number(env: EnvState) -> np.ndarray:
     """Explicit Kraus evaluation of Phi[N]; equals phi(env) * I entrywise.
 
-    The operators of :func:`env_kraus` are written one chunk at a time into
-    one reused buffer and summed as they come, in the chunks and with the
-    bits of ``apply_dual_kraus(env_kraus(env), number_operator(d))``, so the
-    call holds O(KRAUS_CHUNK_BYTES) of operators instead of the 16 d^4 bytes
-    of the stack.  Each E_{i,j} has one nonzero row, so every chunk is summed
-    through its rows and the work is O(d^4); the result matches a
-    per-operator loop to rounding, not bit for bit.  The array budget still
-    refuses a d whose stack would exceed it.
+    Each operator E_{i,j} of :func:`env_kraus` has one nonzero row, row i
+    holding sqrt(sigma_j) <j|, which is zero where sigma_j = 0.  Those rows
+    are gathered from the same source :func:`env_kraus` writes from and
+    summed by the Kraus sum's row kernel, in O(d^4) and with the bits of
+    ``apply_dual_kraus(env_kraus(env), number_operator(d))``, zero weights
+    included; the result matches a per-operator loop to rounding, not bit for
+    bit.  The call holds the (d^2, d) rows, not the 16 d^4 bytes of the
+    stack, but the array budget still refuses a d whose stack would exceed it.
     """
     d = env.dim
     _ensure_env_fits(d)
     number = number_operator(d)
-    rows, zeros = _env_rows(env), np.zeros((d, d), dtype=complex)
-    r = _kraus_chunk_len(d * d, d)
-    buf = np.zeros((r, d, d), dtype=complex)
-
-    def chunks():
-        for start in range(0, d * d, r):
-            ops = buf[:min(r, d * d - start)]
-            _write_env_ops(ops, rows, start)
-            yield ops
-            _write_env_ops(ops, zeros, start)
-
-    return _kraus_sum_chunks(chunks(), r, number)
+    i, j = _env_row_index(d)
+    total = np.zeros((d, d), dtype=complex)
+    _add_row_terms(total, _env_rows(env)[j], i, number)
+    return total
 
 
 def simulate_charging(cfg: BatteryConfig, times) -> EvolutionTrace:

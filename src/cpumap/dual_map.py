@@ -127,11 +127,31 @@ def apply_dual_kraus(k: KrausSet, b) -> np.ndarray:
 
 
 def _kraus_sum(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_k D_k B D_k^dagger over a (K, n, n) stack, fed to
-    :func:`_kraus_sum_chunks` in slices of :func:`_kraus_chunk_len` operators."""
+    """sum_k D_k B D_k^dagger over a (K, n, n) stack, in operator order.
+
+    :func:`_single_rows` scans the stack once.  If every operator has at most
+    one nonzero row, :func:`_add_row_terms` adds all K terms through those
+    rows in O(K n^2); otherwise the stack is summed in slices of
+    :func:`_kraus_chunk_len` operators, each with the two dense products of
+    :func:`_add_dense_terms`, in O(K n^3).  Only the operators select the
+    branch.  The swap channel's d^2 operators E_{i,j} each have one nonzero
+    row, a zero one if sigma_j = 0, so their sum costs O(d^4) instead of
+    O(d^5).  Both branches add the terms in operator order, as a loop
+    ``out = out + D_k B D_k^dagger`` does; the dense branch keeps that loop's
+    bits, the row branch rounds each term differently and matches it to
+    rounding only.
+    """
     n_ops, n, _ = stack.shape
+    rows = _single_rows(stack)
+    if rows is not None:
+        total = np.zeros((n, n), dtype=complex)
+        _add_row_terms(total, stack[np.arange(n_ops), rows], rows, b)
+        return total
     r = _kraus_chunk_len(n_ops, n)
-    return _kraus_sum_chunks((stack[start:start + r] for start in range(0, n_ops, r)), r, b)
+    buf = np.zeros((r + 1, n, n), dtype=complex)   # slot 0 is the running total
+    for start in range(0, n_ops, r):
+        _add_dense_terms(buf, stack[start:start + r], b)
+    return buf[0].copy()
 
 
 def _kraus_chunk_len(n_ops: int, n: int) -> int:
@@ -140,57 +160,39 @@ def _kraus_chunk_len(n_ops: int, n: int) -> int:
     return min(n_ops, max(1, KRAUS_CHUNK_BYTES // (16 * n * n)))
 
 
-def _kraus_sum_chunks(chunks, r: int, b: np.ndarray) -> np.ndarray:
-    """sum_k D_k B D_k^dagger over an iterable of (m, n, n) chunks, m <= r.
-
-    The running total is slot 0 of ``buf``.  If every operator of a chunk
-    has exactly one nonzero row, :func:`_add_row_terms` adds its terms
-    through those rows in O(m n^2); otherwise :func:`_add_dense_terms` forms
-    them with two dense products in O(m n^3).  Only the operators select the
-    branch, and a zero operator goes to the dense one.  The swap channel's
-    d^2 operators E_{i,j} each have one nonzero row, so their sum costs
-    O(d^4) instead of O(d^5).  Both branches add the terms in operator
-    order, as a loop ``out = out + D_k B D_k^dagger`` does; the dense branch
-    keeps that loop's bits, the row branch rounds each term differently and
-    matches it to rounding only.  A chunk is read only before the next one
-    is drawn, so a producer may reuse one buffer.
-    """
-    n = b.shape[0]
-    buf = np.zeros((r + 1, n, n), dtype=complex)
-    for ops in chunks:
-        rows = _single_rows(ops)
-        if rows is None:
-            _add_dense_terms(buf, ops, b)
-        else:
-            _add_row_terms(buf[0], ops, rows, b)
-    return buf[0].copy()
-
-
-def _single_rows(ops: np.ndarray):
-    """The index of each operator's one nonzero row in an (m, n, n) chunk, or
-    None unless every operator has exactly one.  The first operator is tested
-    on its own first, so a chunk that fails there costs one operator's read;
-    one row holds 1 to n nonzero entries, so a count of them refuses a dense
-    or zero operator before its rows are read."""
-    first = ops[0]
-    if not 0 < np.count_nonzero(first) <= len(first) or np.count_nonzero(first.any(axis=1)) != 1:
+def _single_rows(stack: np.ndarray):
+    """The index of each operator's one nonzero row in a (K, n, n) stack, or
+    None unless every operator has at most one.  An all-zero operator counts:
+    its row is 0 and its term, an exact +-0, changes no bit of the running
+    total, which starts at +0 and so is never -0.  The first operator is
+    tested on its own first, so a dense stack costs one operator's read; one
+    row holds at most n nonzero entries, so a count of them refuses a dense
+    operator before its rows are read.  Otherwise the stack is read once."""
+    first = stack[0]
+    if np.count_nonzero(first) > len(first) or np.count_nonzero(first.any(axis=1)) > 1:
         return None
-    nonzero = ops.any(axis=2)
-    if not np.all(nonzero.sum(axis=1) == 1):
+    nonzero = stack.any(axis=2)
+    if not np.all(nonzero.sum(axis=1) <= 1):
         return None
     return nonzero.argmax(axis=1)
 
 
-def _add_row_terms(total: np.ndarray, ops: np.ndarray, rows: np.ndarray, b: np.ndarray) -> None:
-    """Add D_k B D_k^dagger to ``total`` for operators whose one nonzero row
-    is ``rows[k]``: with s_k that row, the term is the scalar
-    q_k = s_k B s_k^dagger at entry (rows[k], rows[k]).  One GEMM forms every
-    s_k B, row dot products give q, and ``np.add.at`` adds each q_k to the
-    diagonal in operator order; ``total`` is contiguous, so its flat
-    diagonal is a view."""
-    s = ops[np.arange(len(ops)), rows]
-    n = total.shape[0]
-    np.add.at(total.reshape(-1)[::n + 1], rows, np.einsum("kl,kl->k", s @ b, s.conj()))
+def _add_row_terms(total: np.ndarray, s: np.ndarray, rows: np.ndarray, b: np.ndarray) -> None:
+    """Add D_k B D_k^dagger to ``total`` for K operators whose one nonzero row
+    is ``rows[k]`` and holds ``s[k]``: the term is the scalar
+    q_k = s_k B s_k^dagger at entry (rows[k], rows[k]).  Every s_k B comes
+    from one batched GEMM over chunks of :func:`_kraus_chunk_len` rows, plus
+    one for the tail, so each row is formed in the chunk it would have as an
+    operator.  ``s`` is then overwritten with its conjugate, row dot
+    products give q, and ``np.add.at`` adds each q_k to the diagonal in
+    operator order.  ``total`` is contiguous, so its flat diagonal is a view."""
+    n_ops, n = s.shape
+    r = _kraus_chunk_len(n_ops, n)
+    full = n_ops - n_ops % r
+    sb = np.empty_like(s)
+    np.matmul(s[:full].reshape(-1, r, n), b, out=sb[:full].reshape(-1, r, n))
+    np.matmul(s[full:], b, out=sb[full:])
+    np.add.at(total.reshape(-1)[::n + 1], rows, np.einsum("kl,kl->k", sb, np.conjugate(s, out=s)))
 
 
 def _add_dense_terms(buf: np.ndarray, ops: np.ndarray, b: np.ndarray) -> None:

@@ -57,6 +57,14 @@ def random_spec(rng, n):
             return FixedPointSpec(a=a, v=v)
 
 
+def zero_weight_spectrum(rng, d, level):
+    """random_spectrum on d levels with no weight at ``level``."""
+    sigma = random_spectrum(rng, d)
+    sigma[level] = 0.0
+    sigma /= sigma.sum()
+    return sigma / sigma.sum()
+
+
 def pencil_spec(rng, n, bottom=False):
     """Completely positive spec: A = alpha I + beta |v><v|."""
     while True:

@@ -28,6 +28,7 @@ from conftest import (
     rng_for,
     swap_oracle,
     traced_peak_bytes,
+    zero_weight_spectrum,
 )
 
 
@@ -235,14 +236,22 @@ def test_dual_apply_number_proportional_to_identity():
     assert max_abs(out - phi(env) * np.eye(6)) < 1e-9
 
 
-# d = 24 ends in a partial chunk: 28 operators per chunk, 576 operators
+# d = 24 ends in a partial chunk: 28 operators per chunk, 576 operators; a zero
+# weight at level l makes the d operators E_{i,l} zero, and the sum over the
+# stack must add their terms as the sum over the gathered rows does
 @pytest.mark.parametrize("d", [2, 3, 8, 16, 24, 32])
 @pytest.mark.parametrize("basis", ["aligned", "random"])
 def test_dual_apply_number_bits_equal_stack_sum(basis, d):
     rng = rng_for(420, d)
-    env = aligned_env(d, random_spectrum(rng, d)) if basis == "aligned" else random_env(rng, d)
-    want = apply_dual_kraus(env_kraus(env), number_operator(d))
-    assert dual_apply_number(env).tobytes() == want.tobytes()
+    envs = [aligned_env(d, random_spectrum(rng, d)) if basis == "aligned" else random_env(rng, d)]
+    if d in (3, 24, 32):
+        for level in (0, d // 2):
+            sigma = zero_weight_spectrum(rng, d, level)
+            envs.append(aligned_env(d, sigma) if basis == "aligned"
+                        else EnvState(dim=d, spectrum=sigma, basis=random_env(rng, d).basis))
+    for env in envs:
+        want = apply_dual_kraus(env_kraus(env), number_operator(d))
+        assert dual_apply_number(env).tobytes() == want.tobytes()
 
 
 def test_dual_apply_number_streams_its_operators():

@@ -34,9 +34,9 @@ from conftest import (
     random_env,
     random_hermitian,
     random_spec,
-    random_spectrum,
     random_unit,
     rng_for,
+    zero_weight_spectrum,
 )
 
 
@@ -339,19 +339,17 @@ def one_and_a_half_chunks(rng):
     return random_kraus(rng, per_chunk + per_chunk // 2 + 1, 16)
 
 
-def zero_weight_env(rng):
-    """aligned_env at theta = 1 on 32 levels whose level 0 has weight 0: the
-    operators E_{i,0} are zero, so each chunk holding one is summed densely
-    and every other chunk through its rows."""
-    sigma = random_spectrum(rng, 32)
-    sigma[0] = 0.0
-    sigma /= sigma.sum()
-    return aligned_env(32, sigma / sigma.sum(), theta=1.0)
+def zero_weight_env(rng, d=32):
+    """aligned_env at theta = 1 on d levels whose level 0 has weight 0: the
+    operators E_{i,0} are zero, which count as having one nonzero row, so the
+    whole stack is summed through its rows."""
+    return aligned_env(d, zero_weight_spectrum(rng, d, 0), theta=1.0)
 
 
 def env_and_dense_operator(rng):
-    """The swap channel's 256 operators on 16 levels, four chunks summed
-    through their rows, then one dense operator in a last chunk of its own."""
+    """The swap channel's 256 operators on 16 levels, then one dense operator:
+    the stack is not single-row as a whole, so all five chunks are summed
+    densely."""
     k = env_kraus(random_env(rng, 16))
     dense = random_kraus(rng, 1, 16)
     return KrausSet(dim=16, stack=np.concatenate([k.stack, dense.stack]), tags=k.tags + ("X",))
@@ -410,19 +408,23 @@ def dense_chunks(monkeypatch, call, *args):
 
 @pytest.mark.parametrize("d", [2, 3, 8, 13, 16, 32])
 def test_kraus_sum_branches_follow_the_operators(monkeypatch, d):
-    # every swap-channel operator has one nonzero row, so no chunk of theirs
-    # reaches the dense products; a pencil family's operators are dense, so
-    # every chunk does
+    # every swap-channel operator has at most one nonzero row, none if its
+    # weight is zero, so no chunk of theirs reaches the dense products; a
+    # pencil family's operators are dense, so every chunk does, and so does
+    # every chunk of a stack with one dense operator after the swap channel's
     rng = rng_for(332, d)
-    env = random_env(rng, d)
-    k = env_kraus(env)
-    assert dense_chunks(monkeypatch, apply_dual_kraus, k, random_hermitian(rng, d)) == 0
-    assert dense_chunks(monkeypatch, unitality_residual, k) == 0
-    assert dense_chunks(monkeypatch, dual_apply_number, env) == 0
+    for env in (random_env(rng, d), zero_weight_env(rng, d)):
+        k = env_kraus(env)
+        assert dense_chunks(monkeypatch, apply_dual_kraus, k, random_hermitian(rng, d)) == 0
+        assert dense_chunks(monkeypatch, unitality_residual, k) == 0
+        assert dense_chunks(monkeypatch, dual_apply_number, env) == 0
     pencil = kraus_from_fixed_point(pencil_spec(rng, d))
     chunks = -(-d * d // dual_map._kraus_chunk_len(d * d, d))
     assert dense_chunks(monkeypatch, apply_dual_kraus, pencil, random_hermitian(rng, d)) == chunks
     assert dense_chunks(monkeypatch, unitality_residual, pencil) == chunks
+    mixed = KrausSet(dim=d, stack=np.concatenate([k.stack, random_kraus(rng, 1, d).stack]), tags=k.tags + ("X",))
+    chunks = -(-(d * d + 1) // dual_map._kraus_chunk_len(d * d + 1, d))
+    assert dense_chunks(monkeypatch, unitality_residual, mixed) == chunks
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42, 99])

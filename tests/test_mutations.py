@@ -53,11 +53,15 @@ def first_factor_traced(m, d1, d2):
     return np.einsum("kikj->ij", np.asarray(m).reshape(d1, d2, d1, d2))
 
 
-def env_ops_wrong_row(out, rows, start):
+def env_ops_wrong_row(d):
     """Give E_{i,j} the row of index i instead of j."""
-    m, d, _ = out.shape
-    i, _ = np.divmod(np.arange(start, start + m), d)
-    out[np.arange(m), i] = rows[i]
+    i, _ = np.divmod(np.arange(d * d), d)
+    return i, i
+
+
+def env_rows_unrooted(env):
+    """Weigh row j by sigma_j instead of sqrt(sigma_j)."""
+    return env.spectrum[:, None] * env.basis.conj().T
 
 
 def records_off_by_one(profile):
@@ -77,8 +81,11 @@ MUTATIONS = [
              lambda stack, b: _kraus_sum(stack[:-1], b), selftest.check_battery_oracle, "battery-replacement"),
     Mutation("partial-trace-first-factor", "cpumap.selftest.partial_trace_second", first_factor_traced,
              selftest.check_battery_oracle, "battery-replacement"),
-    # env_kraus and dual_apply_number share this writer, so only the oracle sees it
-    Mutation("env-ops-wrong-row", "cpumap.battery._write_env_ops", env_ops_wrong_row,
+    # env_kraus and dual_apply_number take their rows from _env_rows through the
+    # split k = i*d + j of _env_row_index, so only the oracle sees a fault in either
+    Mutation("env-ops-wrong-row", "cpumap.battery._env_row_index", env_ops_wrong_row,
+             selftest.check_battery_oracle, "battery-replacement"),
+    Mutation("env-rows-unrooted", "cpumap.battery._env_rows", env_rows_unrooted,
              selftest.check_battery_oracle, "battery-replacement"),
     # the slopes are compared with the target column, not with the phi column
     # computed from the same spectra

@@ -177,7 +177,7 @@ REJECTIONS = [
     # the size budget refuses each array before it is allocated
     Rejection("env-kraus-above-budget", lambda: env_kraus(BIG_ENV), DimensionError, "budget",
               patch={"numpy.zeros": forbidden}),
-    # dual_apply_number holds no stack, but the budget still bounds its O(d^5) work
+    # dual_apply_number holds no stack, but the budget still bounds its O(d^4) work
     Rejection("dual-apply-number-above-budget", lambda: dual_apply_number(BIG_ENV), DimensionError, "budget",
               patch={"numpy.zeros": forbidden, "numpy.empty": forbidden}),
     # swap_unitary(200) asks for 12.8 GB, number_operator(20000) for 6.4 GB, alignment_unitary(20000) for 3.2 GB
