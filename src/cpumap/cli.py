@@ -57,12 +57,13 @@ def _read_json(path: str) -> dict:
             raise json.JSONDecodeError("nesting too deep", "", 0) from None
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, chunks) -> None:
+    """Write an iterable of text chunks to ``path``, or to standard output."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -165,7 +166,7 @@ def build_parser() -> _Parser:
 
 def _cmd_choi_build(args) -> None:
     z = build_fixed_point_choi(_load_spec(args.A, args.v))
-    _write_text(args.out, dumps(serialize.choi_to_json(z)))
+    _write_text(args.out, (dumps(serialize.choi_to_json(z)),))
 
 
 def _cmd_choi_check(args) -> None:
@@ -181,7 +182,7 @@ def _cmd_choi_check(args) -> None:
 
 def _cmd_kraus_extract(args) -> None:
     k = kraus_from_fixed_point(_load_spec(args.A, args.v))
-    _write_text(args.out, dumps(serialize.kraus_to_json(k)))
+    _write_text(args.out, (dumps(serialize.kraus_to_json(k)),))
     sys.stdout.write(f"unitality-residual {fmt(unitality_residual(k))}\n")
 
 
@@ -205,14 +206,12 @@ def _cmd_map_apply(args) -> None:
         k = serialize.kraus_from_json(_read_json(args.kraus))
         _check_map({"unitality": unitality_residual(k)})
         out = apply_dual_kraus(k, b)
-    _write_text(args.out, dumps(serialize.matrix_to_json(out)))
+    _write_text(args.out, (dumps(serialize.matrix_to_json(out)),))
 
 
 def _write_trace(args, trace) -> None:
-    if args.format == "json":
-        _write_text(args.out, dumps(serialize.trace_to_json(trace)))
-    else:
-        _write_text(args.out, serialize.trace_to_csv(trace))
+    writer = serialize.trace_to_json if args.format == "json" else serialize.trace_to_csv
+    _write_text(args.out, writer(trace))
 
 
 def _cmd_evolve(args) -> None:
@@ -245,14 +244,14 @@ def _cmd_metric_profile(args) -> None:
     params = metric.MetricParams(M=args.M, r0=r0, d=args.d, r_grid=parse_grid(args.grid))
     profile = metric.build_profile(params)
     if args.format == "json":
-        _write_text(args.out, dumps(serialize.profile_to_json(profile, verbose=args.verbose)))
+        _write_text(args.out, serialize.profile_to_json(profile, verbose=args.verbose))
     else:
         _write_text(args.out, serialize.profile_to_csv(profile))
 
 
 def _cmd_selftest(args) -> None:
     report, ok = selftest_mod.run_selftest(seed=args.seed)
-    _write_text(args.out, report)
+    _write_text(args.out, (report,))
     if not ok:
         failed = sum(1 for line in report.splitlines() if line.startswith("FAIL"))
         raise _Failure("selftest", f"{failed} selftest check(s) failed")

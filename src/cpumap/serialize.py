@@ -28,20 +28,9 @@ def fmt(x: float) -> str:
     return FLOAT_FORMAT % float(x)
 
 
-class _Emitted(dict):
-    """A JSON object whose text is formatted once, at construction, and
-    reused wherever the object is emitted again; do not mutate it."""
-
-    def __init__(self, obj: dict):
-        super().__init__(obj)
-        self.text = _emit(obj)
-
-
 def _emit(obj) -> str:
     """Deterministic JSON with 17-digit floats (insertion-ordered keys)."""
     if isinstance(obj, dict):
-        if isinstance(obj, _Emitted):
-            return obj.text
         inner = ",".join(f"{json.dumps(k)}:{_emit(v)}" for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
@@ -182,59 +171,63 @@ def env_from_json(obj: dict) -> EnvState:
 
 
 # --- traces and profiles ---------------------------------------------------
+# Each writer yields its text in chunks, so memory stays bounded by a block
+# whatever the number of rows; "".join(writer(...)) is the whole output.
 
-CSV_BLOCK_ROWS = 4096  # rows a CSV writer formats per C-level % call
+BLOCK_CHARS = 1 << 18  # characters a writer formats per C-level % call, or one longer row
 
 
-def _csv(header: str, columns) -> str:
-    """``header`` and one line per row of the equal-length 1-D ``columns``:
-    floats in FLOAT_FORMAT, bools as ``true``/``false``, comma-separated.
-    The columns are read CSV_BLOCK_ROWS rows at a time, and each block is
-    formatted by one ``%`` call on a row format repeated over the block."""
-    row = ",".join("%s" if c.dtype == bool else FLOAT_FORMAT for c in columns) + "\n"
-    width, parts = len(columns), [header + "\n"]
-    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        blocks = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
+def _blocks(row: str, columns, sep: str = ""):
+    """Yield the text of the rows of the equal-length 1-D ``columns``, joined
+    by ``sep``, one block at a time (``sep`` is yielded between blocks).
+
+    ``row`` holds one FLOAT_FORMAT per float column and one ``%s`` per bool
+    column, printed ``true``/``false``; any other text in it must hold no
+    ``%``.  A block holds as many rows as fit in BLOCK_CHARS, at least one,
+    and is formatted by one ``%`` call on ``row`` repeated over the block."""
+    width = len(columns)
+    # a %.17g value takes at most 24 characters, 19 more than its specifier
+    rows = max(1, BLOCK_CHARS // (len(row) + 19 * width))
+    for start in range(0, len(columns[0]), rows):
+        blocks = [c[start:start + rows] for c in columns]
         values = [None] * (width * len(blocks[0]))
         for j, block in enumerate(blocks):
             values[j::width] = (np.where(block, "true", "false") if block.dtype == bool else block).tolist()
-        parts.append(row * len(blocks[0]) % tuple(values))
-    return "".join(parts)
+        if start:
+            yield sep
+        yield sep.join([row] * len(blocks[0])) % tuple(values)
 
 
-def trace_to_csv(trace: EvolutionTrace) -> str:
-    return _csv("t,expectation", (trace.times, trace.values))
+def trace_to_csv(trace: EvolutionTrace):
+    yield "t,expectation\n"
+    yield from _blocks(f"{FLOAT_FORMAT},{FLOAT_FORMAT}\n", (trace.times, trace.values))
 
 
-def trace_to_json(trace: EvolutionTrace) -> dict:
-    return {
-        "times": trace.times.tolist(),
-        "values": trace.values.tolist(),
-        "phi": float(trace.phi_fit),
-    }
+def trace_to_json(trace: EvolutionTrace):
+    yield '{"times":['
+    yield from _blocks(FLOAT_FORMAT, (trace.times,), ",")
+    yield '],"values":['
+    yield from _blocks(FLOAT_FORMAT, (trace.values,), ",")
+    yield f'],"phi":{fmt(trace.phi_fit)}}}\n'
 
 
-def _profile_rows(profile: MetricProfile):
-    """(r, target, phi, clipped) per point, as Python floats and bools."""
-    return zip(profile.r.tolist(), profile.target.tolist(), profile.phi.tolist(),
-               profile.clipped.tolist())
+def profile_to_csv(profile: MetricProfile):
+    yield "r,target,phi,clipped\n"
+    yield from _blocks(f"{FLOAT_FORMAT},{FLOAT_FORMAT},{FLOAT_FORMAT},%s\n",
+                       (profile.r, profile.target, profile.phi, profile.clipped))
 
 
-def profile_to_csv(profile: MetricProfile) -> str:
-    return _csv("r,target,phi,clipped", (profile.r, profile.target, profile.phi, profile.clipped))
-
-
-def profile_to_json(profile: MetricProfile, verbose: bool = False) -> dict:
-    records = [{"r": r, "target": target, "phi": phi, "clipped": flag}
-               for r, target, phi, flag in _profile_rows(profile)]
+def profile_to_json(profile: MetricProfile, verbose: bool = False):
+    """Profile JSON; with ``verbose`` each record embeds its environment, whose
+    one shared basis is formatted once, before the first chunk."""
+    params, d = profile.params, int(profile.params.d)
+    columns = (profile.r, profile.target, profile.phi, profile.clipped)
+    row = f'{{"r":{FLOAT_FORMAT},"target":{FLOAT_FORMAT},"phi":{FLOAT_FORMAT},"clipped":%s'
     if verbose:
-        # every environment shares the profile's one basis: format it once
-        d, basis = int(profile.params.d), _Emitted(matrix_to_json(profile.basis))
-        for entry, spectrum in zip(records, profile.spectra.tolist()):
-            entry["env"] = {"d": d, "spectrum": spectrum, "V": basis}
-    return {
-        "M": float(profile.params.M),
-        "r0": float(profile.params.r0),
-        "d": int(profile.params.d),
-        "records": records,
-    }
+        spectrum = ",".join([FLOAT_FORMAT] * d)
+        row += f',"env":{{"d":{d},"spectrum":[{spectrum}],"V":{_emit(matrix_to_json(profile.basis))}}}'
+        columns += tuple(profile.spectra.T)
+    row += "}"
+    yield f'{{"M":{fmt(params.M)},"r0":{fmt(params.r0)},"d":{d},"records":['
+    yield from _blocks(row, columns, ",")
+    yield "]}\n"

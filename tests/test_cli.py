@@ -225,6 +225,9 @@ CLI_ERRORS = [
     ErrorExit("missing-file", ["battery-phi", "--env", "/nonexistent/env.json"], {}, 1, "io"),
     *(ErrorExit(name, COMMANDS["battery-phi"], {"env": content}, 1, "io")
       for name, content in {"not-utf8": b"\xff\xfe{}", "deep-nesting": b"[" * 100000 + b"]" * 100000}.items()),
+    # the profile is written as it is formatted, so the write fails after its head
+    ErrorExit("write-fails-mid-stream", ["metric-profile", "--M", "1", "--grid", "0:10:2000", "--format", "json",
+                                         "--out", "/dev/full"], {}, 1, "io", "No space left on device"),
     # specs the construction refuses
     ErrorExit("zero-trace", COMMANDS["choi-build"], spec_payloads(np.diag([1.0, -1.0]), [1.0, 0.0]), 2, "zero-trace"),
     ErrorExit("zero-expectation", COMMANDS["choi-build"],

@@ -61,9 +61,9 @@ def test_profile_outputs_never_build_records(tmp_path, monkeypatch):
     plain = json.loads(verbose)
     for entry in plain["records"]:
         del entry["env"]
-    assert ser.profile_to_csv(profile).encode() == csv
-    assert ser.dumps(ser.profile_to_json(profile, verbose=True)).encode() == verbose
-    assert ser.dumps(ser.profile_to_json(profile)) == ser.dumps(plain)
+    assert "".join(ser.profile_to_csv(profile)).encode() == csv
+    assert "".join(ser.profile_to_json(profile, verbose=True)).encode() == verbose
+    assert "".join(ser.profile_to_json(profile)) == ser.dumps(plain)
     for name in ("golden_profile_M1_d16.csv", "golden_profile_M1_d16.json"):
         assert run_cli(PINNED[name] + ["--out", str(tmp_path / name)])[0] == 0
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()

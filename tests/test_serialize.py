@@ -1,3 +1,7 @@
+import collections
+import functools
+import itertools
+import json
 import math
 
 import numpy as np
@@ -15,7 +19,7 @@ from cpumap import (
 )
 from cpumap import serialize as ser
 
-from conftest import pencil_spec, random_density, rng_for
+from conftest import pencil_spec, random_density, rng_for, traced_peak_bytes
 
 
 def test_matrix_round_trip():
@@ -69,7 +73,7 @@ def make_trace():
 
 
 def test_trace_csv():
-    text = ser.trace_to_csv(make_trace())
+    text = "".join(ser.trace_to_csv(make_trace()))
     lines = text.strip().split("\n")
     assert lines[0] == "t,expectation"
     assert lines[1] == "0,0"
@@ -78,7 +82,7 @@ def test_trace_csv():
 
 
 def test_trace_json():
-    obj = ser.trace_to_json(make_trace())
+    obj = json.loads("".join(ser.trace_to_json(make_trace())))
     assert obj["times"] == [0.0, 1.0, 2.0]
     assert obj["values"] == [0.0, 2.0, 4.0]
     assert obj["phi"] == 2.0
@@ -90,7 +94,7 @@ def make_profile():
 
 
 def test_profile_csv():
-    text = ser.profile_to_csv(make_profile())
+    text = "".join(ser.profile_to_csv(make_profile()))
     lines = text.strip().split("\n")
     assert lines[0] == "r,target,phi,clipped"
     assert len(lines) == 6
@@ -108,26 +112,99 @@ def assert_same_lines(got: str, want: str):
     assert len(got_lines) == len(want_lines)
 
 
-def test_csv_writers_match_per_row_formatting():
-    # two full blocks of rows and a partial one, against one fmt call per value
-    p = 2 * ser.CSV_BLOCK_ROWS + ser.CSV_BLOCK_ROWS // 2
+def trace_of(p):
     rng = rng_for(611)
     times = np.sort(rng.uniform(0.0, 1e3, p))
     values = rng.normal(size=p) * np.logspace(-300, 300, p)
-    values[:2] = 0.0, -0.0
-    want = "t,expectation\n" + "".join(f"{ser.fmt(t)},{ser.fmt(x)}\n" for t, x in zip(times, values))
-    assert_same_lines(ser.trace_to_csv(EvolutionTrace(times=times, values=values, phi_fit=1.0)), want)
-    profile = build_profile(MetricParams(M=1.0, r0=0.1, d=4, r_grid=np.linspace(0.0, 30.0, p)))
-    assert profile.clipped.any() and not profile.clipped.all()
-    want = "r,target,phi,clipped\n" + "".join(
+    values[0], values[-1] = 0.0, -0.0
+    return EvolutionTrace(times=times, values=values, phi_fit=1.0 / 3.0)
+
+
+def profile_of(p, d):
+    profile = build_profile(MetricParams(M=1.0, r0=0.1, d=d, r_grid=np.linspace(0.0, 30.0, p)))
+    assert p < 3 or profile.clipped.any() and not profile.clipped.all()
+    return profile
+
+
+# the per-row and per-point writers that the block writers replace
+def per_row_trace_csv(trace):
+    return "t,expectation\n" + "".join(f"{ser.fmt(t)},{ser.fmt(x)}\n" for t, x in zip(trace.times, trace.values))
+
+
+def per_row_profile_csv(profile):
+    return "r,target,phi,clipped\n" + "".join(
         f"{ser.fmt(r)},{ser.fmt(target)},{ser.fmt(phi)},{'true' if flag else 'false'}\n"
         for r, target, phi, flag in zip(profile.r, profile.target, profile.phi, profile.clipped))
-    assert_same_lines(ser.profile_to_csv(profile), want)
+
+
+def per_point_trace_json(trace):
+    return ser.dumps({"times": trace.times.tolist(), "values": trace.values.tolist(), "phi": float(trace.phi_fit)})
+
+
+def per_point_profile_json(profile, verbose=False):
+    records = [{"r": r, "target": target, "phi": phi, "clipped": flag}
+               for r, target, phi, flag in zip(profile.r.tolist(), profile.target.tolist(), profile.phi.tolist(),
+                                                profile.clipped.tolist())]
+    if verbose:
+        basis = ser.matrix_to_json(profile.basis)
+        for entry, spectrum in zip(records, profile.spectra.tolist()):
+            entry["env"] = {"d": profile.params.d, "spectrum": spectrum, "V": basis}
+    params = profile.params
+    return ser.dumps({"M": float(params.M), "r0": float(params.r0), "d": params.d, "records": records})
+
+
+# (instance of P points, writer, rows in the text of one block, per-point reference)
+BLOCK_WRITERS = {
+    "trace-csv": (trace_of, ser.trace_to_csv, lambda block: block.count("\n"), per_row_trace_csv),
+    "trace-json": (trace_of, ser.trace_to_json, lambda block: block.count(",") + 1, per_point_trace_json),
+    "profile-csv": (functools.partial(profile_of, d=4), ser.profile_to_csv, lambda block: block.count("\n"),
+                    per_row_profile_csv),
+    "profile-json": (functools.partial(profile_of, d=2), ser.profile_to_json, lambda block: block.count('{"r":'),
+                     per_point_profile_json),
+    **{f"profile-json-verbose-d{d}": (functools.partial(profile_of, d=d),
+                                      functools.partial(ser.profile_to_json, verbose=True),
+                                      lambda block: block.count('{"r":'),
+                                      functools.partial(per_point_profile_json, verbose=True))
+       for d in (16, 256)},  # one verbose row at d = 256 fills a block
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_WRITERS)
+def test_block_writers_match_per_point_reference(case):
+    make, writer, count_rows, reference = BLOCK_WRITERS[case]
+    # the rows of a full block: the writer's second chunk, after its head
+    k = count_rows(next(itertools.islice(writer(make(20000)), 1, None)))
+    assert k >= 1 and (k == 1) == case.endswith("d256")
+    # one point, one full block, a block and one row, three blocks and a half
+    for p in (1, k, k + 1, 3 * k + k // 2):
+        obj = make(p)
+        assert_same_lines("".join(writer(obj)), reference(obj))
+
+
+def drain(chunks):
+    collections.deque(chunks, maxlen=0)
+
+
+def test_profile_json_peak_is_set_by_the_block_size():
+    # the per-point dicts this writer replaced peaked at 106 MB here
+    chunks = ser.profile_to_json(profile_of(200_000, 2))
+    assert traced_peak_bytes(drain, chunks) < 8 * ser.BLOCK_CHARS
+
+
+def test_verbose_profile_json_peak_holds_a_few_basis_texts():
+    # one verbose row at d = 1024 is a 4.2 MB basis text: a block sized by rows
+    # alone would format all eight rows, and repeat the row eight times to do it
+    profile = build_profile(MetricParams(M=1.0, r0=0.1, d=1024, r_grid=np.linspace(0.0, 30.0, 8)))
+    chunks = ser.profile_to_json(profile, verbose=True)
+    next(chunks)  # the head; the basis is formatted before it
+    block = next(chunks)
+    assert block.count('{"r":') == 1 and len(block) > 4 * 1024**2
+    assert traced_peak_bytes(drain, chunks) < 3 * len(block)
 
 
 def test_profile_json_verbose_embeds_env():
-    plain = ser.profile_to_json(make_profile(), verbose=False)
-    verbose = ser.profile_to_json(make_profile(), verbose=True)
+    plain = json.loads("".join(ser.profile_to_json(make_profile(), verbose=False)))
+    verbose = json.loads("".join(ser.profile_to_json(make_profile(), verbose=True)))
     assert "env" not in plain["records"][0]
     env = verbose["records"][0]["env"]
     assert env["d"] == 16
@@ -140,8 +217,6 @@ def test_fmt_17_digits_round_trip():
 
 
 def test_dumps_deterministic_and_parseable():
-    import json
-
     obj = {"a": [0.1, 2, True, None], "b": {"c": 1.0 / 3.0}}
     s1 = ser.dumps(obj)
     s2 = ser.dumps(obj)
