@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_map import EvolutionTrace, KrausSet, _add_row_terms
+from .dual_map import EvolutionTrace, KrausSet, _row_sum
 from .errors import DimensionError, DomainError
 from .linalg import (
     _ensure_array_fits,
@@ -55,15 +55,6 @@ def _validate_env(spectra: np.ndarray, basis: np.ndarray) -> None:
         residual = max_abs(basis.conj().T @ basis - np.eye(basis.shape[0]))
     if not residual <= UNITARITY_TOL:
         raise DomainError("basis is not unitary within 1e-9")
-
-
-def _prevalidated(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given,
-    without its __init__ or __post_init__: only for fields that already passed
-    every check the constructor would make."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 @dataclass(frozen=True)
@@ -145,6 +136,13 @@ def _env_row_index(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.arange(d * d), d)
 
 
+def _env_row_form(env: EnvState) -> tuple[np.ndarray, np.ndarray]:
+    """``(index, rows)`` of the d^2 operators E_{i,j}, flat index k = i*d + j:
+    E_k is zero but for row ``index[k]``, which holds ``rows[k]``."""
+    i, j = _env_row_index(env.dim)
+    return i, _env_rows(env)[j]
+
+
 def _ensure_env_fits(d: int) -> None:
     _ensure_array_fits((d, d, d, d), 16, "swap-channel Kraus stack")
 
@@ -155,14 +153,17 @@ def env_kraus(env: EnvState) -> KrausSet:
     |i> runs over the Fock basis and <j| over the environment eigenbasis
     expressed in Fock coordinates.  The primal channel sum E^dagger rho E
     replaces every rho by env.sigma_fock().
+
+    The set is in row form: it holds each operator's one nonzero row, row i
+    holding sqrt(sigma_j) <j|, a (d^2, d) array, so its Kraus sums run in
+    O(d^4) without writing or scanning the 16 d^4 bytes of the stack.
+    ``stack[i*d + j]`` is E_{i,j}, written on first read; the array budget
+    refuses a d whose stack would exceed it.
     """
     d = env.dim
     _ensure_env_fits(d)
-    stack = np.zeros((d * d, d, d), dtype=complex)   # stack[i*d + j] = E_{i,j}
-    i, j = _env_row_index(d)
-    stack[np.arange(d * d), i] = _env_rows(env)[j]
     tags = tuple(f"E{i},{j}" for i in range(d) for j in range(d))
-    return KrausSet(dim=d, stack=stack, tags=tags)
+    return KrausSet._from_rows(d, *_env_row_form(env), tags)
 
 
 def phi(env: EnvState) -> float:
@@ -175,22 +176,18 @@ def phi(env: EnvState) -> float:
 def dual_apply_number(env: EnvState) -> np.ndarray:
     """Explicit Kraus evaluation of Phi[N]; equals phi(env) * I entrywise.
 
-    Each operator E_{i,j} of :func:`env_kraus` has one nonzero row, row i
-    holding sqrt(sigma_j) <j|, which is zero where sigma_j = 0.  Those rows
-    are gathered from the same source :func:`env_kraus` writes from and
-    summed by the Kraus sum's row kernel, in O(d^4) and with the bits of
+    The rows of the operators E_{i,j} come from the same source as the
+    row-form set of :func:`env_kraus` and are summed by the same row kernel,
+    in O(d^4) and with the bits of
     ``apply_dual_kraus(env_kraus(env), number_operator(d))``, zero weights
-    included; the result matches a per-operator loop to rounding, not bit for
-    bit.  The call holds the (d^2, d) rows, not the 16 d^4 bytes of the
-    stack, but the array budget still refuses a d whose stack would exceed it.
+    included, but without that set's tags and checks; the result matches a
+    per-operator loop to rounding, not bit for bit.  The call holds the
+    (d^2, d) rows, not the 16 d^4 bytes of the stack, but the array budget
+    still refuses a d whose stack would exceed it.
     """
     d = env.dim
     _ensure_env_fits(d)
-    number = number_operator(d)
-    i, j = _env_row_index(d)
-    total = np.zeros((d, d), dtype=complex)
-    _add_row_terms(total, _env_rows(env)[j], i, number)
-    return total
+    return _row_sum(*_env_row_form(env), number_operator(d))
 
 
 def simulate_charging(cfg: BatteryConfig, times) -> EvolutionTrace:

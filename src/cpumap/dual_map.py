@@ -19,8 +19,8 @@ import numpy as np
 from .choi import ChoiMatrix, FixedPointSpec, _dual_action
 from .errors import DimensionError, NegativeSqrtArgument
 from .linalg import (
-    _ensure_array_fits, _ensure_dim, _ensure_grid, _ensure_no_overflow, _ensure_positive, _ensure_size, as_matrix,
-    eig_hermitian, ensure_density_matrix, ensure_hermitian, max_abs,
+    _ensure_array_fits, _ensure_dim, _ensure_grid, _ensure_no_overflow, _ensure_positive, _ensure_size, _prevalidated,
+    as_matrix, eig_hermitian, ensure_density_matrix, ensure_hermitian, max_abs,
 )
 
 SQRT_TOL = 1e-12      # coefficient squares below -SQRT_TOL are positivity errors
@@ -35,30 +35,64 @@ class KrausSet:
     ``stack[k]`` is the operator tagged ``tags[k]``.  Tags follow the
     family each operator belongs to: ``B{i}`` for the reference-vector
     rays, ``C{i},{j}`` for the completed-basis rays and ``E{i},{j}`` for
-    environment-interaction operators.
+    environment-interaction operators.  The stack is read-only, and a
+    caller's array that it could share memory with is copied, so no later
+    write by the caller reaches it.
+
+    A set built by :meth:`_from_rows` holds its operators in row form
+    instead: operator k is zero but for row ``index[k]``, which holds
+    ``rows[k]``.  Its Kraus sums read those rows alone, and its ``stack``
+    is written from them on first read and kept.
     """
 
     dim: int
     stack: np.ndarray
     tags: tuple[str, ...]
 
+    _rows = None  # (index, rows) of a row-form set; a class attribute, not a field
+
     def __post_init__(self):
-        object.__setattr__(self, "dim", _ensure_size(self.dim, "Kraus set dim"))
         s = np.asarray(self.stack, dtype=complex)
-        tags = tuple(str(tag) for tag in self.tags)
-        if not tags:
-            raise DimensionError("a Kraus set needs at least one operator")
-        if s.shape != (len(tags), self.dim, self.dim):
+        if isinstance(self.stack, np.ndarray) and np.may_share_memory(s, self.stack):
+            s = s.copy()
+        self.__dict__.update(_stack_fields(self.dim, s, self.tags))
+
+    @classmethod
+    def _from_stack(cls, dim: int, stack: np.ndarray, tags) -> "KrausSet":
+        """A set that keeps ``stack``, a fresh complex array no caller holds,
+        without the copy the constructor makes of a caller's array."""
+        return _prevalidated(cls, **_stack_fields(dim, stack, tags))
+
+    @classmethod
+    def _from_rows(cls, dim: int, index: np.ndarray, rows: np.ndarray, tags) -> "KrausSet":
+        """A row-form set: operator k is zero but for row ``index[k]``, which
+        holds ``rows[k]``.  ``index`` and ``rows`` must be fresh arrays no
+        caller holds; the set keeps them, read-only, without a copy.  The
+        caller checks that the (K, dim, dim) stack fits the array budget."""
+        dim, tags = _ensure_size(dim, "Kraus set dim"), _ensure_tags(tags)
+        rows = np.asarray(rows, dtype=complex)
+        if rows.shape != (len(tags), dim):
             raise DimensionError(
-                f"stack has shape {s.shape}, expected "
-                f"{(len(tags), self.dim, self.dim)} for {len(tags)} tags"
+                f"rows have shape {rows.shape}, expected {(len(tags), dim)} for {len(tags)} tags"
             )
-        if not np.all(np.isfinite(s)):
-            raise DimensionError("Kraus operators contain NaN or Inf entries")
-        s = s.view()
-        s.flags.writeable = False
-        object.__setattr__(self, "stack", s)
-        object.__setattr__(self, "tags", tags)
+        index = np.asarray(index)
+        if not (index.dtype.kind in "iu" and index.shape == (len(tags),)
+                and np.all((index >= 0) & (index < dim))):
+            raise DimensionError(f"row index must hold {len(tags)} integers in [0, {dim})")
+        _ensure_finite_ops(rows)
+        index.flags.writeable = False
+        rows.flags.writeable = False
+        return _prevalidated(cls, dim=dim, tags=tags, _rows=(index, rows))
+
+    def __getattr__(self, name):
+        # reached only when ``name`` is not set: ``stack`` of a row-form set
+        # before its first read is written from the rows here and kept
+        if name != "stack" or self._rows is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        stack = _stack_from_rows(self.dim, *self._rows)
+        stack.flags.writeable = False
+        self.__dict__["stack"] = stack
+        return stack
 
     @classmethod
     def from_ops(cls, dim: int, pairs) -> "KrausSet":
@@ -74,12 +108,46 @@ class KrausSet:
             tags.append(tag)
             ops.append(m)
         stack = np.array(ops, dtype=complex).reshape(len(ops), dim, dim)
-        return cls(dim=dim, stack=stack, tags=tuple(tags))
+        return cls._from_stack(dim, stack, tags)
 
     @property
     def ops(self) -> tuple[tuple[str, np.ndarray], ...]:
         """``(tag, operator)`` pairs; each operator is a view into ``stack``."""
         return tuple(zip(self.tags, self.stack))
+
+
+def _ensure_tags(tags) -> tuple[str, ...]:
+    tags = tuple(str(tag) for tag in tags)
+    if not tags:
+        raise DimensionError("a Kraus set needs at least one operator")
+    return tags
+
+
+def _ensure_finite_ops(ops: np.ndarray) -> None:
+    if not np.all(np.isfinite(ops)):
+        raise DimensionError("Kraus operators contain NaN or Inf entries")
+
+
+def _stack_fields(dim, s: np.ndarray, tags) -> dict:
+    """The checked fields of a set stored as the complex (K, dim, dim) stack
+    ``s``, which is made read-only."""
+    dim, tags = _ensure_size(dim, "Kraus set dim"), _ensure_tags(tags)
+    if s.shape != (len(tags), dim, dim):
+        raise DimensionError(
+            f"stack has shape {s.shape}, expected "
+            f"{(len(tags), dim, dim)} for {len(tags)} tags"
+        )
+    _ensure_finite_ops(s)
+    s.flags.writeable = False
+    return {"dim": dim, "stack": s, "tags": tags}
+
+
+def _stack_from_rows(dim: int, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (K, dim, dim) stack whose operator k is zero but for row
+    ``index[k]``, which holds ``rows[k]``."""
+    stack = np.zeros((len(rows), dim, dim), dtype=complex)
+    stack[np.arange(len(rows)), index] = rows
+    return stack
 
 
 @dataclass(frozen=True)
@@ -122,31 +190,38 @@ def apply_dual_kraus(k: KrausSet, b) -> np.ndarray:
     """Evaluate sum_k D_k B D_k^dagger; DomainError on overflow."""
     b = _ensure_dim(as_matrix(b), k.dim, "observable")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _kraus_sum(k.stack, b)
+        out = _set_sum(k, b)
     return _ensure_no_overflow(out, "dual action")
+
+
+def _set_sum(k: KrausSet, b: np.ndarray) -> np.ndarray:
+    """sum_k D_k B D_k^dagger over a set: straight from the rows of a row-form
+    set, whose stack is never written, else from its stack."""
+    if k._rows is not None:
+        return _row_sum(*k._rows, b)
+    return _kraus_sum(k.stack, b)
 
 
 def _kraus_sum(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_k D_k B D_k^dagger over a (K, n, n) stack, in operator order.
 
     :func:`_single_rows` scans the stack once.  If every operator has at most
-    one nonzero row, :func:`_add_row_terms` adds all K terms through those
-    rows in O(K n^2); otherwise the stack is summed in slices of
+    one nonzero row, :func:`_row_sum` adds all K terms through those rows in
+    O(K n^2); otherwise the stack is summed in slices of
     :func:`_kraus_chunk_len` operators, each with the two dense products of
     :func:`_add_dense_terms`, in O(K n^3).  Only the operators select the
     branch.  The swap channel's d^2 operators E_{i,j} each have one nonzero
-    row, a zero one if sigma_j = 0, so their sum costs O(d^4) instead of
-    O(d^5).  Both branches add the terms in operator order, as a loop
-    ``out = out + D_k B D_k^dagger`` does; the dense branch keeps that loop's
-    bits, the row branch rounds each term differently and matches it to
-    rounding only.
+    row, a zero one if sigma_j = 0, so a stack of them, such as one read from
+    a file, sums in O(d^4) instead of O(d^5); the row-form set of
+    ``env_kraus`` skips this scan and gives the same bits.  Both branches add
+    the terms in operator order, as a loop ``out = out + D_k B D_k^dagger``
+    does; the dense branch keeps that loop's bits, the row branch rounds each
+    term differently and matches it to rounding only.
     """
     n_ops, n, _ = stack.shape
     rows = _single_rows(stack)
     if rows is not None:
-        total = np.zeros((n, n), dtype=complex)
-        _add_row_terms(total, stack[np.arange(n_ops), rows], rows, b)
-        return total
+        return _row_sum(rows, stack[np.arange(n_ops), rows], b)
     r = _kraus_chunk_len(n_ops, n)
     buf = np.zeros((r + 1, n, n), dtype=complex)   # slot 0 is the running total
     for start in range(0, n_ops, r):
@@ -177,22 +252,28 @@ def _single_rows(stack: np.ndarray):
     return nonzero.argmax(axis=1)
 
 
-def _add_row_terms(total: np.ndarray, s: np.ndarray, rows: np.ndarray, b: np.ndarray) -> None:
-    """Add D_k B D_k^dagger to ``total`` for K operators whose one nonzero row
-    is ``rows[k]`` and holds ``s[k]``: the term is the scalar
-    q_k = s_k B s_k^dagger at entry (rows[k], rows[k]).  Every s_k B comes
+def _row_sum(index: np.ndarray, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k D_k B D_k^dagger for K operators whose one nonzero row is
+    ``index[k]`` and holds ``rows[k]``: the term is the scalar
+    q_k = r_k B r_k^dagger at entry (index[k], index[k]).  Every r_k B comes
     from one batched GEMM over chunks of :func:`_kraus_chunk_len` rows, plus
     one for the tail, so each row is formed in the chunk it would have as an
-    operator.  ``s`` is then overwritten with its conjugate, row dot
-    products give q, and ``np.add.at`` adds each q_k to the diagonal in
-    operator order.  ``total`` is contiguous, so its flat diagonal is a view."""
-    n_ops, n = s.shape
+    operator.  The products r_k B are then overwritten with their
+    conjugates, whose dot products with the rows give conj(q_k): conjugation
+    only flips signs, so these are q_k's bits with the imaginary sign flipped,
+    and the rows need neither a conjugated copy, which costs a fresh (K, n)
+    buffer, nor a write.  ``np.add.at`` adds each q_k to the diagonal in
+    operator order."""
+    n_ops, n = rows.shape
+    total = np.zeros((n, n), dtype=complex)
     r = _kraus_chunk_len(n_ops, n)
     full = n_ops - n_ops % r
-    sb = np.empty_like(s)
-    np.matmul(s[:full].reshape(-1, r, n), b, out=sb[:full].reshape(-1, r, n))
-    np.matmul(s[full:], b, out=sb[full:])
-    np.add.at(total.reshape(-1)[::n + 1], rows, np.einsum("kl,kl->k", sb, np.conjugate(s, out=s)))
+    sb = np.empty_like(rows)
+    np.matmul(rows[:full].reshape(-1, r, n), b, out=sb[:full].reshape(-1, r, n))
+    np.matmul(rows[full:], b, out=sb[full:])
+    q = np.einsum("kl,kl->k", np.conjugate(sb, out=sb), rows).conj()
+    np.add.at(total.reshape(-1)[::n + 1], index, q)
+    return total
 
 
 def _add_dense_terms(buf: np.ndarray, ops: np.ndarray, b: np.ndarray) -> None:
@@ -211,7 +292,7 @@ def unitality_residual(k: KrausSet) -> float:
     where it overflows."""
     eye = np.eye(k.dim, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = max_abs(_kraus_sum(k.stack, eye) - eye)
+        residual = max_abs(_set_sum(k, eye) - eye)
     return _ensure_no_overflow(residual, "unitality residual")
 
 
@@ -299,7 +380,7 @@ def kraus_from_fixed_point(spec: FixedPointSpec) -> KrausSet:
     c_ops *= np.sqrt(w)[:, None, None, None]
     tags = [f"B{i}" for i in range(n)]
     tags += [f"C{i},{j}" for i in range(n) for j in range(1, n)]
-    return KrausSet(dim=n, stack=stack, tags=tuple(tags))
+    return KrausSet._from_stack(n, stack, tags)
 
 
 def choi_from_kraus(k: KrausSet) -> ChoiMatrix:

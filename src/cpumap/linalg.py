@@ -37,6 +37,15 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _prevalidated(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given,
+    without its __init__ or __post_init__: only for fields that already passed
+    every check the constructor would make."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _ensure_no_overflow(out, what: str):
     """Raise DomainError when a result computed under np.errstate holds NaN or Inf."""
     if not np.all(np.isfinite(out)):

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .battery import EnvState, _prevalidated, _validate_env
+from .battery import EnvState, _validate_env
 from .errors import DomainError
-from .linalg import _ensure_array_fits, _ensure_grid, _ensure_positive, _ensure_size
+from .linalg import _ensure_array_fits, _ensure_grid, _ensure_positive, _ensure_size, _prevalidated
 
 MAX_TRUNCATION = 1024  # largest d; a profile allocates one d x d basis and P x d spectra
 # a profile's peak memory per point besides its spectrum row: its other

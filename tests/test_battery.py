@@ -4,6 +4,7 @@ import pytest
 from cpumap import (
     BatteryConfig,
     EnvState,
+    KrausSet,
     aligned_env,
     alignment_unitary,
     apply_dual_kraus,
@@ -238,7 +239,9 @@ def test_dual_apply_number_proportional_to_identity():
 
 # d = 24 ends in a partial chunk: 28 operators per chunk, 576 operators; a zero
 # weight at level l makes the d operators E_{i,l} zero, and the sum over the
-# stack must add their terms as the sum over the gathered rows does
+# stack must add their terms as the sum over the rows does.  The row-form set of
+# env_kraus and dual_apply_number never read the stack; a set built from that
+# stack takes the stack's route through _single_rows
 @pytest.mark.parametrize("d", [2, 3, 8, 16, 24, 32])
 @pytest.mark.parametrize("basis", ["aligned", "random"])
 def test_dual_apply_number_bits_equal_stack_sum(basis, d):
@@ -249,16 +252,27 @@ def test_dual_apply_number_bits_equal_stack_sum(basis, d):
             sigma = zero_weight_spectrum(rng, d, level)
             envs.append(aligned_env(d, sigma) if basis == "aligned"
                         else EnvState(dim=d, spectrum=sigma, basis=random_env(rng, d).basis))
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     for env in envs:
-        want = apply_dual_kraus(env_kraus(env), number_operator(d))
+        k = env_kraus(env)
+        dense = KrausSet(dim=d, stack=k.stack, tags=k.tags)
+        for b in (number_operator(d), np.eye(d), x + x.conj().T, x):
+            assert apply_dual_kraus(k, b).tobytes() == apply_dual_kraus(dense, b).tobytes()
+        assert unitality_residual(k) == unitality_residual(dense)
+        want = apply_dual_kraus(dense, number_operator(d))
         assert dual_apply_number(env).tobytes() == want.tobytes()
 
 
 def test_dual_apply_number_streams_its_operators():
     # the stack of env_kraus at d = 32 takes 16 MiB
     env = random_env(rng_for(421), 32)
+    b = number_operator(32)
     dual_apply_number(env)
     assert traced_peak_bytes(dual_apply_number, env) < 8 * KRAUS_CHUNK_BYTES
+    assert traced_peak_bytes(lambda: apply_dual_kraus(env_kraus(env), b)) < 8 * KRAUS_CHUNK_BYTES
+    k = env_kraus(env)
+    stack = k.stack
+    assert not stack.flags.writeable and k.stack is stack
 
 
 def test_simulate_charging_zero_start():

@@ -285,6 +285,17 @@ def test_kraus_set_ops_are_views_of_the_stack():
         k.stack[0, 0, 0] = 1.0
 
 
+def test_kraus_set_keeps_no_handle_on_the_callers_stack():
+    s = np.zeros((2, 2, 2), dtype=complex)
+    s[0] = np.eye(2)
+    for given in (s, s[:], s.view()):
+        k = KrausSet(dim=2, stack=given, tags=("B0", "B1"))
+        s[0, 0, 0] = np.nan
+        assert not np.shares_memory(k.stack, s) and s.flags.writeable
+        assert np.array_equal(k.stack[0], np.eye(2)) and unitality_residual(k) == 0.0
+        s[0, 0, 0] = 1.0
+
+
 def loop_kraus_from_fixed_point(spec):
     """The per-operator construction: one outer product per (tag, operator)."""
     n, e, t = spec.dim, spec.expectation, spec.trace

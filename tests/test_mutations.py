@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cpumap import evolve_linear_euler, metric, selftest, swap_unitary
-from cpumap.dual_map import _kraus_sum
+from cpumap.dual_map import _kraus_sum, _stack_from_rows
 from cpumap.linalg import _psd_verdicts
 
 SPECTRA = metric._spectra
@@ -64,6 +64,13 @@ def env_rows_unrooted(env):
     return env.spectrum[:, None] * env.basis.conj().T
 
 
+def stack_last_row_zero(dim, index, rows):
+    """Leave the last operator's row zero in the stack written from the rows."""
+    stack = _stack_from_rows(dim, index, rows)
+    stack[-1] = 0.0
+    return stack
+
+
 def records_off_by_one(profile):
     """Each record's environment takes the next point's spectrum row."""
     return RECORDS.fget(dataclasses.replace(profile, spectra=np.roll(profile.spectra, -1, axis=0)))
@@ -86,6 +93,9 @@ MUTATIONS = [
     Mutation("env-ops-wrong-row", "cpumap.battery._env_row_index", env_ops_wrong_row,
              selftest.check_battery_oracle, "battery-replacement"),
     Mutation("env-rows-unrooted", "cpumap.battery._env_rows", env_rows_unrooted,
+             selftest.check_battery_oracle, "battery-replacement"),
+    # the oracle reads the stack that the row-form set of env_kraus writes on first read
+    Mutation("row-form-stack-last-row-zero", "cpumap.dual_map._stack_from_rows", stack_last_row_zero,
              selftest.check_battery_oracle, "battery-replacement"),
     # the slopes are compared with the target column, not with the phi column
     # computed from the same spectra
