@@ -130,16 +130,11 @@ def _env_rows(env: EnvState) -> np.ndarray:
     return np.sqrt(np.clip(env.spectrum, 0.0, None))[:, None] * env.basis.conj().T
 
 
-def _env_row_index(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The split k = i*d + j of every flat operator index: E_k has its one
-    nonzero row at i, and that row is row j of :func:`_env_rows`."""
-    return np.divmod(np.arange(d * d), d)
-
-
 def _env_row_form(env: EnvState) -> tuple[np.ndarray, np.ndarray]:
     """``(index, rows)`` of the d^2 operators E_{i,j}, flat index k = i*d + j:
-    E_k is zero but for row ``index[k]``, which holds ``rows[k]``."""
-    i, j = _env_row_index(env.dim)
+    E_k is zero but for row ``index[k]`` = i, which holds ``rows[k]``, row j
+    of :func:`_env_rows`."""
+    i, j = np.divmod(np.arange(env.dim ** 2), env.dim)
     return i, _env_rows(env)[j]
 
 

@@ -39,10 +39,12 @@ class KrausSet:
     caller's array that it could share memory with is copied, so no later
     write by the caller reaches it.
 
-    A set built by :meth:`_from_rows` holds its operators in row form
-    instead: operator k is zero but for row ``index[k]``, which holds
-    ``rows[k]``.  Its Kraus sums read those rows alone, and its ``stack``
-    is written from them on first read and kept.
+    Whether every operator has at most one nonzero row is decided once,
+    when the set is built.  Such a set also holds its operators in row
+    form: operator k is zero but for row ``index[k]``, which holds
+    ``rows[k]``, and its Kraus sums read those rows alone.  A set built by
+    :meth:`_from_rows` holds the row form only; its ``stack`` is written
+    from the rows on first read and kept.
     """
 
     dim: int
@@ -130,7 +132,8 @@ def _ensure_finite_ops(ops: np.ndarray) -> None:
 
 def _stack_fields(dim, s: np.ndarray, tags) -> dict:
     """The checked fields of a set stored as the complex (K, dim, dim) stack
-    ``s``, which is made read-only."""
+    ``s``, which is made read-only, with the read-only row form of its
+    operators if each has at most one nonzero row."""
     dim, tags = _ensure_size(dim, "Kraus set dim"), _ensure_tags(tags)
     if s.shape != (len(tags), dim, dim):
         raise DimensionError(
@@ -139,7 +142,13 @@ def _stack_fields(dim, s: np.ndarray, tags) -> dict:
         )
     _ensure_finite_ops(s)
     s.flags.writeable = False
-    return {"dim": dim, "stack": s, "tags": tags}
+    fields = {"dim": dim, "stack": s, "tags": tags}
+    index = _single_rows(s)
+    if index is not None:
+        rows = s[np.arange(len(s)), index]
+        index.flags.writeable = rows.flags.writeable = False
+        fields["_rows"] = (index, rows)
+    return fields
 
 
 def _stack_from_rows(dim: int, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -195,8 +204,8 @@ def apply_dual_kraus(k: KrausSet, b) -> np.ndarray:
 
 
 def _set_sum(k: KrausSet, b: np.ndarray) -> np.ndarray:
-    """sum_k D_k B D_k^dagger over a set: straight from the rows of a row-form
-    set, whose stack is never written, else from its stack."""
+    """sum_k D_k B D_k^dagger over a set: through the rows of a set held in
+    row form, else through its stack."""
     if k._rows is not None:
         return _row_sum(*k._rows, b)
     return _kraus_sum(k.stack, b)
@@ -205,23 +214,14 @@ def _set_sum(k: KrausSet, b: np.ndarray) -> np.ndarray:
 def _kraus_sum(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_k D_k B D_k^dagger over a (K, n, n) stack, in operator order.
 
-    :func:`_single_rows` scans the stack once.  If every operator has at most
-    one nonzero row, :func:`_row_sum` adds all K terms through those rows in
-    O(K n^2); otherwise the stack is summed in slices of
-    :func:`_kraus_chunk_len` operators, each with the two dense products of
-    :func:`_add_dense_terms`, in O(K n^3).  Only the operators select the
-    branch.  The swap channel's d^2 operators E_{i,j} each have one nonzero
-    row, a zero one if sigma_j = 0, so a stack of them, such as one read from
-    a file, sums in O(d^4) instead of O(d^5); the row-form set of
-    ``env_kraus`` skips this scan and gives the same bits.  Both branches add
-    the terms in operator order, as a loop ``out = out + D_k B D_k^dagger``
-    does; the dense branch keeps that loop's bits, the row branch rounds each
-    term differently and matches it to rounding only.
+    The stack is summed in slices of :func:`_kraus_chunk_len` operators,
+    each with the two dense products of :func:`_add_dense_terms`, in
+    O(K n^3); the terms are added in operator order, with the bits of a
+    loop ``out = out + D_k B D_k^dagger``.  A set whose operators each have
+    at most one nonzero row never comes here: :func:`_set_sum` sends its
+    rows to :func:`_row_sum`.
     """
     n_ops, n, _ = stack.shape
-    rows = _single_rows(stack)
-    if rows is not None:
-        return _row_sum(rows, stack[np.arange(n_ops), rows], b)
     r = _kraus_chunk_len(n_ops, n)
     buf = np.zeros((r + 1, n, n), dtype=complex)   # slot 0 is the running total
     for start in range(0, n_ops, r):
@@ -237,12 +237,13 @@ def _kraus_chunk_len(n_ops: int, n: int) -> int:
 
 def _single_rows(stack: np.ndarray):
     """The index of each operator's one nonzero row in a (K, n, n) stack, or
-    None unless every operator has at most one.  An all-zero operator counts:
-    its row is 0 and its term, an exact +-0, changes no bit of the running
-    total, which starts at +0 and so is never -0.  The first operator is
-    tested on its own first, so a dense stack costs one operator's read; one
-    row holds at most n nonzero entries, so a count of them refuses a dense
-    operator before its rows are read.  Otherwise the stack is read once."""
+    None unless every operator has at most one; run once, as a set is built.
+    An all-zero operator counts: its row is 0 and its term, an exact +-0,
+    changes no bit of the running total, which starts at +0 and so is never
+    -0.  The first operator is tested on its own first, so a dense stack
+    costs one operator's read; one row holds at most n nonzero entries, so a
+    count of them refuses a dense operator before its rows are read.
+    Otherwise the stack is read once."""
     first = stack[0]
     if np.count_nonzero(first) > len(first) or np.count_nonzero(first.any(axis=1)) > 1:
         return None
@@ -254,23 +255,17 @@ def _single_rows(stack: np.ndarray):
 
 def _row_sum(index: np.ndarray, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_k D_k B D_k^dagger for K operators whose one nonzero row is
-    ``index[k]`` and holds ``rows[k]``: the term is the scalar
-    q_k = r_k B r_k^dagger at entry (index[k], index[k]).  Every r_k B comes
-    from one batched GEMM over chunks of :func:`_kraus_chunk_len` rows, plus
-    one for the tail, so each row is formed in the chunk it would have as an
-    operator.  The products r_k B are then overwritten with their
-    conjugates, whose dot products with the rows give conj(q_k): conjugation
-    only flips signs, so these are q_k's bits with the imaginary sign flipped,
-    and the rows need neither a conjugated copy, which costs a fresh (K, n)
-    buffer, nor a write.  ``np.add.at`` adds each q_k to the diagonal in
-    operator order."""
-    n_ops, n = rows.shape
+    ``index[k]`` and holds ``rows[k]``, in O(K n^2): the term is the scalar
+    q_k = r_k B r_k^dagger at entry (index[k], index[k]).  One GEMM forms
+    every r_k B.  The products are then overwritten with their conjugates,
+    whose dot products with the rows give conj(q_k): conjugation only flips
+    signs, so these are q_k's bits with the imaginary sign flipped, and the
+    rows need neither a conjugated copy, which costs a fresh (K, n) buffer,
+    nor a write.  ``np.add.at`` adds each q_k to the diagonal in operator
+    order."""
+    n = rows.shape[1]
     total = np.zeros((n, n), dtype=complex)
-    r = _kraus_chunk_len(n_ops, n)
-    full = n_ops - n_ops % r
-    sb = np.empty_like(rows)
-    np.matmul(rows[:full].reshape(-1, r, n), b, out=sb[:full].reshape(-1, r, n))
-    np.matmul(rows[full:], b, out=sb[full:])
+    sb = rows @ b
     q = np.einsum("kl,kl->k", np.conjugate(sb, out=sb), rows).conj()
     np.add.at(total.reshape(-1)[::n + 1], index, q)
     return total

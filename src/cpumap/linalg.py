@@ -172,17 +172,18 @@ def _psd_verdicts(stack: np.ndarray, tol: float) -> np.ndarray:
 
 
 def ensure_density_matrix(rho) -> np.ndarray:
-    """Validate a density matrix: Hermitian and unit trace within HERM_TOL, and
-    PSD within HERM_TOL (lambda_min > -HERM_TOL, decided as in :func:`is_psd`)."""
+    """Validate a density matrix: Hermitian as :func:`ensure_hermitian` decides
+    at HERM_TOL, unit trace within HERM_TOL, and PSD within HERM_TOL
+    (lambda_min > -HERM_TOL, decided as in :func:`is_psd`)."""
     from .errors import InvalidDensityMatrix
 
     a = as_matrix(rho)
     if a.shape[0] != a.shape[1]:
         raise InvalidDensityMatrix(f"density matrix must be square, got {a.shape}")
     with np.errstate(over="ignore"):  # inf fails the tests below
-        res = max_abs(a - a.conj().T)
+        non_hermitian = _non_hermitian(a[None], HERM_TOL)[1][0]
         tr = complex(np.trace(a))
-    if res > HERM_TOL:
+    if non_hermitian:
         raise InvalidDensityMatrix("density matrix is not Hermitian")
     if abs(tr - 1.0) > HERM_TOL:
         raise InvalidDensityMatrix(f"trace {tr} differs from 1 by more than {HERM_TOL:.1e}")

@@ -152,10 +152,15 @@ def kraus_from_json(obj: dict) -> KrausSet:
 
 def _kraus_pairs(entries):
     """Decode ``(tag, matrix)`` lazily, so from_ops checks each shape before
-    the next entry is read."""
+    the next entry is read; a tag that is not a JSON string is refused, not
+    rewritten by ``str()``."""
     for entry in entries:
         m = matrix_from_json(_field(entry, "matrix"))
-        yield _field(entry, "tag"), m
+        tag = _field(entry, "tag")
+        if not isinstance(tag, str):
+            kind = {type(None): "null", bool: "boolean", int: "number", float: "number", list: "array"}
+            raise CpuMapError(f"'tag' must be a string, got a JSON {kind.get(type(tag), 'object')}")
+        yield tag, m
 
 
 def env_to_json(env: EnvState) -> dict:

@@ -237,11 +237,10 @@ def test_dual_apply_number_proportional_to_identity():
     assert max_abs(out - phi(env) * np.eye(6)) < 1e-9
 
 
-# d = 24 ends in a partial chunk: 28 operators per chunk, 576 operators; a zero
-# weight at level l makes the d operators E_{i,l} zero, and the sum over the
-# stack must add their terms as the sum over the rows does.  The row-form set of
-# env_kraus and dual_apply_number never read the stack; a set built from that
-# stack takes the stack's route through _single_rows
+# a zero weight at level l makes the d operators E_{i,l} zero.  The row-form set
+# of env_kraus and dual_apply_number never read the stack; a set built from that
+# stack finds its rows once, when it is built, at row 0 for a zero operator, and
+# its sums must have the same bits
 @pytest.mark.parametrize("d", [2, 3, 8, 16, 24, 32])
 @pytest.mark.parametrize("basis", ["aligned", "random"])
 def test_dual_apply_number_bits_equal_stack_sum(basis, d):

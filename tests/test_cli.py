@@ -177,6 +177,13 @@ def without(slot, key):
     return {slot: obj}
 
 
+def with_tag(tag):
+    """The ``PAYLOADS`` Kraus set with ``tag`` as the tag of its first operator."""
+    obj = copy.deepcopy(PAYLOADS["kraus"])
+    obj["ops"][0]["tag"] = tag
+    return {"kraus": obj}
+
+
 HALF = ser.matrix_to_json(np.eye(2) / 2)
 NON_HERMITIAN = ser.matrix_to_json(np.diag([1.0, 1j]))
 # Z with unitality residual 1e-3: a NaN tolerance once passed it
@@ -248,6 +255,9 @@ CLI_ERRORS = [
       for key, slot, command in (("tag", "kraus", "map-apply-kraus"), ("V", "env", "battery-phi"),
                                  ("re", "rho", "map-apply-Z"), ("rows", "rho", "map-apply-Z"),
                                  ("dim", "Z", "map-apply-Z"))),
+    # a number tag once loaded as the string '5' and exited 0
+    ErrorExit("kraus-tag-number", COMMANDS["map-apply-kraus"], with_tag(5), 2, "invalid",
+              "'tag' must be a string, got a JSON number"),
     # choi-check and battery-* once ended in a ValueError traceback, map-apply in exit 0
     *(ErrorExit(f"zero-size-{command}", argv, ZERO_SIZE, 2, "dimension") for command, argv in COMMANDS.items()),
     # an empty Kraus set once printed the zero matrix and exited 0

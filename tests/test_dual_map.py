@@ -19,13 +19,14 @@ from cpumap import (
     partial_trace_second,
     unitality_residual,
 )
-from cpumap import dual_map
-from cpumap.dual_map import KRAUS_CHUNK_BYTES, complete_basis
+from cpumap import dual_map, serialize as ser
+from cpumap.dual_map import KRAUS_CHUNK_BYTES, _stack_from_rows, complete_basis
 from cpumap.linalg import eig_hermitian, max_abs
 from cpumap.selftest import equivalence_spec
 
 from conftest import (
     NEGATED_IDENTITY_Z,
+    PAYLOADS,
     PINNED_Z_DIAG21,
     hermitian_basis,
     pencil_spec,
@@ -436,6 +437,69 @@ def test_kraus_sum_branches_follow_the_operators(monkeypatch, d):
     mixed = KrausSet(dim=d, stack=np.concatenate([k.stack, random_kraus(rng, 1, d).stack]), tags=k.tags + ("X",))
     chunks = -(-(d * d + 1) // dual_map._kraus_chunk_len(d * d + 1, d))
     assert dense_chunks(monkeypatch, unitality_residual, mixed) == chunks
+
+
+def scalar_family(rng, n):
+    """The fixed-point family of a scalar A: operator i is |a_i><v|, one
+    nonzero row, and the C operators are zero."""
+    return kraus_from_fixed_point(FixedPointSpec(a=3.0 * np.eye(n, dtype=complex), v=random_unit(rng, n)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 16])
+def test_each_builder_decides_the_row_form(d):
+    # the swap channel's stack, a scalar family and the CLI's diag(2, 1)/e1
+    # file have one nonzero row per operator; a pencil family is dense
+    rng = rng_for(333, d)
+    env = zero_weight_env(rng, d)
+    row_form = env_kraus(env)
+    singles = {
+        "env-stack": KrausSet(dim=d, stack=row_form.stack, tags=row_form.tags),
+        "scalar": scalar_family(rng, d),
+        "cli-file": ser.kraus_from_json(PAYLOADS["kraus"]),
+    }
+    for name, k in singles.items():
+        assert k._rows is not None, name
+        index, rows = k._rows
+        assert not (index.flags.writeable or rows.flags.writeable)
+        assert np.array_equal(_stack_from_rows(k.dim, index, rows), k.stack), name
+    assert kraus_from_fixed_point(pencil_spec(rng, d))._rows is None
+
+
+def counted_scans(monkeypatch):
+    """Count calls of dual_map._single_rows from here on."""
+    calls, real_single_rows = [], dual_map._single_rows
+
+    def single_rows(stack):
+        calls.append(len(stack))
+        return real_single_rows(stack)
+
+    monkeypatch.setattr(dual_map, "_single_rows", single_rows)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["scalar", "pencil", "env-stack"])
+def test_a_set_is_scanned_once(monkeypatch, family):
+    rng = rng_for(334)
+    env_set = env_kraus(random_env(rng, 8))
+    build = {"scalar": lambda: scalar_family(rng, 8), "pencil": lambda: kraus_from_fixed_point(pencil_spec(rng, 8)),
+             "env-stack": lambda: KrausSet(dim=8, stack=env_set.stack, tags=env_set.tags)}[family]
+    calls = counted_scans(monkeypatch)
+    k = build()
+    unitality_residual(k)
+    apply_dual_kraus(k, random_hermitian(rng, 8))
+    assert len(calls) == 1
+
+
+def test_oracle_stack_sum_scans_nothing(monkeypatch):
+    # the selftest oracle's transposed stack: its operators have one nonzero
+    # column each, and it is summed through the dense products
+    rng = rng_for(335)
+    env = random_env(rng, 8)
+    rho = random_density(rng, 8)
+    calls = counted_scans(monkeypatch)
+    primal = dual_map._kraus_sum(env_kraus(env).stack.transpose(0, 2, 1), rho.conj()).conj()
+    assert calls == []
+    assert max_abs(primal - env.sigma_fock()) < 1e-12
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42, 99])

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from cpumap import evolve_linear_euler, metric, selftest, swap_unitary
-from cpumap.dual_map import _kraus_sum, _stack_from_rows
+from cpumap.battery import _env_rows
+from cpumap.dual_map import _kraus_sum, _single_rows, _stack_from_rows
 from cpumap.linalg import _psd_verdicts
 
 SPECTRA = metric._spectra
@@ -53,15 +54,21 @@ def first_factor_traced(m, d1, d2):
     return np.einsum("kikj->ij", np.asarray(m).reshape(d1, d2, d1, d2))
 
 
-def env_ops_wrong_row(d):
+def env_ops_wrong_row(env):
     """Give E_{i,j} the row of index i instead of j."""
-    i, _ = np.divmod(np.arange(d * d), d)
-    return i, i
+    i, _ = np.divmod(np.arange(env.dim ** 2), env.dim)
+    return i, _env_rows(env)[i]
 
 
 def env_rows_unrooted(env):
     """Weigh row j by sigma_j instead of sqrt(sigma_j)."""
     return env.spectrum[:, None] * env.basis.conj().T
+
+
+def rows_found_at_zero(stack):
+    """Report row 0 as the nonzero row of every operator that has one."""
+    index = _single_rows(stack)
+    return None if index is None else np.zeros_like(index)
 
 
 def stack_last_row_zero(dim, index, rows):
@@ -89,14 +96,18 @@ MUTATIONS = [
     Mutation("partial-trace-first-factor", "cpumap.selftest.partial_trace_second", first_factor_traced,
              selftest.check_battery_oracle, "battery-replacement"),
     # env_kraus and dual_apply_number take their rows from _env_rows through the
-    # split k = i*d + j of _env_row_index, so only the oracle sees a fault in either
-    Mutation("env-ops-wrong-row", "cpumap.battery._env_row_index", env_ops_wrong_row,
+    # split k = i*d + j of _env_row_form, so only the oracle sees a fault in either
+    Mutation("env-ops-wrong-row", "cpumap.battery._env_row_form", env_ops_wrong_row,
              selftest.check_battery_oracle, "battery-replacement"),
     Mutation("env-rows-unrooted", "cpumap.battery._env_rows", env_rows_unrooted,
              selftest.check_battery_oracle, "battery-replacement"),
     # the oracle reads the stack that the row-form set of env_kraus writes on first read
     Mutation("row-form-stack-last-row-zero", "cpumap.dual_map._stack_from_rows", stack_last_row_zero,
              selftest.check_battery_oracle, "battery-replacement"),
+    # a set's row form is decided when it is built; the identity-A families of
+    # the round trip have one nonzero row per operator, so their sums take it
+    Mutation("single-rows-at-row-zero", "cpumap.dual_map._single_rows", rows_found_at_zero,
+             selftest.check_kraus_roundtrip, "kraus-roundtrip"),
     # the slopes are compared with the target column, not with the phi column
     # computed from the same spectra
     Mutation("profile-spectra-leak", "cpumap.metric._spectra", leaky_spectra,

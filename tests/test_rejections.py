@@ -54,7 +54,7 @@ from cpumap import (
 )
 from cpumap.battery import _validate_env
 from cpumap.cli import MAX_GRID_POINTS, parse_grid
-from cpumap.linalg import as_matrix, ensure_hermitian
+from cpumap.linalg import as_matrix, ensure_density_matrix, ensure_hermitian
 
 from conftest import (
     NEGATED_IDENTITY_Z,
@@ -114,8 +114,8 @@ NON_FINITE_TIMES = {"0-nan": [0.0, math.nan], "nan-1": [math.nan, 1.0], "0-inf":
 RHO_3 = random_density(rng_for(323), 3)
 NAN_BASIS = np.eye(3, dtype=complex)
 NAN_BASIS[1, 2] = np.nan
-# the row- sets hold operators with one nonzero row, which the Kraus sum adds
-# through that row; the others are dense
+# the row- sets hold operators with one nonzero row, so they are built in row
+# form and their Kraus sums go through those rows; the others are dense
 ROW_0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 OVERFLOWING_KRAUS = {
     "term": KrausSet.from_ops(2, [("B0", 1e200 * np.eye(2))]),
@@ -295,6 +295,12 @@ REJECTIONS = [
               "integer"),
     Rejection("partial-trace-d-bool", lambda: partial_trace_second(np.eye(1), True, True), DimensionError,
               "integer"),
+    Rejection("density-not-hermitian", lambda: ensure_density_matrix(np.array([[0.5, 0.1], [0.0, 0.5]])),
+              InvalidDensityMatrix, "not Hermitian"),
+    # rho - rho^dagger overflows to inf, which fails the test without a warning
+    Rejection("density-hermiticity-overflows",
+              lambda: ensure_density_matrix(np.array([[0.5, 1e308], [-1e308, 0.5]])), InvalidDensityMatrix,
+              "not Hermitian"),
     Rejection("eig-non-hermitian", lambda: eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]])), HermiticityError),
     Rejection("as-matrix-nan", lambda: as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]])), DimensionError),
     # the residual 1 is far above HERM_TOL x max(1, ||M||_max) = 0.1
@@ -361,6 +367,12 @@ REJECTIONS = [
     Rejection("matrix-list-root", lambda: ser.matrix_from_json([1.0, 2.0]), CpuMapError, "JSON object"),
     Rejection("kraus-ops-not-list", lambda: ser.kraus_from_json({"dim": 2, "ops": 5}), CpuMapError, "'ops'"),
     Rejection("kraus-op-not-object", lambda: ser.kraus_from_json({"dim": 2, "ops": [5]}), CpuMapError, "'matrix'"),
+    # a tag once went through str(): null loaded as 'None', 5 as '5'
+    *(Rejection(f"kraus-tag-{name}", lambda tag=tag: ser.kraus_from_json(
+        {"dim": 2, "ops": [{"tag": tag, "matrix": ser.matrix_to_json(np.eye(2))}]}), CpuMapError,
+        f"^'tag' must be a string, got a JSON {kind}$")
+      for name, tag, kind in (("null", None, "null"), ("number", 5, "number"), ("bool", True, "boolean"),
+                              ("array", ["x"], "array"), ("object", {"a": 1}, "object"))),
     Rejection("kraus-first-bad-entry", lambda: ser.kraus_from_json({"dim": 2, "ops": KRAUS_OPS}), DimensionError,
               "'B0'"),
     Rejection("kraus-non-numeric-entry", lambda: ser.kraus_from_json({"dim": 2, "ops": KRAUS_OPS[1:]}), CpuMapError,
