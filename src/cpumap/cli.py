@@ -166,7 +166,7 @@ def build_parser() -> _Parser:
 
 def _cmd_choi_build(args) -> None:
     z = build_fixed_point_choi(_load_spec(args.A, args.v))
-    _write_text(args.out, (dumps(serialize.choi_to_json(z)),))
+    _write_text(args.out, serialize.choi_to_json(z))
 
 
 def _cmd_choi_check(args) -> None:
@@ -182,7 +182,7 @@ def _cmd_choi_check(args) -> None:
 
 def _cmd_kraus_extract(args) -> None:
     k = kraus_from_fixed_point(_load_spec(args.A, args.v))
-    _write_text(args.out, (dumps(serialize.kraus_to_json(k)),))
+    _write_text(args.out, serialize.kraus_to_json(k))
     sys.stdout.write(f"unitality-residual {fmt(unitality_residual(k))}\n")
 
 
@@ -206,7 +206,7 @@ def _cmd_map_apply(args) -> None:
         k = serialize.kraus_from_json(_read_json(args.kraus))
         _check_map({"unitality": unitality_residual(k)})
         out = apply_dual_kraus(k, b)
-    _write_text(args.out, (dumps(serialize.matrix_to_json(out)),))
+    _write_text(args.out, serialize.matrix_to_json(out))
 
 
 def _write_trace(args, trace) -> None:

@@ -240,13 +240,22 @@ def _single_rows(stack: np.ndarray):
     None unless every operator has at most one; run once, as a set is built.
     An all-zero operator counts: its row is 0 and its term, an exact +-0,
     changes no bit of the running total, which starts at +0 and so is never
-    -0.  The first operator is tested on its own first, so a dense stack
-    costs one operator's read; one row holds at most n nonzero entries, so a
-    count of them refuses a dense operator before its rows are read.
-    Otherwise the stack is read once."""
-    first = stack[0]
-    if np.count_nonzero(first) > len(first) or np.count_nonzero(first.any(axis=1)) > 1:
-        return None
+    -0.  The first nonzero operator is tested on its own first, found in
+    windows of 1, 1, 2, 4, ... operators, so a dense stack costs at most
+    twice the read up to it, zero operators before it included; one row
+    holds at most n nonzero entries, so a count of them refuses a dense
+    operator before its rows are read.  Otherwise the whole stack is then
+    read once."""
+    start, size = 0, 1
+    while start < len(stack):
+        window = stack[start:start + size]
+        if np.count_nonzero(window):
+            first = window[window.any(axis=(1, 2)).argmax()]
+            if np.count_nonzero(first) > len(first) or np.count_nonzero(first.any(axis=1)) > 1:
+                return None
+            break
+        start += size
+        size = start
     nonzero = stack.any(axis=2)
     if not np.all(nonzero.sum(axis=1) <= 1):
         return None

@@ -3,7 +3,10 @@ environment states, evolution traces and dilation profiles.
 
 All floating-point output is printed with 17 significant digits so that
 every value round-trips exactly; emission order is fixed, making outputs
-byte-reproducible.
+byte-reproducible.  Every writer (``*_to_json``, ``*_to_csv``) yields its
+text in chunks formatted from the arrays block by block, so memory stays
+bounded by a block whatever the size of the output; ``"".join(writer(...))``
+is the whole file, trailing newline included.
 """
 
 from __future__ import annotations
@@ -34,9 +37,6 @@ def _emit(obj) -> str:
         inner = ",".join(f"{json.dumps(k)}:{_emit(v)}" for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) == {float}:
-            # a run of plain floats is formatted by one C-level call
-            return "[" + ",".join([FLOAT_FORMAT] * len(obj)) % tuple(obj) + "]"
         return "[" + ",".join(_emit(v) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -52,6 +52,58 @@ def _emit(obj) -> str:
 def dumps(obj) -> str:
     """Serialize to a single JSON line with a trailing newline."""
     return _emit(obj) + "\n"
+
+
+# --- block writers ----------------------------------------------------------
+# Each writer is called with its object and returns a generator of text
+# chunks, so memory stays bounded by a block whatever the size of the output;
+# "".join(writer(...)) is the whole output.
+
+BLOCK_CHARS = 1 << 18  # characters a writer formats per C-level % call, or one longer row
+
+
+def _rows_per_block(row_chars: int, width: int) -> int:
+    """Rows of a ``row_chars``-character template holding ``width`` values
+    that fit in one block, at least one."""
+    # a %.17g value takes at most 24 characters, 19 more than its specifier
+    return max(1, BLOCK_CHARS // (row_chars + 19 * width))
+
+
+def _blocks(row: str, columns, sep: str = ""):
+    """Yield the text of the rows of the equal-length 1-D ``columns``, joined
+    by ``sep``, one block at a time (``sep`` is yielded between blocks).
+
+    ``row`` holds one FLOAT_FORMAT per float column and one ``%s`` per bool
+    column, printed ``true``/``false``; any other text in it must hold no
+    ``%``.  A block holds as many rows as fit in BLOCK_CHARS, at least one,
+    and is formatted by one ``%`` call on ``row`` repeated over the block."""
+    width = len(columns)
+    rows = _rows_per_block(len(row), width)
+    for start in range(0, len(columns[0]), rows):
+        blocks = [c[start:start + rows] for c in columns]
+        values = [None] * (width * len(blocks[0]))
+        for j, block in enumerate(blocks):
+            values[j::width] = (np.where(block, "true", "false") if block.dtype == bool else block).tolist()
+        if start:
+            yield sep
+        yield sep.join([row] * len(blocks[0])) % tuple(values)
+
+
+def _text(*parts):
+    """Yield each str of ``parts`` as it is and each 1-D float array as its
+    comma-separated values, block by block."""
+    for part in parts:
+        if isinstance(part, str):
+            yield part
+        else:
+            yield from _blocks(FLOAT_FORMAT, (part,), ",")
+
+
+def _matrix_parts(a: np.ndarray, head: str = "{") -> tuple:
+    """The ``_text`` parts of the matrix-json object of the 2-D complex
+    ``a``, opened by ``head``."""
+    return (f'{head}"rows":{a.shape[0]},"cols":{a.shape[1]},"re":[', a.real.reshape(-1),
+            '],"im":[', a.imag.reshape(-1), "]}")
 
 
 # --- matrices and vectors ------------------------------------------------
@@ -91,14 +143,10 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
         return re + 1j * im
 
 
-def matrix_to_json(m) -> dict:
-    a = as_matrix(m)
-    return {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "re": a.real.reshape(-1).tolist(),
-        "im": a.imag.reshape(-1).tolist(),
-    }
+def matrix_to_json(m):
+    """Matrix-json text of ``m``; ``m`` is checked by the call, before any
+    chunk is drawn."""
+    return _text(*_matrix_parts(as_matrix(m)), "\n")
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
@@ -111,9 +159,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return _complex(re, im).reshape(rows, cols)
 
 
-def vector_to_json(v) -> dict:
+def vector_to_json(v):
     a = np.asarray(v, dtype=complex).reshape(-1)
-    return {"re": a.real.tolist(), "im": a.imag.tolist()}
+    return _text('{"re":[', a.real, '],"im":[', a.imag, "]}\n")
 
 
 def vector_from_json(obj: dict) -> np.ndarray:
@@ -125,21 +173,31 @@ def vector_from_json(obj: dict) -> np.ndarray:
 
 # --- composite objects ----------------------------------------------------
 
-def choi_to_json(z: ChoiMatrix) -> dict:
-    payload = {"dim": int(z.dim)}
-    payload.update(matrix_to_json(z.matrix))
-    return payload
+def choi_to_json(z: ChoiMatrix):
+    return _text(*_matrix_parts(z.matrix, f'{{"dim":{z.dim},'), "\n")
 
 
 def choi_from_json(obj: dict) -> ChoiMatrix:
     return ChoiMatrix(dim=_count(obj, "dim"), matrix=matrix_from_json(obj))
 
 
-def kraus_to_json(k: KrausSet) -> dict:
-    return {
-        "dim": int(k.dim),
-        "ops": [{"tag": tag, "matrix": matrix_to_json(op)} for tag, op in k.ops],
-    }
+def kraus_to_json(k: KrausSet):
+    """Kraus-json text of ``k``.  Operator k is one row of a block, formatted
+    from row k of the real and imaginary parts of the flattened stack by a
+    template holding its tag; one ``%`` call formats a block of operators."""
+    n, flat = k.dim, k.stack.reshape(len(k.tags), -1)
+    values = ",".join([FLOAT_FORMAT] * (n * n))
+    body = f'"matrix":{{"rows":{n},"cols":{n},"re":[{values}],"im":[{values}]}}}}'
+    heads = [f'{{"tag":{json.dumps(tag).replace("%", "%%")},' for tag in k.tags]
+    rows = _rows_per_block(max(map(len, heads)) + len(body), 2 * n * n)
+    yield f'{{"dim":{n},"ops":['
+    for start in range(0, len(heads), rows):
+        block = flat[start:start + rows]
+        if start:
+            yield ","
+        yield ",".join([head + body for head in heads[start:start + rows]]) % tuple(
+            np.concatenate((block.real, block.imag), axis=1).ravel().tolist())
+    yield "]}\n"
 
 
 def kraus_from_json(obj: dict) -> KrausSet:
@@ -163,8 +221,8 @@ def _kraus_pairs(entries):
         yield tag, m
 
 
-def env_to_json(env: EnvState) -> dict:
-    return {"d": int(env.dim), "spectrum": env.spectrum.tolist(), "V": matrix_to_json(env.basis)}
+def env_to_json(env: EnvState):
+    return _text(f'{{"d":{env.dim},"spectrum":[', env.spectrum, '],"V":', *_matrix_parts(env.basis), "}\n")
 
 
 def env_from_json(obj: dict) -> EnvState:
@@ -176,32 +234,6 @@ def env_from_json(obj: dict) -> EnvState:
 
 
 # --- traces and profiles ---------------------------------------------------
-# Each writer yields its text in chunks, so memory stays bounded by a block
-# whatever the number of rows; "".join(writer(...)) is the whole output.
-
-BLOCK_CHARS = 1 << 18  # characters a writer formats per C-level % call, or one longer row
-
-
-def _blocks(row: str, columns, sep: str = ""):
-    """Yield the text of the rows of the equal-length 1-D ``columns``, joined
-    by ``sep``, one block at a time (``sep`` is yielded between blocks).
-
-    ``row`` holds one FLOAT_FORMAT per float column and one ``%s`` per bool
-    column, printed ``true``/``false``; any other text in it must hold no
-    ``%``.  A block holds as many rows as fit in BLOCK_CHARS, at least one,
-    and is formatted by one ``%`` call on ``row`` repeated over the block."""
-    width = len(columns)
-    # a %.17g value takes at most 24 characters, 19 more than its specifier
-    rows = max(1, BLOCK_CHARS // (len(row) + 19 * width))
-    for start in range(0, len(columns[0]), rows):
-        blocks = [c[start:start + rows] for c in columns]
-        values = [None] * (width * len(blocks[0]))
-        for j, block in enumerate(blocks):
-            values[j::width] = (np.where(block, "true", "false") if block.dtype == bool else block).tolist()
-        if start:
-            yield sep
-        yield sep.join([row] * len(blocks[0])) % tuple(values)
-
 
 def trace_to_csv(trace: EvolutionTrace):
     yield "t,expectation\n"
@@ -209,11 +241,7 @@ def trace_to_csv(trace: EvolutionTrace):
 
 
 def trace_to_json(trace: EvolutionTrace):
-    yield '{"times":['
-    yield from _blocks(FLOAT_FORMAT, (trace.times,), ",")
-    yield '],"values":['
-    yield from _blocks(FLOAT_FORMAT, (trace.values,), ",")
-    yield f'],"phi":{fmt(trace.phi_fit)}}}\n'
+    return _text('{"times":[', trace.times, '],"values":[', trace.values, f'],"phi":{fmt(trace.phi_fit)}}}\n')
 
 
 def profile_to_csv(profile: MetricProfile):
@@ -230,7 +258,7 @@ def profile_to_json(profile: MetricProfile, verbose: bool = False):
     row = f'{{"r":{FLOAT_FORMAT},"target":{FLOAT_FORMAT},"phi":{FLOAT_FORMAT},"clipped":%s'
     if verbose:
         spectrum = ",".join([FLOAT_FORMAT] * d)
-        row += f',"env":{{"d":{d},"spectrum":[{spectrum}],"V":{_emit(matrix_to_json(profile.basis))}}}'
+        row += f',"env":{{"d":{d},"spectrum":[{spectrum}],"V":{"".join(_text(*_matrix_parts(profile.basis)))}}}'
         columns += tuple(profile.spectra.T)
     row += "}"
     yield f'{{"M":{fmt(params.M)},"r0":{fmt(params.r0)},"d":{d},"records":['

@@ -182,18 +182,40 @@ ZERO_SIZE = {
 }
 
 
+# the JSON objects of the file formats, built here from the arrays: inputs of
+# the command line, and references for the package's text writers
+
+def matrix_payload(m):
+    a = np.asarray(m, dtype=complex)
+    return {"rows": a.shape[0], "cols": a.shape[1], "re": a.real.reshape(-1).tolist(),
+            "im": a.imag.reshape(-1).tolist()}
+
+
+def vector_payload(v):
+    a = np.asarray(v, dtype=complex).reshape(-1)
+    return {"re": a.real.tolist(), "im": a.imag.tolist()}
+
+
+def choi_payload(z):
+    return {"dim": z.dim, **matrix_payload(z.matrix)}
+
+
+def kraus_payload(k):
+    return {"dim": k.dim, "ops": [{"tag": tag, "matrix": matrix_payload(op)} for tag, op in k.ops]}
+
+
 CLI_SPEC = FixedPointSpec(a=np.diag([2.0, 1.0]), v=np.eye(2)[0])
 # valid CLI inputs, one per argv slot, on a 2-level system: A = diag(2, 1),
 # v = e1, the Choi matrix Z and Kraus set built from them, an environment, a
 # state rho and the identity observable I
 PAYLOADS = {
-    "A": ser.matrix_to_json(CLI_SPEC.a),
-    "v": ser.vector_to_json(CLI_SPEC.v),
-    "Z": ser.choi_to_json(build_fixed_point_choi(CLI_SPEC)),
-    "kraus": ser.kraus_to_json(kraus_from_fixed_point(CLI_SPEC)),
-    "env": {"d": 2, "spectrum": [0.0, 1.0], "V": ser.matrix_to_json(np.eye(2))},
-    "rho": ser.matrix_to_json(random_density(rng_for(703), 2)),
-    "I": ser.matrix_to_json(np.eye(2)),
+    "A": matrix_payload(CLI_SPEC.a),
+    "v": vector_payload(CLI_SPEC.v),
+    "Z": choi_payload(build_fixed_point_choi(CLI_SPEC)),
+    "kraus": kraus_payload(kraus_from_fixed_point(CLI_SPEC)),
+    "env": {"d": 2, "spectrum": [0.0, 1.0], "V": matrix_payload(np.eye(2))},
+    "rho": matrix_payload(random_density(rng_for(703), 2)),
+    "I": matrix_payload(np.eye(2)),
 }
 
 

@@ -24,9 +24,13 @@ from conftest import (
     OVERFLOWING_TRACE_Z,
     PAYLOADS,
     ZERO_SIZE,
+    choi_payload,
     forbidden,
+    kraus_payload,
+    matrix_payload,
     rng_for,
     run_cli,
+    vector_payload,
     write_json,
     write_payloads,
 )
@@ -55,7 +59,7 @@ def test_kraus_extract_and_map_apply(cli_files, tmp_path):
     b_path = tmp_path / "b.json"
     rng = rng_for(701)
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    write_json(b_path, ser.matrix_to_json((g + g.conj().T) / 2))
+    write_json(b_path, matrix_payload((g + g.conj().T) / 2))
     code, out, _ = run_cli(["kraus-extract", "--A", cli_files["A"], "--v", cli_files["v"]])
     assert code == 0
     assert out.splitlines()[0] + "\n" == ser.dumps(PAYLOADS["kraus"])
@@ -92,7 +96,7 @@ def test_evolve_csv(cli_files, tmp_path):
 
 
 # a d = 4 environment holding all its weight on level 2
-LEVEL_TWO_ENV = {"d": 4, "spectrum": [0.0, 0.0, 1.0, 0.0], "V": ser.matrix_to_json(np.eye(4))}
+LEVEL_TWO_ENV = {"d": 4, "spectrum": [0.0, 0.0, 1.0, 0.0], "V": matrix_payload(np.eye(4))}
 
 
 def test_battery_phi_prints_level(tmp_path):
@@ -167,7 +171,7 @@ class ErrorExit(NamedTuple):
 
 
 def spec_payloads(a, v):
-    return {"A": ser.matrix_to_json(a), "v": ser.vector_to_json(np.asarray(v, dtype=float))}
+    return {"A": matrix_payload(a), "v": vector_payload(np.asarray(v, dtype=float))}
 
 
 def without(slot, key):
@@ -184,23 +188,23 @@ def with_tag(tag):
     return {"kraus": obj}
 
 
-HALF = ser.matrix_to_json(np.eye(2) / 2)
-NON_HERMITIAN = ser.matrix_to_json(np.diag([1.0, 1j]))
+HALF = matrix_payload(np.eye(2) / 2)
+NON_HERMITIAN = matrix_payload(np.diag([1.0, 1j]))
 # Z with unitality residual 1e-3: a NaN tolerance once passed it
 PERTURBED_Z = copy.deepcopy(PAYLOADS["Z"])
 PERTURBED_Z["re"][0] += 1e-3
 # the identity Kraus operator scaled by 2 (Phi[I] = 4I) and by 1e200, whose sum
 # D D^dagger overflows; Z = 3 I_4 (Phi[B] = 3 tr(B) I, so Phi[I] = 6I and
 # Phi[Phi[I]] = 36I)
-DOUBLED_KRAUS = ser.kraus_to_json(KrausSet.from_ops(2, [("B0", 2.0 * np.eye(2))]))
-HUGE_KRAUS = ser.kraus_to_json(KrausSet.from_ops(2, [("B0", 1e200 * np.eye(2))]))
+DOUBLED_KRAUS = kraus_payload(KrausSet.from_ops(2, [("B0", 2.0 * np.eye(2))]))
+HUGE_KRAUS = kraus_payload(KrausSet.from_ops(2, [("B0", 1e200 * np.eye(2))]))
 # one operator whose only nonzero entry, 1e200 in row 0, overflows the sum
 # taken through that row
-HUGE_ROW_KRAUS = ser.kraus_to_json(KrausSet.from_ops(2, [("B0", [[1e200, 0.0], [0.0, 0.0]])]))
-NON_UNITAL_Z = ser.choi_to_json(ChoiMatrix(dim=2, matrix=3.0 * np.eye(4)))
+HUGE_ROW_KRAUS = kraus_payload(KrausSet.from_ops(2, [("B0", [[1e200, 0.0], [0.0, 0.0]])]))
+NON_UNITAL_Z = choi_payload(ChoiMatrix(dim=2, matrix=3.0 * np.eye(4)))
 # a CP spec on 3 levels and an observable whose dual action overflows
 PENCIL = selftest.pencil_spec(42, 3, 0)
-OVERFLOWING_B = ser.matrix_to_json(np.full((3, 3), 1.7e308))
+OVERFLOWING_B = matrix_payload(np.full((3, 3), 1.7e308))
 FAILING_CHECKS = (lambda seed: ["PASS stub"],) * 7 + (lambda seed: ["FAIL stub"],)
 SELFTEST_STUB_REPORT = "cpumap selftest seed=3\n" + "PASS stub\n" * 7 + "FAIL stub\nselftest: 7 passed, 1 failed\n"
 
@@ -313,23 +317,23 @@ CLI_ERRORS = [
                                 ("factor-overflows", ["--M", "1e100", "--r0", "1e-300", "--format", "json"],
                                  "1e-300", "1e+100"))),
     ErrorExit("dual-action-overflows-Z", ["map-apply", "--Z", "{Z}", "--B", "{B}"],
-              {"Z": ser.choi_to_json(build_fixed_point_choi(PENCIL)), "B": OVERFLOWING_B}, 2, "domain"),
+              {"Z": choi_payload(build_fixed_point_choi(PENCIL)), "B": OVERFLOWING_B}, 2, "domain"),
     ErrorExit("dual-action-overflows-kraus", ["map-apply", "--kraus", "{kraus}", "--B", "{B}"],
-              {"kraus": ser.kraus_to_json(kraus_from_fixed_point(PENCIL)), "B": OVERFLOWING_B}, 2, "domain"),
+              {"kraus": kraus_payload(kraus_from_fixed_point(PENCIL)), "B": OVERFLOWING_B}, 2, "domain"),
     ErrorExit("dual-action-overflows-row-kraus", ["map-apply", "--kraus", "{kraus}", "--B", "{I}"],
               {"kraus": HUGE_ROW_KRAUS}, 2, "domain", "unitality residual overflows the float range"),
     ErrorExit("fixed-point-dual-action-overflows", CHOI_CHECK,
-              {"Z": ser.choi_to_json(build_fixed_point_choi(PENCIL)), "A": OVERFLOWING_B}, 2, "domain",
+              {"Z": choi_payload(build_fixed_point_choi(PENCIL)), "A": OVERFLOWING_B}, 2, "domain",
               "fixed-point residual overflows the float range"),
     ErrorExit("unitality-residual-overflows", CHOI_CHECK,
-              {"Z": ser.choi_to_json(OVERFLOWING_TRACE_Z), "A": ser.matrix_to_json(np.zeros((2, 2)))}, 2, "domain"),
+              {"Z": choi_payload(OVERFLOWING_TRACE_Z), "A": matrix_payload(np.zeros((2, 2)))}, 2, "domain"),
     ErrorExit("fixed-point-residual-overflows", CHOI_CHECK,
-              {"Z": ser.choi_to_json(NEGATED_IDENTITY_Z), "A": ser.matrix_to_json(np.diag([1e308, 1.0]))}, 2,
+              {"Z": choi_payload(NEGATED_IDENTITY_Z), "A": matrix_payload(np.diag([1e308, 1.0]))}, 2,
               "domain"),
     ErrorExit("kraus-unitality-overflows", ["map-apply", "--kraus", "{kraus}", "--B", "{I}"], {"kraus": HUGE_KRAUS}, 2,
               "domain", "unitality residual overflows the float range"),
     # residuals: the unchecked maps once printed [4,0,0,4], 6I and the trace 0, 6, 12
-    ErrorExit("wrong-observable", CHOI_CHECK, {"A": ser.matrix_to_json([[1.0, 1.0], [1.0, 0.0]])}, 2, "residual",
+    ErrorExit("wrong-observable", CHOI_CHECK, {"A": matrix_payload([[1.0, 1.0], [1.0, 0.0]])}, 2, "residual",
               "exceed 1.0000000000000001e-09", "unitality-residual 0\nfixed-point-residual 1\n"),
     ErrorExit("non-unital-kraus", ["map-apply", "--kraus", "{kraus}", "--B", "{I}"], {"kraus": DOUBLED_KRAUS}, 2,
               "residual", ": unitality 3"),

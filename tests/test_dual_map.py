@@ -37,6 +37,7 @@ from conftest import (
     random_spec,
     random_unit,
     rng_for,
+    traced_peak_bytes,
     zero_weight_spectrum,
 )
 
@@ -463,6 +464,49 @@ def test_each_builder_decides_the_row_form(d):
         assert not (index.flags.writeable or rows.flags.writeable)
         assert np.array_equal(_stack_from_rows(k.dim, index, rows), k.stack), name
     assert kraus_from_fixed_point(pencil_spec(rng, d))._rows is None
+
+
+def full_scan_rows(stack):
+    """The row-form decision from one read of the whole stack."""
+    nonzero = stack.any(axis=2)
+    return nonzero.argmax(axis=1) if np.all(nonzero.sum(axis=1) <= 1) else None
+
+
+def zeros_then(ops, zeros=12):
+    """``zeros`` all-zero operators, then ``ops``."""
+    return np.concatenate([np.zeros((zeros,) + ops.shape[1:], dtype=complex), ops])
+
+
+# pencil families hold zero operators: at this seed operator 0 at N = 2 and 4,
+# operators 1 and 2 at N = 16 and 32
+ROW_FORM_STACKS = {
+    **{f"pencil-n{n}": lambda rng, n=n: kraus_from_fixed_point(pencil_spec(rng, n)).stack for n in (2, 4, 16, 32)},
+    **{f"scalar-n{n}": lambda rng, n=n: scalar_family(rng, n).stack for n in (2, 3, 16)},
+    # the stack that env_kraus's row-form set writes from its rows
+    **{f"env-d{d}": lambda rng, d=d: env_kraus(random_env(rng, d)).stack for d in (2, 8, 32)},
+    "env-zero-weight": lambda rng: env_kraus(zero_weight_env(rng, 8)).stack,
+    "env-then-dense": lambda rng: env_and_dense_operator(rng).stack,
+    "zeros-then-env": lambda rng: zeros_then(env_kraus(random_env(rng, 4)).stack),
+    "zeros-then-dense": lambda rng: zeros_then(random_kraus(rng, 3, 4).stack),
+    "all-zero": lambda rng: np.zeros((40, 3, 3), dtype=complex),
+}
+
+
+@pytest.mark.parametrize("family", ROW_FORM_STACKS)
+def test_row_form_decision_equals_a_full_scan(family):
+    stack = ROW_FORM_STACKS[family](rng_for(336))
+    got, want = dual_map._single_rows(stack), full_scan_rows(stack)
+    assert (got is None) == (want is None)
+    assert got is None or np.array_equal(got, want)
+    assert (got is None) == family.startswith(("pencil", "env-then-dense", "zeros-then-dense"))
+
+
+def test_dense_stack_is_refused_at_its_first_nonzero_operator():
+    # a full scan writes a (K, n) map of nonzero rows, 16 KiB here; the
+    # refusal reads the 12 zero operators and the first dense one
+    stack = zeros_then(random_kraus(rng_for(337), 1012, 16).stack)
+    assert traced_peak_bytes(dual_map._single_rows, stack) < stack.shape[0] * stack.shape[1] // 2
+    assert dual_map._single_rows(stack) is None
 
 
 def counted_scans(monkeypatch):

@@ -62,6 +62,7 @@ from conftest import (
     OVERFLOWING_TRACE_Z,
     forbidden,
     make_params as params,
+    matrix_payload,
     pencil_spec,
     random_density,
     random_env,
@@ -131,10 +132,10 @@ BIG_KRAUS = KrausSet.from_ops(96, [("B0", np.eye(96))])
 # (d, P): 2e5 spectrum rows at d = 1024 need 1.53 GiB; at d = 2 the columns and
 # transient floats of 1.4e7 points (metric.POINT_BYTES each) take the budget
 PROFILES_ABOVE_BUDGET = ((1024, 200_000), (2, 14_000_000))
-ENV_PAYLOAD = {"d": 2, "spectrum": [1.0, "0"], "V": ser.matrix_to_json(np.eye(2))}
+ENV_PAYLOAD = {"d": 2, "spectrum": [1.0, "0"], "V": matrix_payload(np.eye(2))}
 # entry 0 has the wrong shape, entry 1 a non-numeric entry: 0 is reported first
 KRAUS_OPS = [
-    {"tag": "B0", "matrix": ser.matrix_to_json(np.eye(3))},
+    {"tag": "B0", "matrix": matrix_payload(np.eye(3))},
     {"tag": "B1", "matrix": {"rows": 2, "cols": 2, "re": ["x"] * 4, "im": [0.0] * 4}},
 ]
 
@@ -369,7 +370,7 @@ REJECTIONS = [
     Rejection("kraus-op-not-object", lambda: ser.kraus_from_json({"dim": 2, "ops": [5]}), CpuMapError, "'matrix'"),
     # a tag once went through str(): null loaded as 'None', 5 as '5'
     *(Rejection(f"kraus-tag-{name}", lambda tag=tag: ser.kraus_from_json(
-        {"dim": 2, "ops": [{"tag": tag, "matrix": ser.matrix_to_json(np.eye(2))}]}), CpuMapError,
+        {"dim": 2, "ops": [{"tag": tag, "matrix": matrix_payload(np.eye(2))}]}), CpuMapError,
         f"^'tag' must be a string, got a JSON {kind}$")
       for name, tag, kind in (("null", None, "null"), ("number", 5, "number"), ("bool", True, "boolean"),
                               ("array", ["x"], "array"), ("object", {"a": 1}, "object"))),

@@ -9,8 +9,10 @@ import pytest
 
 from cpumap import (
     BatteryConfig,
+    ChoiMatrix,
     EnvState,
     EvolutionTrace,
+    KrausSet,
     MetricParams,
     build_fixed_point_choi,
     build_profile,
@@ -19,32 +21,39 @@ from cpumap import (
 )
 from cpumap import serialize as ser
 
-from conftest import pencil_spec, random_density, rng_for, traced_peak_bytes
+from conftest import (
+    choi_payload, kraus_payload, matrix_payload, pencil_spec, random_density, random_env, rng_for, traced_peak_bytes,
+    vector_payload,
+)
+
+
+def parsed(chunks):
+    return json.loads("".join(chunks))
 
 
 def test_matrix_round_trip():
     rng = rng_for(601)
     m = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    back = ser.matrix_from_json(ser.matrix_to_json(m))
+    back = ser.matrix_from_json(parsed(ser.matrix_to_json(m)))
     assert np.array_equal(back, m)
 
 
 def test_vector_round_trip():
     rng = rng_for(602)
     v = rng.normal(size=5) + 1j * rng.normal(size=5)
-    assert np.array_equal(ser.vector_from_json(ser.vector_to_json(v)), v)
+    assert np.array_equal(ser.vector_from_json(parsed(ser.vector_to_json(v))), v)
 
 
 def test_choi_round_trip():
     z = build_fixed_point_choi(pencil_spec(rng_for(604), 3))
-    back = ser.choi_from_json(ser.choi_to_json(z))
+    back = ser.choi_from_json(parsed(ser.choi_to_json(z)))
     assert back.dim == z.dim
     assert np.array_equal(back.matrix, z.matrix)
 
 
 def test_kraus_round_trip_preserves_tags():
     k = kraus_from_fixed_point(pencil_spec(rng_for(605), 3))
-    back = ser.kraus_from_json(ser.kraus_to_json(k))
+    back = ser.kraus_from_json(parsed(ser.kraus_to_json(k)))
     assert back.dim == k.dim
     assert [t for t, _ in back.ops] == [t for t, _ in k.ops]
     for (_, a), (_, b) in zip(back.ops, k.ops):
@@ -58,7 +67,7 @@ def test_env_round_trip():
     sig = sig / sig.sum()
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     env = EnvState(dim=4, spectrum=sig, basis=q)
-    back = ser.env_from_json(ser.env_to_json(env))
+    back = ser.env_from_json(parsed(ser.env_to_json(env)))
     assert np.array_equal(back.spectrum, env.spectrum)
     assert np.array_equal(back.basis, env.basis)
 
@@ -146,7 +155,7 @@ def per_point_profile_json(profile, verbose=False):
                for r, target, phi, flag in zip(profile.r.tolist(), profile.target.tolist(), profile.phi.tolist(),
                                                 profile.clipped.tolist())]
     if verbose:
-        basis = ser.matrix_to_json(profile.basis)
+        basis = matrix_payload(profile.basis)
         for entry, spectrum in zip(records, profile.spectra.tolist()):
             entry["env"] = {"d": profile.params.d, "spectrum": spectrum, "V": basis}
     params = profile.params
@@ -211,6 +220,92 @@ def test_profile_json_verbose_embeds_env():
     assert len(env["spectrum"]) == 16
 
 
+# values whose %.17g text is easy to get wrong: a signed zero, the smallest
+# subnormal, a large and a small exponent, and a whole number
+SPECIAL = (-0.0, 5e-324, 1e308, 1e-5, 3.0)
+# JSON-escaped characters, non-ASCII text, and % signs the Kraus writer's
+# templates must keep
+ODD_TAGS = ('say "B0"', "back\\slash", "\u03c8-\u00e9tat \u65e5\u672c", "%s", "100%", "%.17g", "")
+
+
+def reference_text(obj):
+    """JSON text built value by value: json.dumps for keys and strings,
+    "%.17g" for each float."""
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(key)}:{reference_text(value)}" for key, value in obj.items()) + "}"
+    if isinstance(obj, list):
+        return "[" + ",".join(map(reference_text, obj)) + "]"
+    if isinstance(obj, float):
+        return "%.17g" % obj
+    if isinstance(obj, int):
+        return str(obj)
+    return json.dumps(obj)
+
+
+def special_choi(rng, n):
+    """A fixed-point Choi matrix with SPECIAL planted in Hermitian pairs."""
+    m = build_fixed_point_choi(pencil_spec(rng, n)).matrix.copy()
+    m[0, 0], m[5, 5] = SPECIAL[0], SPECIAL[4]
+    m[1, 2], m[3, 4] = complex(SPECIAL[2], SPECIAL[1]), complex(SPECIAL[3], SPECIAL[4])
+    m[2, 1], m[4, 3] = m[1, 2].conjugate(), m[3, 4].conjugate()
+    return ChoiMatrix(dim=n, matrix=m)
+
+
+def special_kraus(rng, n):
+    """A fixed-point Kraus set with SPECIAL in its first and last operators
+    and ODD_TAGS among its tags."""
+    k = kraus_from_fixed_point(pencil_spec(rng, n))
+    stack = k.stack.copy()
+    stack[0, 0, :5] = SPECIAL
+    stack[-1, -1, :5] = [complex(0.0, x) for x in SPECIAL]
+    tags = list(k.tags)
+    tags[:len(ODD_TAGS)] = ODD_TAGS
+    tags[-1] = ODD_TAGS[0]
+    return KrausSet(dim=n, stack=stack, tags=tags)
+
+
+def env_payload(env):
+    return {"d": env.dim, "spectrum": env.spectrum.tolist(), "V": matrix_payload(env.basis)}
+
+
+ROW = np.array([[complex(x, -y) for x, y in zip(SPECIAL, reversed(SPECIAL))]])
+# (object, writer, reference payload builder, blocks of one value run);
+# N = 11 has 14641 Choi entries, more than one block of values holds
+MATRIX_WRITERS = {
+    "matrix-1x1": (lambda rng: np.array([[complex(SPECIAL[0], SPECIAL[1])]]), ser.matrix_to_json, matrix_payload, 1),
+    "matrix-1xN": (lambda rng: ROW, ser.matrix_to_json, matrix_payload, 1),
+    "matrix-0x0": (lambda rng: np.zeros((0, 0)), ser.matrix_to_json, matrix_payload, 0),
+    "matrix-1x0": (lambda rng: np.zeros((1, 0)), ser.matrix_to_json, matrix_payload, 0),
+    "vector": (lambda rng: ROW[0], ser.vector_to_json, vector_payload, 1),
+    "vector-empty": (lambda rng: np.zeros(0), ser.vector_to_json, vector_payload, 0),
+    "choi-n11": (lambda rng: special_choi(rng, 11), ser.choi_to_json, choi_payload, 2),
+    "kraus-n11": (lambda rng: special_kraus(rng, 11), ser.kraus_to_json, kraus_payload, 3),
+    "env-d5": (lambda rng: random_env(rng, 5), ser.env_to_json, env_payload, 1),
+}
+
+
+@pytest.mark.parametrize("case", MATRIX_WRITERS)
+def test_matrix_writers_match_value_by_value_reference(case):
+    make, writer, payload, blocks = MATRIX_WRITERS[case]
+    obj = make(rng_for(612))
+    chunks = list(writer(obj))
+    assert_same_lines("".join(chunks), reference_text(payload(obj)) + "\n")
+    # a separator chunk stands between two blocks of one run of values
+    assert chunks.count(",") == max(0, blocks - 1) * (1 if case.startswith("kraus") else 2)
+
+
+@pytest.mark.parametrize("writer", ["choi", "kraus"])
+def test_matrix_writers_peak_is_set_by_the_block_size(writer):
+    # the value lists and the joined text these writers replaced peaked at
+    # 12.6 MB (Choi matrix) and 12.5 MB (Kraus set) here
+    spec = pencil_spec(rng_for(613), 16)
+    if writer == "choi":
+        chunks = ser.choi_to_json(build_fixed_point_choi(spec))
+    else:
+        chunks = ser.kraus_to_json(kraus_from_fixed_point(spec))
+    assert traced_peak_bytes(drain, chunks) < 2_000_000
+
+
 def test_fmt_17_digits_round_trip():
     for x in (0.1, 1.0 / 3.0, 16.0 / math.e, 5.886071058743077, 1e-300, -2.5e17):
         assert float(ser.fmt(x)) == x
@@ -256,7 +351,7 @@ def test_matrix_json_bytes_match_per_element_reference():
     m = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
     m[0, 0] = complex(-0.0, 5e-324)
     m[1, 2] = complex(1e17, 1e300)
-    s = ser.dumps(ser.matrix_to_json(m))
+    s = "".join(ser.matrix_to_json(m))
     re = _per_element_dumps([float(x) for x in m.real.reshape(-1)]).rstrip("\n")
     im = _per_element_dumps([float(x) for x in m.imag.reshape(-1)]).rstrip("\n")
     assert s == f'{{"rows":4,"cols":5,"re":{re},"im":{im}}}\n'
