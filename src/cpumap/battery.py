@@ -16,6 +16,7 @@ inside [0, phi_max] it falls.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,12 +131,15 @@ def _env_rows(env: EnvState) -> np.ndarray:
     return np.sqrt(np.clip(env.spectrum, 0.0, None))[:, None] * env.basis.conj().T
 
 
-def _env_row_form(env: EnvState) -> tuple[np.ndarray, np.ndarray]:
-    """``(index, rows)`` of the d^2 operators E_{i,j}, flat index k = i*d + j:
-    E_k is zero but for row ``index[k]`` = i, which holds ``rows[k]``, row j
-    of :func:`_env_rows`."""
-    i, j = np.divmod(np.arange(env.dim ** 2), env.dim)
-    return i, _env_rows(env)[j]
+@functools.lru_cache(maxsize=8)
+def _env_split(d: int) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """``(index, which, tags)`` of the d^2 operators E_{i,j}, flat index
+    k = i*d + j: E_k is zero but for row ``index[k]`` = i, which holds row
+    ``which[k]`` = j of :func:`_env_rows`, and is tagged ``E{i},{j}``.
+    Built once per d; the arrays are read-only."""
+    index, which = np.divmod(np.arange(d * d), d)
+    index.flags.writeable = which.flags.writeable = False
+    return index, which, tuple(f"E{i},{j}" for i in range(d) for j in range(d))
 
 
 def _ensure_env_fits(d: int) -> None:
@@ -149,16 +153,17 @@ def env_kraus(env: EnvState) -> KrausSet:
     expressed in Fock coordinates.  The primal channel sum E^dagger rho E
     replaces every rho by env.sigma_fock().
 
-    The set is in row form: it holds each operator's one nonzero row, row i
-    holding sqrt(sigma_j) <j|, a (d^2, d) array, so its Kraus sums run in
-    O(d^4) without writing or scanning the 16 d^4 bytes of the stack.
-    ``stack[i*d + j]`` is E_{i,j}, written on first read; the array budget
-    refuses a d whose stack would exceed it.
+    The set is in row form: E_{i,j}'s one nonzero row, row i, is row j of
+    the (d, d) array of rows sqrt(sigma_j) <j|, which the set holds once
+    for all d^2 operators.  Its Kraus sums form each of the d rows'
+    products once, in O(d^3), without writing or scanning the 16 d^4 bytes
+    of the stack.  ``stack[i*d + j]`` is E_{i,j}, written on first read;
+    the array budget refuses a d whose stack would exceed it.
     """
     d = env.dim
     _ensure_env_fits(d)
-    tags = tuple(f"E{i},{j}" for i in range(d) for j in range(d))
-    return KrausSet._from_rows(d, *_env_row_form(env), tags)
+    index, which, tags = _env_split(d)
+    return KrausSet._from_rows(d, index, which, _env_rows(env), tags)
 
 
 def phi(env: EnvState) -> float:
@@ -171,18 +176,19 @@ def phi(env: EnvState) -> float:
 def dual_apply_number(env: EnvState) -> np.ndarray:
     """Explicit Kraus evaluation of Phi[N]; equals phi(env) * I entrywise.
 
-    The rows of the operators E_{i,j} come from the same source as the
-    row-form set of :func:`env_kraus` and are summed by the same row kernel,
-    in O(d^4) and with the bits of
+    The d distinct rows of the operators E_{i,j} and their index split come
+    from the same sources as the row-form set of :func:`env_kraus` and are
+    summed by the same row kernel, in O(d^3) and with the bits of
     ``apply_dual_kraus(env_kraus(env), number_operator(d))``, zero weights
-    included, but without that set's tags and checks; the result matches a
+    included, but without that set's checks; the result matches a
     per-operator loop to rounding, not bit for bit.  The call holds the
-    (d^2, d) rows, not the 16 d^4 bytes of the stack, but the array budget
+    (d, d) rows, not the 16 d^4 bytes of the stack, but the array budget
     still refuses a d whose stack would exceed it.
     """
     d = env.dim
     _ensure_env_fits(d)
-    return _row_sum(*_env_row_form(env), number_operator(d))
+    index, which, _ = _env_split(d)
+    return _row_sum(index, which, _env_rows(env), number_operator(d))
 
 
 def simulate_charging(cfg: BatteryConfig, times) -> EvolutionTrace:

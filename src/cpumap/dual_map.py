@@ -42,16 +42,18 @@ class KrausSet:
     Whether every operator has at most one nonzero row is decided once,
     when the set is built.  Such a set also holds its operators in row
     form: operator k is zero but for row ``index[k]``, which holds
-    ``rows[k]``, and its Kraus sums read those rows alone.  A set built by
-    :meth:`_from_rows` holds the row form only; its ``stack`` is written
-    from the rows on first read and kept.
+    ``rows[which[k]]``, and its Kraus sums read those rows alone, each
+    distinct row once.  A set found in row form from its stack keeps its K
+    rows with ``which`` the identity.  A set built by :meth:`_from_rows`
+    holds the row form only; its ``stack`` is written from the rows on
+    first read and kept.
     """
 
     dim: int
     stack: np.ndarray
     tags: tuple[str, ...]
 
-    _rows = None  # (index, rows) of a row-form set; a class attribute, not a field
+    _rows = None  # (index, which, rows) of a row-form set; a class attribute, not a field
 
     def __post_init__(self):
         s = np.asarray(self.stack, dtype=complex)
@@ -66,25 +68,20 @@ class KrausSet:
         return _prevalidated(cls, **_stack_fields(dim, stack, tags))
 
     @classmethod
-    def _from_rows(cls, dim: int, index: np.ndarray, rows: np.ndarray, tags) -> "KrausSet":
+    def _from_rows(cls, dim: int, index: np.ndarray, which: np.ndarray, rows: np.ndarray, tags) -> "KrausSet":
         """A row-form set: operator k is zero but for row ``index[k]``, which
-        holds ``rows[k]``.  ``index`` and ``rows`` must be fresh arrays no
-        caller holds; the set keeps them, read-only, without a copy.  The
-        caller checks that the (K, dim, dim) stack fits the array budget."""
+        holds ``rows[which[k]]``.  ``index``, ``which`` and ``rows`` must be
+        fresh or read-only arrays no caller writes; the set keeps them,
+        read-only, without a copy.  The caller checks that the (K, dim, dim)
+        stack fits the array budget."""
         dim, tags = _ensure_size(dim, "Kraus set dim"), _ensure_tags(tags)
         rows = np.asarray(rows, dtype=complex)
-        if rows.shape != (len(tags), dim):
-            raise DimensionError(
-                f"rows have shape {rows.shape}, expected {(len(tags), dim)} for {len(tags)} tags"
-            )
-        index = np.asarray(index)
-        if not (index.dtype.kind in "iu" and index.shape == (len(tags),)
-                and np.all((index >= 0) & (index < dim))):
-            raise DimensionError(f"row index must hold {len(tags)} integers in [0, {dim})")
+        if rows.ndim != 2 or rows.shape[1] != dim:
+            raise DimensionError(f"rows have shape {rows.shape}, expected (R, {dim})")
+        index, which = _ensure_row_index(index, len(tags), dim), _ensure_row_index(which, len(tags), len(rows))
         _ensure_finite_ops(rows)
-        index.flags.writeable = False
-        rows.flags.writeable = False
-        return _prevalidated(cls, dim=dim, tags=tags, _rows=(index, rows))
+        index.flags.writeable = which.flags.writeable = rows.flags.writeable = False
+        return _prevalidated(cls, dim=dim, tags=tags, _rows=(index, which, rows))
 
     def __getattr__(self, name):
         # reached only when ``name`` is not set: ``stack`` of a row-form set
@@ -125,6 +122,13 @@ def _ensure_tags(tags) -> tuple[str, ...]:
     return tags
 
 
+def _ensure_row_index(index, count: int, bound: int) -> np.ndarray:
+    index = np.asarray(index)
+    if not (index.dtype.kind in "iu" and index.shape == (count,) and np.all((index >= 0) & (index < bound))):
+        raise DimensionError(f"row index must hold {count} integers in [0, {bound})")
+    return index
+
+
 def _ensure_finite_ops(ops: np.ndarray) -> None:
     if not np.all(np.isfinite(ops)):
         raise DimensionError("Kraus operators contain NaN or Inf entries")
@@ -133,7 +137,8 @@ def _ensure_finite_ops(ops: np.ndarray) -> None:
 def _stack_fields(dim, s: np.ndarray, tags) -> dict:
     """The checked fields of a set stored as the complex (K, dim, dim) stack
     ``s``, which is made read-only, with the read-only row form of its
-    operators if each has at most one nonzero row."""
+    operators if each has at most one nonzero row: its K rows, each its own
+    distinct row."""
     dim, tags = _ensure_size(dim, "Kraus set dim"), _ensure_tags(tags)
     if s.shape != (len(tags), dim, dim):
         raise DimensionError(
@@ -145,17 +150,18 @@ def _stack_fields(dim, s: np.ndarray, tags) -> dict:
     fields = {"dim": dim, "stack": s, "tags": tags}
     index = _single_rows(s)
     if index is not None:
-        rows = s[np.arange(len(s)), index]
-        index.flags.writeable = rows.flags.writeable = False
-        fields["_rows"] = (index, rows)
+        which = np.arange(len(s))
+        rows = s[which, index]
+        index.flags.writeable = which.flags.writeable = rows.flags.writeable = False
+        fields["_rows"] = (index, which, rows)
     return fields
 
 
-def _stack_from_rows(dim: int, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _stack_from_rows(dim: int, index: np.ndarray, which: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The (K, dim, dim) stack whose operator k is zero but for row
-    ``index[k]``, which holds ``rows[k]``."""
-    stack = np.zeros((len(rows), dim, dim), dtype=complex)
-    stack[np.arange(len(rows)), index] = rows
+    ``index[k]``, which holds ``rows[which[k]]``."""
+    stack = np.zeros((len(index), dim, dim), dtype=complex)
+    stack[np.arange(len(index)), index] = rows[which]
     return stack
 
 
@@ -262,21 +268,24 @@ def _single_rows(stack: np.ndarray):
     return nonzero.argmax(axis=1)
 
 
-def _row_sum(index: np.ndarray, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _row_sum(index: np.ndarray, which: np.ndarray, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_k D_k B D_k^dagger for K operators whose one nonzero row is
-    ``index[k]`` and holds ``rows[k]``, in O(K n^2): the term is the scalar
-    q_k = r_k B r_k^dagger at entry (index[k], index[k]).  One GEMM forms
-    every r_k B.  The products are then overwritten with their conjugates,
-    whose dot products with the rows give conj(q_k): conjugation only flips
-    signs, so these are q_k's bits with the imaginary sign flipped, and the
-    rows need neither a conjugated copy, which costs a fresh (K, n) buffer,
-    nor a write.  ``np.add.at`` adds each q_k to the diagonal in operator
-    order."""
+    ``index[k]`` and holds ``rows[which[k]]``: the term is the scalar
+    q = r B r^dagger of its row r at entry (index[k], index[k]).  The R
+    distinct rows cost O(R n^2) and the K operators O(K): one GEMM forms
+    every r B, once per distinct row.  The products are then overwritten
+    with their conjugates, whose dot products with the rows give conj(q):
+    conjugation only flips signs, so these are q's bits with the imaginary
+    sign flipped, and the rows need neither a conjugated copy, which costs
+    a fresh (R, n) buffer, nor a write.  ``np.add.at`` adds ``q[which]`` to
+    the diagonal in operator order.  A row of the GEMM does not depend on
+    the other rows, so the sum has the bits of the K rows gathered and
+    summed; the tests check this bit for bit."""
     n = rows.shape[1]
     total = np.zeros((n, n), dtype=complex)
     sb = rows @ b
     q = np.einsum("kl,kl->k", np.conjugate(sb, out=sb), rows).conj()
-    np.add.at(total.reshape(-1)[::n + 1], index, q)
+    np.add.at(total.reshape(-1)[::n + 1], index, q[which])
     return total
 
 

@@ -18,7 +18,6 @@ from cpumap import (
     swap_unitary,
     unitality_residual,
 )
-from cpumap.dual_map import KRAUS_CHUNK_BYTES
 from cpumap.linalg import max_abs
 
 from conftest import (
@@ -152,10 +151,14 @@ def test_env_kraus_aligned_structure():
         assert max_abs(op - expected) < 1e-12
 
 
-def test_env_kraus_equals_outer_product_loop():
-    rng = rng_for(419)
-    for d in (2, 3, 4, 8, 24):
-        env = random_env(rng, d)
+# the set holds the d distinct rows once and its index split and tags come from
+# one cache per d, so a second environment of the same d is checked too
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 24, 32])
+def test_env_kraus_equals_outer_product_loop(d):
+    rng = rng_for(419, d)
+    envs = (random_env(rng, d), aligned_env(d, random_spectrum(rng, d)),
+            EnvState(dim=d, spectrum=zero_weight_spectrum(rng, d, d - 1), basis=random_env(rng, d).basis))
+    for env in envs:
         kset = env_kraus(env)
         tags, want = [], []
         for i in range(d):
@@ -165,6 +168,7 @@ def test_env_kraus_equals_outer_product_loop():
                 tags.append(f"E{i},{j}")
                 want.append(np.sqrt(env.spectrum[j]) * np.outer(ei, env.basis[:, j].conj()))
         assert kset.tags == tuple(tags)
+        assert len(kset.stack) == d * d
         assert all(np.array_equal(op, m) for op, m in zip(kset.stack, want))
 
 
@@ -238,15 +242,15 @@ def test_dual_apply_number_proportional_to_identity():
 
 
 # a zero weight at level l makes the d operators E_{i,l} zero.  The row-form set
-# of env_kraus and dual_apply_number never read the stack; a set built from that
-# stack finds its rows once, when it is built, at row 0 for a zero operator, and
-# its sums must have the same bits
-@pytest.mark.parametrize("d", [2, 3, 8, 16, 24, 32])
+# of env_kraus and dual_apply_number sum the d distinct rows and never read the
+# stack; a set built from that stack finds its d^2 rows once, when it is built,
+# at row 0 for a zero operator, and its sums must have the same bits
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 13, 16, 24, 32, 48, 64])
 @pytest.mark.parametrize("basis", ["aligned", "random"])
 def test_dual_apply_number_bits_equal_stack_sum(basis, d):
     rng = rng_for(420, d)
     envs = [aligned_env(d, random_spectrum(rng, d)) if basis == "aligned" else random_env(rng, d)]
-    if d in (3, 24, 32):
+    if d in (3, 24, 32, 64):
         for level in (0, d // 2):
             sigma = zero_weight_spectrum(rng, d, level)
             envs.append(aligned_env(d, sigma) if basis == "aligned"
@@ -254,21 +258,26 @@ def test_dual_apply_number_bits_equal_stack_sum(basis, d):
     x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     for env in envs:
         k = env_kraus(env)
-        dense = KrausSet(dim=d, stack=k.stack, tags=k.tags)
+        # the set built from k's read-only stack shares it, without the copy
+        # the constructor makes of a caller's array: at d = 64 it takes 256 MiB
+        dense = KrausSet._from_stack(d, k.stack, k.tags)
         for b in (number_operator(d), np.eye(d), x + x.conj().T, x):
             assert apply_dual_kraus(k, b).tobytes() == apply_dual_kraus(dense, b).tobytes()
         assert unitality_residual(k) == unitality_residual(dense)
         want = apply_dual_kraus(dense, number_operator(d))
         assert dual_apply_number(env).tobytes() == want.tobytes()
+        del k, dense  # the next environment's stack is written after this one is freed
 
 
 def test_dual_apply_number_streams_its_operators():
-    # the stack of env_kraus at d = 32 takes 16 MiB
-    env = random_env(rng_for(421), 32)
-    b = number_operator(32)
+    # the stack of env_kraus at d = 32 takes 16 MiB and the d^2 rows of its
+    # operators 512 KiB; the sums hold a few d x d arrays, 16 KiB each
+    d = 32
+    env = random_env(rng_for(421), d)
+    b = number_operator(d)
     dual_apply_number(env)
-    assert traced_peak_bytes(dual_apply_number, env) < 8 * KRAUS_CHUNK_BYTES
-    assert traced_peak_bytes(lambda: apply_dual_kraus(env_kraus(env), b)) < 8 * KRAUS_CHUNK_BYTES
+    assert traced_peak_bytes(dual_apply_number, env) < 8 * 16 * d * d
+    assert traced_peak_bytes(lambda: apply_dual_kraus(env_kraus(env), b)) < 8 * 16 * d * d
     k = env_kraus(env)
     stack = k.stack
     assert not stack.flags.writeable and k.stack is stack

@@ -449,20 +449,25 @@ def scalar_family(rng, n):
 @pytest.mark.parametrize("d", [2, 3, 16])
 def test_each_builder_decides_the_row_form(d):
     # the swap channel's stack, a scalar family and the CLI's diag(2, 1)/e1
-    # file have one nonzero row per operator; a pencil family is dense
+    # file have one nonzero row per operator and keep each as its own
+    # distinct row; env_kraus holds the swap channel's d distinct rows once;
+    # a pencil family is dense
     rng = rng_for(333, d)
     env = zero_weight_env(rng, d)
     row_form = env_kraus(env)
     singles = {
+        "env-rows": row_form,
         "env-stack": KrausSet(dim=d, stack=row_form.stack, tags=row_form.tags),
         "scalar": scalar_family(rng, d),
         "cli-file": ser.kraus_from_json(PAYLOADS["kraus"]),
     }
     for name, k in singles.items():
         assert k._rows is not None, name
-        index, rows = k._rows
-        assert not (index.flags.writeable or rows.flags.writeable)
-        assert np.array_equal(_stack_from_rows(k.dim, index, rows), k.stack), name
+        index, which, rows = k._rows
+        assert not (index.flags.writeable or which.flags.writeable or rows.flags.writeable)
+        want_which = np.arange(d * d) % d if name == "env-rows" else np.arange(len(k.tags))
+        assert np.array_equal(which, want_which) and len(rows) == want_which.max() + 1, name
+        assert np.array_equal(_stack_from_rows(k.dim, index, which, rows), k.stack), name
     assert kraus_from_fixed_point(pencil_spec(rng, d))._rows is None
 
 

@@ -9,10 +9,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from cpumap import evolve_linear_euler, metric, selftest, swap_unitary
-from cpumap.battery import _env_rows
-from cpumap.dual_map import _kraus_sum, _single_rows, _stack_from_rows
+from cpumap import (
+    apply_dual_kraus, env_kraus, evolve_linear_euler, metric, number_operator, phi, selftest, swap_unitary,
+)
+from cpumap.battery import _env_split
+from cpumap.dual_map import _kraus_sum, _row_sum, _single_rows, _stack_from_rows
 from cpumap.linalg import _psd_verdicts
+
+from conftest import random_env, rng_for
 
 SPECTRA = metric._spectra
 RECORDS = metric.MetricProfile.records
@@ -54,10 +58,10 @@ def first_factor_traced(m, d1, d2):
     return np.einsum("kikj->ij", np.asarray(m).reshape(d1, d2, d1, d2))
 
 
-def env_ops_wrong_row(env):
+def env_ops_wrong_row(d):
     """Give E_{i,j} the row of index i instead of j."""
-    i, _ = np.divmod(np.arange(env.dim ** 2), env.dim)
-    return i, _env_rows(env)[i]
+    index, _, tags = _env_split(d)
+    return index, index, tags
 
 
 def env_rows_unrooted(env):
@@ -71,11 +75,21 @@ def rows_found_at_zero(stack):
     return None if index is None else np.zeros_like(index)
 
 
-def stack_last_row_zero(dim, index, rows):
+def stack_last_row_zero(dim, index, which, rows):
     """Leave the last operator's row zero in the stack written from the rows."""
-    stack = _stack_from_rows(dim, index, rows)
+    stack = _stack_from_rows(dim, index, which, rows)
     stack[-1] = 0.0
     return stack
+
+
+def row_sum_drops_row(position):
+    """A row kernel that leaves out distinct row ``position`` (0 or -1) and
+    every operator that holds it."""
+    def kernel(index, which, rows, b):
+        dropped = np.arange(len(rows))[position]
+        keep = which != dropped
+        return _row_sum(index[keep], which[keep] - (which[keep] > dropped), np.delete(rows, dropped, axis=0), b)
+    return kernel
 
 
 def records_off_by_one(profile):
@@ -96,8 +110,8 @@ MUTATIONS = [
     Mutation("partial-trace-first-factor", "cpumap.selftest.partial_trace_second", first_factor_traced,
              selftest.check_battery_oracle, "battery-replacement"),
     # env_kraus and dual_apply_number take their rows from _env_rows through the
-    # split k = i*d + j of _env_row_form, so only the oracle sees a fault in either
-    Mutation("env-ops-wrong-row", "cpumap.battery._env_row_form", env_ops_wrong_row,
+    # split k = i*d + j of _env_split, so only the oracle sees a fault in either
+    Mutation("env-ops-wrong-row", "cpumap.battery._env_split", env_ops_wrong_row,
              selftest.check_battery_oracle, "battery-replacement"),
     Mutation("env-rows-unrooted", "cpumap.battery._env_rows", env_rows_unrooted,
              selftest.check_battery_oracle, "battery-replacement"),
@@ -107,6 +121,8 @@ MUTATIONS = [
     # a set's row form is decided when it is built; the identity-A families of
     # the round trip have one nonzero row per operator, so their sums take it
     Mutation("single-rows-at-row-zero", "cpumap.dual_map._single_rows", rows_found_at_zero,
+             selftest.check_kraus_roundtrip, "kraus-roundtrip"),
+    Mutation("row-sum-drops-first-row", "cpumap.dual_map._row_sum", row_sum_drops_row(0),
              selftest.check_kraus_roundtrip, "kraus-roundtrip"),
     # the slopes are compared with the target column, not with the phi column
     # computed from the same spectra
@@ -126,3 +142,15 @@ MUTATIONS = [
 def test_mutation_fails_its_check(row, monkeypatch):
     monkeypatch.setattr(row.target, row.fault)
     assert any(ln.startswith(f"FAIL {row.line} ") for ln in row.check(42))
+
+
+# The round trip's identity-A families end in zero operators, so a row kernel
+# that drops its last distinct row changes no selftest line: no check sums the
+# swap channel through it.  Every row of the swap channel enters Phi[N] = phi I.
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_row_sum_dropping_its_last_row_breaks_the_swap_identity(d, monkeypatch):
+    env = random_env(rng_for(430, d), d)
+    want = phi(env) * np.eye(d)
+    assert np.max(np.abs(apply_dual_kraus(env_kraus(env), number_operator(d)) - want)) < 1e-12
+    monkeypatch.setattr("cpumap.dual_map._row_sum", row_sum_drops_row(-1))
+    assert np.max(np.abs(apply_dual_kraus(env_kraus(env), number_operator(d)) - want)) > 1e-3

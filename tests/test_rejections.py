@@ -266,19 +266,25 @@ REJECTIONS = [
     Rejection("kraus-no-ops", lambda: KrausSet(dim=2, stack=np.zeros((0, 2, 2)), tags=()), DimensionError,
               "at least one operator"),
     Rejection("kraus-no-pairs", lambda: KrausSet.from_ops(2, []), DimensionError, "at least one operator"),
-    # the row form: operator k is zero but for row index[k], which holds rows[k]
+    # the row form: operator k is zero but for row index[k], which holds rows[which[k]]
     *(Rejection(f"kraus-rows-{name}", lambda args=args: KrausSet._from_rows(2, *args), DimensionError, match)
       for name, args, match in (
-          ("nan", ([0, 1], [[np.nan, 0.0], [0.0, 1.0]], ("E0", "E1")), "NaN"),
-          ("inf", ([0, 1], [[1.0, 0.0], [0.0, np.inf]], ("E0", "E1")), "NaN or Inf"),
-          ("index-above-dim", ([0, 2], np.eye(2), ("E0", "E1")), r"integers in \[0, 2\)"),
-          ("index-negative", ([-1, 0], np.eye(2), ("E0", "E1")), r"integers in \[0, 2\)"),
-          ("index-float", ([0.0, 1.0], np.eye(2), ("E0", "E1")), "integers"),
-          ("index-bool", ([False, True], np.eye(2), ("E0", "E1")), "integers"),
-          ("index-length", ([0, 1, 1], np.eye(2), ("E0", "E1")), "2 integers"),
-          ("more-rows-than-tags", ([0, 1], np.eye(3, 2), ("E0", "E1")), "expected"),
-          ("row-longer-than-dim", ([0, 1], np.eye(2, 3), ("E0", "E1")), "expected"),
-          ("no-tags", (np.zeros(0, dtype=int), np.zeros((0, 2)), ()), "at least one operator"),
+          ("nan", ([0, 1], [0, 1], [[np.nan, 0.0], [0.0, 1.0]], ("E0", "E1")), "NaN"),
+          ("inf", ([0, 1], [0, 1], [[1.0, 0.0], [0.0, np.inf]], ("E0", "E1")), "NaN or Inf"),
+          ("index-above-dim", ([0, 2], [0, 1], np.eye(2), ("E0", "E1")), r"integers in \[0, 2\)"),
+          ("index-negative", ([-1, 0], [0, 1], np.eye(2), ("E0", "E1")), r"integers in \[0, 2\)"),
+          ("index-float", ([0.0, 1.0], [0, 1], np.eye(2), ("E0", "E1")), "integers"),
+          ("index-bool", ([False, True], [0, 1], np.eye(2), ("E0", "E1")), "integers"),
+          ("index-length", ([0, 1, 1], [0, 1], np.eye(2), ("E0", "E1")), "2 integers"),
+          ("which-above-rows", ([0, 1], [0, 3], np.eye(3, 2), ("E0", "E1")), r"integers in \[0, 3\)"),
+          ("which-negative", ([0, 1], [0, -1], np.eye(2), ("E0", "E1")), r"integers in \[0, 2\)"),
+          ("which-float", ([0, 1], [0.0, 1.0], np.eye(2), ("E0", "E1")), "integers"),
+          ("which-length", ([0, 1], [0], np.eye(2), ("E0", "E1")), "2 integers"),
+          ("no-rows", ([0, 1], [0, 0], np.zeros((0, 2)), ("E0", "E1")), r"integers in \[0, 0\)"),
+          ("rows-not-a-matrix", ([0, 1], [0, 1], np.ones(2), ("E0", "E1")), "expected"),
+          ("row-longer-than-dim", ([0, 1], [0, 1], np.eye(2, 3), ("E0", "E1")), "expected"),
+          ("no-tags", (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 2)), ()),
+           "at least one operator"),
       )),
     *(row for name, k in OVERFLOWING_KRAUS.items() for row in (
         Rejection(f"kraus-{name}-overflows-dual-action", lambda k=k: apply_dual_kraus(k, np.eye(2)), DomainError,
