@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_map import EvolutionTrace, KrausSet, _row_sum
+from .dual_map import EvolutionTrace, KrausSet, apply_dual_kraus
 from .errors import DimensionError, DomainError
 from .linalg import (
     _ensure_array_fits,
@@ -64,6 +64,11 @@ class EnvState:
 
     Column j of ``basis`` is the eigenvector |j> expressed in the Fock
     basis {|n>}, so the overlap <j|n> equals conj(basis[n, j]).
+
+    The state owns ``spectrum`` and ``basis`` as read-only arrays, copying a
+    caller's array that it could share memory with, so what the
+    construction checked stays true: no later write by the caller reaches
+    ``phi``, ``env_kraus`` or ``dual_apply_number``.
     """
 
     dim: int
@@ -79,8 +84,12 @@ class EnvState:
                 f"spectrum/basis shapes {sig.shape}/{v.shape} do not match d={self.dim}"
             )
         _validate_env(sig, v)
-        object.__setattr__(self, "spectrum", sig)
-        object.__setattr__(self, "basis", v)
+        for name, a in (("spectrum", sig), ("basis", v)):
+            given = getattr(self, name)
+            if isinstance(given, np.ndarray) and np.may_share_memory(a, given):
+                a = a.copy()
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def sigma_fock(self) -> np.ndarray:
         """The state V diag(sigma) V^dagger in the Fock basis."""
@@ -142,10 +151,6 @@ def _env_split(d: int) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     return index, which, tuple(f"E{i},{j}" for i in range(d) for j in range(d))
 
 
-def _ensure_env_fits(d: int) -> None:
-    _ensure_array_fits((d, d, d, d), 16, "swap-channel Kraus stack")
-
-
 def env_kraus(env: EnvState) -> KrausSet:
     """The d^2 dual operators E_{i,j} = sqrt(sigma_j) |i><j| of the swap channel.
 
@@ -161,7 +166,7 @@ def env_kraus(env: EnvState) -> KrausSet:
     the array budget refuses a d whose stack would exceed it.
     """
     d = env.dim
-    _ensure_env_fits(d)
+    _ensure_array_fits((d, d, d, d), 16, "swap-channel Kraus stack")
     index, which, tags = _env_split(d)
     return KrausSet._from_rows(d, index, which, _env_rows(env), tags)
 
@@ -174,21 +179,10 @@ def phi(env: EnvState) -> float:
 
 
 def dual_apply_number(env: EnvState) -> np.ndarray:
-    """Explicit Kraus evaluation of Phi[N]; equals phi(env) * I entrywise.
-
-    The d distinct rows of the operators E_{i,j} and their index split come
-    from the same sources as the row-form set of :func:`env_kraus` and are
-    summed by the same row kernel, in O(d^3) and with the bits of
-    ``apply_dual_kraus(env_kraus(env), number_operator(d))``, zero weights
-    included, but without that set's checks; the result matches a
-    per-operator loop to rounding, not bit for bit.  The call holds the
-    (d, d) rows, not the 16 d^4 bytes of the stack, but the array budget
-    still refuses a d whose stack would exceed it.
-    """
-    d = env.dim
-    _ensure_env_fits(d)
-    index, which, _ = _env_split(d)
-    return _row_sum(index, which, _env_rows(env), number_operator(d))
+    """Explicit Kraus evaluation of Phi[N] through the row-form set of
+    :func:`env_kraus`; equals phi(env) * I entrywise, and a per-operator
+    loop to rounding, not bit for bit."""
+    return apply_dual_kraus(env_kraus(env), number_operator(env.dim))
 
 
 def simulate_charging(cfg: BatteryConfig, times) -> EvolutionTrace:
@@ -227,5 +221,4 @@ def alignment_unitary(d: int, theta: float) -> np.ndarray:
 
 def aligned_env(d: int, spectrum, theta: float = 1.0) -> EnvState:
     """EnvState with the given spectrum on the alignment path V(theta)."""
-    return EnvState(dim=d, spectrum=np.asarray(spectrum, dtype=float),
-                    basis=alignment_unitary(d, theta).astype(complex))
+    return EnvState(dim=d, spectrum=spectrum, basis=alignment_unitary(d, theta))

@@ -28,7 +28,7 @@ GS_DROP_TOL = 1e-8    # Gram-Schmidt candidates below this norm are dropped
 KRAUS_CHUNK_BYTES = 256 * 1024  # bytes of operators per chunk of the Kraus dual action
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class KrausSet:
     """Tagged dual Kraus operators of one map, stacked in one array.
 
@@ -46,7 +46,9 @@ class KrausSet:
     distinct row once.  A set found in row form from its stack keeps its K
     rows with ``which`` the identity.  A set built by :meth:`_from_rows`
     holds the row form only; its ``stack`` is written from the rows on
-    first read and kept.
+    first read and kept.  The class generates no ``__repr__`` or
+    ``__eq__``: both would read ``stack``, writing it for a row-form set,
+    and ``==`` on two stacks has no truth value; sets compare by identity.
     """
 
     dim: int
@@ -70,16 +72,13 @@ class KrausSet:
     @classmethod
     def _from_rows(cls, dim: int, index: np.ndarray, which: np.ndarray, rows: np.ndarray, tags) -> "KrausSet":
         """A row-form set: operator k is zero but for row ``index[k]``, which
-        holds ``rows[which[k]]``.  ``index``, ``which`` and ``rows`` must be
-        fresh or read-only arrays no caller writes; the set keeps them,
-        read-only, without a copy.  The caller checks that the (K, dim, dim)
-        stack fits the array budget."""
-        dim, tags = _ensure_size(dim, "Kraus set dim"), _ensure_tags(tags)
-        rows = np.asarray(rows, dtype=complex)
-        if rows.ndim != 2 or rows.shape[1] != dim:
-            raise DimensionError(f"rows have shape {rows.shape}, expected (R, {dim})")
-        index, which = _ensure_row_index(index, len(tags), dim), _ensure_row_index(which, len(tags), len(rows))
-        _ensure_finite_ops(rows)
+        holds ``rows[which[k]]``.  Like :meth:`_from_stack`, it checks
+        nothing: ``tags`` is a tuple of K str, ``index`` and ``which`` hold K
+        integers, in [0, dim) and in [0, len(rows)), and ``rows`` is a
+        finite complex (R, dim) array.  The three arrays must be fresh or
+        read-only arrays no caller writes; the set keeps them, read-only,
+        without a copy.  The caller checks that the (K, dim, dim) stack fits
+        the array budget."""
         index.flags.writeable = which.flags.writeable = rows.flags.writeable = False
         return _prevalidated(cls, dim=dim, tags=tags, _rows=(index, which, rows))
 
@@ -120,13 +119,6 @@ def _ensure_tags(tags) -> tuple[str, ...]:
     if not tags:
         raise DimensionError("a Kraus set needs at least one operator")
     return tags
-
-
-def _ensure_row_index(index, count: int, bound: int) -> np.ndarray:
-    index = np.asarray(index)
-    if not (index.dtype.kind in "iu" and index.shape == (count,) and np.all((index >= 0) & (index < bound))):
-        raise DimensionError(f"row index must hold {count} integers in [0, {bound})")
-    return index
 
 
 def _ensure_finite_ops(ops: np.ndarray) -> None:

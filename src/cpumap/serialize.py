@@ -11,6 +11,7 @@ is the whole file, trailing newline included.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -126,15 +127,25 @@ def _count(obj, field: str) -> int:
 
 
 def _floats(obj, field: str) -> np.ndarray:
-    """Decode a numeric list field; a string, null or ragged entry is a CpuMapError."""
+    """Decode a numeric list field; a string, null, boolean or ragged entry
+    is a CpuMapError.  numpy turns ``true`` among numbers into 1, so the
+    entries' types are read too."""
     value = _field(obj, field)
     try:
         a = np.asarray(value)
     except ValueError:
         a = None
-    if a is None or a.dtype.kind not in "biuf":
+    if a is None or a.dtype.kind not in "iuf" or bool in _entry_types(value, a.ndim):
         raise CpuMapError(f"{field!r} holds a non-numeric or null entry")
     return a.astype(float, copy=False)
+
+
+def _entry_types(value, depth: int) -> set:
+    """The types of the scalars of ``value``, nested ``depth`` lists deep."""
+    entries = value if depth else [value]
+    for _ in range(depth - 1):
+        entries = itertools.chain.from_iterable(entries)
+    return set(map(type, entries))
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:

@@ -255,6 +255,10 @@ CLI_ERRORS = [
                            "string-rows": {"rows": "x"}}.items()
       for command, argv in {"map-apply": COMMANDS["map-apply-Z"], "battery-sim": TIMED["battery-sim"] + ["0:1:3"],
                             "evolve": COMMANDS["evolve"]}.items()),
+    # a true among integers once loaded as 1 and built a Choi matrix
+    ErrorExit("bool-entry-choi-build", COMMANDS["choi-build"],
+              {"A": {"rows": 2, "cols": 2, "re": [True, 0, 0, 1], "im": [0, 0, 0, 0]}}, 2, "invalid",
+              "'re' holds a non-numeric or null entry"),
     *(ErrorExit(f"missing-{key}", COMMANDS[command], without(slot, key), 2, "invalid", repr(key))
       for key, slot, command in (("tag", "kraus", "map-apply-kraus"), ("V", "env", "battery-phi"),
                                  ("re", "rho", "map-apply-Z"), ("rows", "rho", "map-apply-Z"),

@@ -298,6 +298,16 @@ def test_kraus_set_keeps_no_handle_on_the_callers_stack():
         s[0, 0, 0] = 1.0
 
 
+def test_repr_and_equality_leave_a_row_form_stack_unwritten():
+    # a generated repr and == read the stack: repr wrote the 16 MiB stack of
+    # this d = 32 set, and == of two sets raised numpy's ambiguous-truth ValueError
+    rng = rng_for(336)
+    a, b = env_kraus(random_env(rng, 32)), env_kraus(random_env(rng, 32))
+    assert "KrausSet" in repr(a)
+    assert a == a and a != b and not a == b
+    assert "stack" not in vars(a) and "stack" not in vars(b)
+
+
 def loop_kraus_from_fixed_point(spec):
     """The per-operator construction: one outer product per (tag, operator)."""
     n, e, t = spec.dim, spec.expectation, spec.trace
@@ -446,12 +456,26 @@ def scalar_family(rng, n):
     return kraus_from_fixed_point(FixedPointSpec(a=3.0 * np.eye(n, dtype=complex), v=random_unit(rng, n)))
 
 
+def assert_row_form_precondition(dim, index, which, rows, tags):
+    """What KrausSet._from_rows takes unchecked: a tuple of K str tags, K
+    integers ``index`` in [0, dim) and ``which`` in [0, len(rows)), and
+    finite complex (R, dim) rows."""
+    count = len(tags)
+    assert count and type(tags) is tuple and all(type(tag) is str for tag in tags)
+    for ints, bound in ((index, dim), (which, len(rows))):
+        assert ints.dtype.kind in "iu" and ints.shape == (count,) and np.all((ints >= 0) & (ints < bound))
+    assert rows.dtype == complex and rows.ndim == 2 and rows.shape[1] == dim and np.all(np.isfinite(rows))
+
+
 @pytest.mark.parametrize("d", [2, 3, 16])
-def test_each_builder_decides_the_row_form(d):
+def test_each_builder_decides_the_row_form(d, monkeypatch):
     # the swap channel's stack, a scalar family and the CLI's diag(2, 1)/e1
     # file have one nonzero row per operator and keep each as its own
     # distinct row; env_kraus holds the swap channel's d distinct rows once;
     # a pencil family is dense
+    passed = []
+    build = KrausSet._from_rows
+    monkeypatch.setattr(KrausSet, "_from_rows", lambda *args: passed.append(args) or build(*args))
     rng = rng_for(333, d)
     env = zero_weight_env(rng, d)
     row_form = env_kraus(env)
@@ -469,6 +493,11 @@ def test_each_builder_decides_the_row_form(d):
         assert np.array_equal(which, want_which) and len(rows) == want_which.max() + 1, name
         assert np.array_equal(_stack_from_rows(k.dim, index, which, rows), k.stack), name
     assert kraus_from_fixed_point(pencil_spec(rng, d))._rows is None
+    # _from_rows checks nothing, so env_kraus must pass what it takes, zero weights included
+    env_kraus(random_env(rng, d))
+    assert len(passed) == 2
+    for args in passed:
+        assert_row_form_precondition(*args)
 
 
 def full_scan_rows(stack):

@@ -109,8 +109,8 @@ MUTATIONS = [
              lambda stack, b: _kraus_sum(stack[:-1], b), selftest.check_battery_oracle, "battery-replacement"),
     Mutation("partial-trace-first-factor", "cpumap.selftest.partial_trace_second", first_factor_traced,
              selftest.check_battery_oracle, "battery-replacement"),
-    # env_kraus and dual_apply_number take their rows from _env_rows through the
-    # split k = i*d + j of _env_split, so only the oracle sees a fault in either
+    # env_kraus, and dual_apply_number through it, takes its rows from _env_rows
+    # through the split k = i*d + j of _env_split, so only the oracle sees a fault in either
     Mutation("env-ops-wrong-row", "cpumap.battery._env_split", env_ops_wrong_row,
              selftest.check_battery_oracle, "battery-replacement"),
     Mutation("env-rows-unrooted", "cpumap.battery._env_rows", env_rows_unrooted,
