@@ -259,6 +259,9 @@ CLI_ERRORS = [
     ErrorExit("bool-entry-choi-build", COMMANDS["choi-build"],
               {"A": {"rows": 2, "cols": 2, "re": [True, 0, 0, 1], "im": [0, 0, 0, 0]}}, 2, "invalid",
               "'re' holds a non-numeric or null entry"),
+    ErrorExit("bool-spectrum-battery-phi", COMMANDS["battery-phi"],
+              {"env": {**LEVEL_TWO_ENV, "spectrum": [False, False, True, False]}}, 2, "invalid",
+              "'spectrum' holds a non-numeric or null entry"),
     *(ErrorExit(f"missing-{key}", COMMANDS[command], without(slot, key), 2, "invalid", repr(key))
       for key, slot, command in (("tag", "kraus", "map-apply-kraus"), ("V", "env", "battery-phi"),
                                  ("re", "rho", "map-apply-Z"), ("rows", "rho", "map-apply-Z"),

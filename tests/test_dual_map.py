@@ -467,6 +467,38 @@ def assert_row_form_precondition(dim, index, which, rows, tags):
     assert rows.dtype == complex and rows.ndim == 2 and rows.shape[1] == dim and np.all(np.isfinite(rows))
 
 
+# inputs that break the precondition one clause each, with dim 2; _from_rows
+# takes them unchecked, so the precondition check must refuse every one
+BROKEN_ROW_FORMS = {
+    "nan": ([0, 1], [0, 1], [[np.nan, 0.0], [0.0, 1.0]], ("E0", "E1")),
+    "inf": ([0, 1], [0, 1], [[1.0, 0.0], [0.0, np.inf]], ("E0", "E1")),
+    "index-above-dim": ([0, 2], [0, 1], np.eye(2), ("E0", "E1")),
+    "index-negative": ([-1, 0], [0, 1], np.eye(2), ("E0", "E1")),
+    "index-float": ([0.0, 1.0], [0, 1], np.eye(2), ("E0", "E1")),
+    "index-bool": ([False, True], [0, 1], np.eye(2), ("E0", "E1")),
+    "index-length": ([0, 1, 1], [0, 1], np.eye(2), ("E0", "E1")),
+    "which-above-rows": ([0, 1], [0, 3], np.eye(3, 2), ("E0", "E1")),
+    "which-negative": ([0, 1], [0, -1], np.eye(2), ("E0", "E1")),
+    "which-float": ([0, 1], [0.0, 1.0], np.eye(2), ("E0", "E1")),
+    "which-length": ([0, 1], [0], np.eye(2), ("E0", "E1")),
+    "no-rows": ([0, 1], [0, 0], np.zeros((0, 2)), ("E0", "E1")),
+    "rows-not-a-matrix": ([0, 1], [0, 1], np.ones(2), ("E0", "E1")),
+    "row-longer-than-dim": ([0, 1], [0, 1], np.eye(2, 3), ("E0", "E1")),
+    "no-tags": (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 2)), ()),
+    "tag-not-str": ([0, 1], [0, 1], np.eye(2), ("E0", 1)),
+    "tags-a-list": ([0, 1], [0, 1], np.eye(2), ["E0", "E1"]),
+}
+
+
+@pytest.mark.parametrize("name", BROKEN_ROW_FORMS)
+def test_row_form_precondition_refuses_each_broken_clause(name):
+    index, which, rows, tags = BROKEN_ROW_FORMS[name]
+    index, which, rows = np.asarray(index), np.asarray(which), np.asarray(rows, dtype=complex)
+    assert_row_form_precondition(2, np.arange(2), np.arange(2), np.eye(2, dtype=complex), ("E0", "E1"))
+    with pytest.raises(AssertionError):
+        assert_row_form_precondition(2, index, which, rows, tags)
+
+
 @pytest.mark.parametrize("d", [2, 3, 16])
 def test_each_builder_decides_the_row_form(d, monkeypatch):
     # the swap channel's stack, a scalar family and the CLI's diag(2, 1)/e1

@@ -348,10 +348,14 @@ REJECTIONS = [
           ("ragged-re", {"re": [[1.0], [1.0, 2.0]]}, "re"),
           # numpy reads true among numbers as 1, so the entries' types are checked
           ("bool-among-floats-re", {"re": [True, 1.0]}, "re"), ("bools-im", {"im": [False, False]}, "im"),
-          ("bool-scalar-re", {"re": True}, "re"))),
+          ("bool-scalar-re", {"re": True}, "re"), ("bool-nested-re", {"re": [[1.0, True]]}, "re"))),
     Rejection("vector-null-re", lambda: ser.vector_from_json({"re": [1.0, None], "im": [0.0, 0.0]}), CpuMapError,
               "'re'"),
+    Rejection("vector-bool-im", lambda: ser.vector_from_json({"re": [1.0, 0.0], "im": [0.0, True]}), CpuMapError,
+              "'im'"),
     Rejection("env-string-spectrum", lambda: ser.env_from_json(ENV_PAYLOAD), CpuMapError, "'spectrum'"),
+    Rejection("env-bool-spectrum", lambda: ser.env_from_json(dict(ENV_PAYLOAD, spectrum=[True, False])), CpuMapError,
+              "'spectrum'"),
     Rejection("env-null-d", lambda: ser.env_from_json(dict(ENV_PAYLOAD, d=None)), CpuMapError, "'d'"),
     Rejection("kraus-negative-dim", lambda: ser.kraus_from_json({"dim": -1, "ops": []}), CpuMapError, "'dim'"),
     Rejection("matrix-list-root", lambda: ser.matrix_from_json([1.0, 2.0]), CpuMapError, "JSON object"),
