@@ -29,6 +29,7 @@ from .linalg import (
     _ensure_grid,
     _ensure_positive,
     _ensure_size,
+    _owned,
     ensure_density_matrix,
     max_abs,
 )
@@ -64,11 +65,6 @@ class EnvState:
 
     Column j of ``basis`` is the eigenvector |j> expressed in the Fock
     basis {|n>}, so the overlap <j|n> equals conj(basis[n, j]).
-
-    The state owns ``spectrum`` and ``basis`` as read-only arrays, copying a
-    caller's array that it could share memory with, so what the
-    construction checked stays true: no later write by the caller reaches
-    ``phi``, ``env_kraus`` or ``dual_apply_number``.
     """
 
     dim: int
@@ -84,12 +80,7 @@ class EnvState:
                 f"spectrum/basis shapes {sig.shape}/{v.shape} do not match d={self.dim}"
             )
         _validate_env(sig, v)
-        for name, a in (("spectrum", sig), ("basis", v)):
-            given = getattr(self, name)
-            if isinstance(given, np.ndarray) and np.may_share_memory(a, given):
-                a = a.copy()
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        self.__dict__.update(spectrum=_owned(sig, self.spectrum), basis=_owned(v, self.basis))
 
     def sigma_fock(self) -> np.ndarray:
         """The state V diag(sigma) V^dagger in the Fock basis."""
@@ -115,7 +106,7 @@ class BatteryConfig:
             raise DimensionError(f"env dim {self.env.dim} does not match d={self.d}")
         _ensure_positive(self.rate, "rate")
         rho = _ensure_dim(ensure_density_matrix(self.rho0), self.d, "rho0")
-        object.__setattr__(self, "rho0", rho)
+        object.__setattr__(self, "rho0", _owned(rho, self.rho0))
 
 
 def number_operator(d: int) -> np.ndarray:

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .linalg import (
     HERM_TOL, _ensure_array_fits, _ensure_dim, _ensure_no_overflow, _ensure_size, _hermiticity_message,
-    _non_hermitian, _psd_verdicts, as_matrix, ensure_hermitian,
+    _non_hermitian, _owned, _prevalidated, _psd_verdicts, as_matrix, ensure_hermitian,
 )
 
 SCALAR_TOL = 1e-12     # |<v|A|v> - trA/N| below this is treated as degenerate
@@ -53,9 +53,8 @@ class FixedPointSpec:
     identically).  A spec whose construction would overflow the float
     range raises ``DomainError``.
 
-    The spec owns ``a`` and ``v`` as read-only arrays, so ``trace``,
-    ``expectation`` and ``is_scalar`` are derived once, by the batched
-    validator ``_validate_specs`` with one draw, and cannot go stale.
+    ``trace``, ``expectation`` and ``is_scalar`` are derived once, by the
+    batched validator ``_validate_specs`` with one draw.
     """
 
     a: np.ndarray
@@ -66,14 +65,8 @@ class FixedPointSpec:
 
     def __post_init__(self):
         a, v, t, e, scalar = _validate_specs(np.asarray(self.a, dtype=complex)[None], self.v)
-        a, v = a[0], v[0]
-        if isinstance(self.a, np.ndarray) and np.may_share_memory(a, self.a):
-            a = a.copy()
-        a.flags.writeable = False
-        v.flags.writeable = False
-        for name, value in (("a", a), ("v", v), ("trace", float(t[0])),
-                            ("expectation", float(e[0])), ("is_scalar", bool(scalar[0]))):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(a=_owned(a[0], self.a), v=_owned(v[0], self.v), trace=float(t[0]),
+                             expectation=float(e[0]), is_scalar=bool(scalar[0]))
 
     @property
     def dim(self) -> int:
@@ -175,14 +168,22 @@ class ChoiMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _ensure_size(self.dim, "Choi matrix dim"))
-        m = ensure_hermitian(self.matrix)
-        if m.shape != (self.dim**2, self.dim**2):
-            raise DimensionError(
-                f"Choi matrix for dim {self.dim} must be "
-                f"{self.dim**2}x{self.dim**2}, got {m.shape}"
-            )
-        object.__setattr__(self, "matrix", m)
+        self.__dict__.update(_choi_fields(self.dim, self.matrix, self.matrix))
+
+    @classmethod
+    def _from_matrix(cls, dim: int, matrix: np.ndarray) -> "ChoiMatrix":
+        """A Choi matrix that keeps ``matrix``, a fresh complex array no
+        caller holds, with the constructor's checks but not its copy."""
+        return _prevalidated(cls, **_choi_fields(dim, matrix))
+
+
+def _choi_fields(dim, matrix, given=None) -> dict:
+    """The checked fields of a Choi matrix: a Hermitian ``matrix`` of shape
+    (dim^2, dim^2), owned from the caller's ``given``."""
+    dim, m = _ensure_size(dim, "Choi matrix dim"), ensure_hermitian(matrix)
+    if m.shape != (dim**2, dim**2):
+        raise DimensionError(f"Choi matrix for dim {dim} must be {dim**2}x{dim**2}, got {m.shape}")
+    return {"dim": dim, "matrix": _owned(m, given)}
 
 
 def build_fixed_point_choi(spec: FixedPointSpec) -> ChoiMatrix:
@@ -195,7 +196,7 @@ def build_fixed_point_choi(spec: FixedPointSpec) -> ChoiMatrix:
     dropped, leaving Z = I (x) |v*><v*|.
     """
     z = _choi_stack(spec.a[None], spec.v[None], spec.expectation, spec.trace, spec.is_scalar)
-    return ChoiMatrix(dim=spec.dim, matrix=z[0])
+    return ChoiMatrix._from_matrix(spec.dim, z[0])
 
 
 def check_unital(z: ChoiMatrix) -> float:

@@ -19,8 +19,8 @@ import numpy as np
 from .choi import ChoiMatrix, FixedPointSpec, _dual_action
 from .errors import DimensionError, NegativeSqrtArgument
 from .linalg import (
-    _ensure_array_fits, _ensure_dim, _ensure_grid, _ensure_no_overflow, _ensure_positive, _ensure_size, _prevalidated,
-    as_matrix, eig_hermitian, ensure_density_matrix, ensure_hermitian, max_abs,
+    _ensure_array_fits, _ensure_dim, _ensure_grid, _ensure_no_overflow, _ensure_positive, _ensure_size, _owned,
+    _prevalidated, as_matrix, eig_hermitian, ensure_density_matrix, ensure_hermitian, max_abs,
 )
 
 SQRT_TOL = 1e-12      # coefficient squares below -SQRT_TOL are positivity errors
@@ -35,9 +35,7 @@ class KrausSet:
     ``stack[k]`` is the operator tagged ``tags[k]``.  Tags follow the
     family each operator belongs to: ``B{i}`` for the reference-vector
     rays, ``C{i},{j}`` for the completed-basis rays and ``E{i},{j}`` for
-    environment-interaction operators.  The stack is read-only, and a
-    caller's array that it could share memory with is copied, so no later
-    write by the caller reaches it.
+    environment-interaction operators.
 
     Whether every operator has at most one nonzero row is decided once,
     when the set is built.  Such a set also holds its operators in row
@@ -58,10 +56,7 @@ class KrausSet:
     _rows = None  # (index, which, rows) of a row-form set; a class attribute, not a field
 
     def __post_init__(self):
-        s = np.asarray(self.stack, dtype=complex)
-        if isinstance(self.stack, np.ndarray) and np.may_share_memory(s, self.stack):
-            s = s.copy()
-        self.__dict__.update(_stack_fields(self.dim, s, self.tags))
+        self.__dict__.update(_stack_fields(self.dim, self.stack, self.tags, self.stack))
 
     @classmethod
     def _from_stack(cls, dim: int, stack: np.ndarray, tags) -> "KrausSet":
@@ -126,19 +121,20 @@ def _ensure_finite_ops(ops: np.ndarray) -> None:
         raise DimensionError("Kraus operators contain NaN or Inf entries")
 
 
-def _stack_fields(dim, s: np.ndarray, tags) -> dict:
-    """The checked fields of a set stored as the complex (K, dim, dim) stack
-    ``s``, which is made read-only, with the read-only row form of its
-    operators if each has at most one nonzero row: its K rows, each its own
-    distinct row."""
+def _stack_fields(dim, stack, tags, given=None) -> dict:
+    """The checked fields of a set stored as the complex (K, dim, dim)
+    ``stack``, owned from the caller's ``given``, with the read-only row
+    form of its operators if each has at most one nonzero row: its K rows,
+    each its own distinct row."""
     dim, tags = _ensure_size(dim, "Kraus set dim"), _ensure_tags(tags)
+    s = np.asarray(stack, dtype=complex)
     if s.shape != (len(tags), dim, dim):
         raise DimensionError(
             f"stack has shape {s.shape}, expected "
             f"{(len(tags), dim, dim)} for {len(tags)} tags"
         )
     _ensure_finite_ops(s)
-    s.flags.writeable = False
+    s = _owned(s, given)
     fields = {"dim": dim, "stack": s, "tags": tags}
     index = _single_rows(s)
     if index is not None:
@@ -393,7 +389,7 @@ def choi_from_kraus(k: KrausSet) -> ChoiMatrix:
     n = k.dim
     _ensure_array_fits((n * n, n * n), 16, "Choi matrix")
     v = k.stack.reshape(len(k.tags), n * n)  # row k is vec(D_k)
-    return ChoiMatrix(dim=n, matrix=np.matmul(v.T, v.conj()))
+    return ChoiMatrix._from_matrix(n, np.matmul(v.T, v.conj()))
 
 
 def evolve_linear(z: ChoiMatrix, a0, rho, times, rate: float = 1.0) -> EvolutionTrace:

@@ -46,6 +46,18 @@ def _prevalidated(cls, **fields):
     return obj
 
 
+def _owned(a: np.ndarray, given=None) -> np.ndarray:
+    """``a``, checked from the caller's ``given``, made read-only: copied
+    first when it may share memory with ``given`` (an array, a view of one or
+    a buffer such as a memoryview), so no later write by the caller reaches
+    it.  A list or tuple never shares it; a library builder's fresh array,
+    given None, is only made read-only."""
+    if given is not None and not isinstance(given, (list, tuple)) and np.may_share_memory(a, given):
+        a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
 def _ensure_no_overflow(out, what: str):
     """Raise DomainError when a result computed under np.errstate holds NaN or Inf."""
     if not np.all(np.isfinite(out)):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .battery import EnvState, _validate_env
-from .errors import DomainError
-from .linalg import _ensure_array_fits, _ensure_grid, _ensure_positive, _ensure_size, _prevalidated
+from .errors import DimensionError, DomainError
+from .linalg import _ensure_array_fits, _ensure_grid, _ensure_positive, _ensure_size, _owned, _prevalidated
 
 MAX_TRUNCATION = 1024  # largest d; a profile allocates one d x d basis and P x d spectra
 # a profile's peak memory per point besides its spectrum row: its other
@@ -37,7 +37,7 @@ class MetricParams:
         _ensure_positive(self.M, "mass")
         _ensure_positive(self.r0, "offset r0")
         object.__setattr__(self, "d", _ensure_size(self.d, "truncation d", 2, MAX_TRUNCATION))
-        object.__setattr__(self, "r_grid", _ensure_grid(self.r_grid, "radial grid"))
+        object.__setattr__(self, "r_grid", _owned(_ensure_grid(self.r_grid, "radial grid"), self.r_grid))
 
 
 def default_r0(M: float) -> float:
@@ -58,10 +58,13 @@ class ProfileRecord:
 
 @dataclass(frozen=True)
 class MetricProfile:
-    """A profile as read-only columns, one entry per grid point: the radius
-    ``r``, the ``target`` factor, the achieved ``phi``, the ``clipped`` flag
-    and a row of the (P, d) ``spectra``; every environment shares the one
-    identity ``basis``."""
+    """A profile as read-only columns, one entry per point of the P-point
+    grid of ``params``: the radius ``r``, the ``target`` factor, the
+    achieved ``phi``, the ``clipped`` flag and a row of the (P, d)
+    ``spectra``; every environment shares the one (d, d) ``basis``.  The
+    constructor refuses a column of the wrong shape, a non-finite float, a
+    ``clipped`` that is not bool and spectra or a basis that ``EnvState``
+    would refuse."""
 
     params: MetricParams
     r: np.ndarray
@@ -70,6 +73,22 @@ class MetricProfile:
     clipped: np.ndarray
     spectra: np.ndarray
     basis: np.ndarray
+
+    def __post_init__(self):
+        p, d = self.params.r_grid.size, self.params.d
+        shapes = {"r": (p,), "target": (p,), "phi": (p,), "clipped": (p,), "spectra": (p, d), "basis": (d, d)}
+        dtypes = {"clipped": None, "basis": complex}
+        columns = {name: np.asarray(getattr(self, name), dtype=dtypes.get(name, float)) for name in shapes}
+        for name, column in columns.items():
+            if column.shape != shapes[name]:
+                raise DimensionError(f"profile column {name} has shape {column.shape}, expected {shapes[name]}")
+        if columns["clipped"].dtype != bool:
+            raise DomainError(f"profile column clipped must be bool, got {columns['clipped'].dtype}")
+        for name in ("r", "target", "phi"):
+            if not np.all(np.isfinite(columns[name])):
+                raise DomainError(f"profile column {name} contains NaN or Inf entries")
+        _validate_env(columns["spectra"], columns["basis"])
+        self.__dict__.update({name: _owned(column, getattr(self, name)) for name, column in columns.items()})
 
     @property
     def records(self) -> tuple[ProfileRecord, ...]:
@@ -174,14 +193,13 @@ def build_profile(params: MetricParams) -> MetricProfile:
     d = params.d
     # checked before the P targets are computed
     _ensure_array_fits((params.r_grid.size,), 8 * d + POINT_BYTES, "profile points")
-    r = params.r_grid.copy()
+    r = params.r_grid
     target = _targets(r, params)
     spectra, clipped = _spectra(target, d)
     basis = np.eye(d, dtype=complex)
     _validate_env(spectra, basis)
     # phi of every row at once; exact because the basis is the identity
     achieved = np.arange(d, dtype=float) @ (np.abs(basis) ** 2) @ spectra.T
-    for column in (r, target, achieved, clipped, spectra, basis):
-        column.flags.writeable = False
-    return MetricProfile(params=params, r=r, target=target, phi=achieved,
-                         clipped=clipped, spectra=spectra, basis=basis)
+    # the columns are fresh and checked: assembled without the constructor's checks
+    return _prevalidated(MetricProfile, params=params, r=r, target=_owned(target), phi=_owned(achieved),
+                         clipped=_owned(clipped), spectra=_owned(spectra), basis=_owned(basis))

@@ -189,7 +189,7 @@ def choi_to_json(z: ChoiMatrix):
 
 
 def choi_from_json(obj: dict) -> ChoiMatrix:
-    return ChoiMatrix(dim=_count(obj, "dim"), matrix=matrix_from_json(obj))
+    return ChoiMatrix._from_matrix(_count(obj, "dim"), matrix_from_json(obj))
 
 
 def kraus_to_json(k: KrausSet):

@@ -283,36 +283,6 @@ def test_dual_apply_number_streams_its_operators():
     assert not stack.flags.writeable and k.stack is stack
 
 
-def test_env_state_keeps_no_handle_on_the_callers_arrays():
-    d = 4
-    env0 = random_env(rng_for(422), d)
-    sigma, basis = env0.spectrum.copy(), env0.basis.copy()
-    want_stack = env_kraus(env0).stack
-    for given in ((sigma, basis), (sigma[:], basis[:]), (sigma.view(), basis.view())):
-        env = EnvState(dim=d, spectrum=given[0], basis=given[1])
-        sigma[0] = basis[0, 0] = np.nan
-        assert not (np.shares_memory(env.spectrum, sigma) or np.shares_memory(env.basis, basis))
-        assert sigma.flags.writeable and basis.flags.writeable
-        assert not (env.spectrum.flags.writeable or env.basis.flags.writeable)
-        assert phi(env) == phi(env0) and np.array_equal(env_kraus(env).stack, want_stack)
-        assert np.array_equal(dual_apply_number(env), dual_apply_number(env0))
-        sigma[0], basis[0, 0] = env0.spectrum[0], env0.basis[0, 0]
-
-
-@pytest.mark.parametrize("field", ["spectrum", "basis"])
-def test_env_state_arrays_are_read_only(field):
-    # what the construction checked stays true: no write through the state reaches phi
-    env0 = random_env(rng_for(423), 3)
-    for env in (EnvState(dim=3, spectrum=env0.spectrum.copy(), basis=env0.basis.copy()),
-                EnvState(dim=3, spectrum=env0.spectrum.tolist(), basis=env0.basis.tolist()),
-                aligned_env(3, env0.spectrum.tolist())):
-        held = getattr(env, field)
-        assert not held.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            held[0] = np.nan
-        assert np.all(np.isfinite(held)) and np.isfinite(phi(env))
-
-
 def test_simulate_charging_zero_start():
     env = random_env(rng_for(409), 4)
     cfg = BatteryConfig(d=4, env=env, rho0=random_density(rng_for(410), 4))

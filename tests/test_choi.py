@@ -194,23 +194,6 @@ def test_spec_derived_values_equal_formulas():
             )
 
 
-def test_spec_owns_read_only_arrays():
-    rng = rng_for(253)
-    a = random_hermitian(rng, 3)
-    v = random_unit(rng, 3)
-    spec = FixedPointSpec(a=a, v=v)
-    before = (spec.a.copy(), spec.trace, spec.expectation, spec.is_scalar)
-    a[:] = np.eye(3)
-    v[:] = 0.0
-    assert np.array_equal(spec.a, before[0])
-    assert (spec.trace, spec.expectation, spec.is_scalar) == before[1:]
-    assert np.array_equal(build_fixed_point_choi(spec).matrix, kron_reference_choi(spec))
-    with pytest.raises(ValueError):
-        spec.a[0, 0] = 5.0
-    with pytest.raises(ValueError):
-        spec.v[0] = 1.0
-
-
 def test_bounds_equal_separate_eigvalsh_calls():
     from cpumap.selftest import EQUIVALENCE_DIMS, EQUIVALENCE_PER_DIM, equivalence_spec
 

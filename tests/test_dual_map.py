@@ -287,17 +287,6 @@ def test_kraus_set_ops_are_views_of_the_stack():
         k.stack[0, 0, 0] = 1.0
 
 
-def test_kraus_set_keeps_no_handle_on_the_callers_stack():
-    s = np.zeros((2, 2, 2), dtype=complex)
-    s[0] = np.eye(2)
-    for given in (s, s[:], s.view()):
-        k = KrausSet(dim=2, stack=given, tags=("B0", "B1"))
-        s[0, 0, 0] = np.nan
-        assert not np.shares_memory(k.stack, s) and s.flags.writeable
-        assert np.array_equal(k.stack[0], np.eye(2)) and unitality_residual(k) == 0.0
-        s[0, 0, 0] = 1.0
-
-
 def test_repr_and_equality_leave_a_row_form_stack_unwritten():
     # a generated repr and == read the stack: repr wrote the 16 MiB stack of
     # this d = 32 set, and == of two sets raised numpy's ambiguous-truth ValueError

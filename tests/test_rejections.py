@@ -21,6 +21,7 @@ from cpumap import (
     HermiticityError,
     InvalidDensityMatrix,
     KrausSet,
+    MetricProfile,
     NegativeSqrtArgument,
     ZeroExpectation,
     ZeroTrace,
@@ -132,6 +133,8 @@ BIG_KRAUS = KrausSet.from_ops(96, [("B0", np.eye(96))])
 # (d, P): 2e5 spectrum rows at d = 1024 need 1.53 GiB; at d = 2 the columns and
 # transient floats of 1.4e7 points (metric.POINT_BYTES each) take the budget
 PROFILES_ABOVE_BUDGET = ((1024, 200_000), (2, 14_000_000))
+# the fields of a valid one-point profile at d = 2, for MetricProfile rows that change one column
+PROFILE_FIELDS = vars(build_profile(params(d=2, grid=(0.5,))))
 ENV_PAYLOAD = {"d": 2, "spectrum": [1.0, "0"], "V": matrix_payload(np.eye(2))}
 # entry 0 has the wrong shape, entry 1 a non-numeric entry: 0 is reported first
 KRAUS_OPS = [
@@ -335,6 +338,25 @@ REJECTIONS = [
     # an infinite radius once gave the CSV row "inf,0,0,false"
     *(Rejection(f"params-grid-{name}", lambda grid=grid: params(grid=grid), DomainError)
       for name, grid in {"zero-inf": (0.0, math.inf), "inf": (math.inf,), "zero-nan": (0.0, math.nan)}.items()),
+    # MetricProfile once took any columns: its records then held EnvStates that never passed
+    # their checks, and profile_to_csv wrote nan
+    *(Rejection(f"profile-{name}", lambda change=change: MetricProfile(**{**PROFILE_FIELDS, **change}), cls, match)
+      for name, change, cls, match in (
+          ("r-length", {"r": [0.5, 1.0]}, DimensionError, "r has shape"),
+          ("clipped-2d", {"clipped": [[False]]}, DimensionError, "clipped has shape"),
+          ("spectra-width", {"spectra": [[1.0, 0.0, 0.0]]}, DimensionError, "spectra has shape"),
+          ("spectra-rows", {"spectra": [1.0, 0.0]}, DimensionError, "spectra has shape"),
+          ("basis-shape", {"basis": np.eye(3)}, DimensionError, "basis has shape"),
+          ("r-nan", {"r": [math.nan]}, DomainError, "r contains"),
+          ("target-nan", {"target": [math.nan]}, DomainError, "target contains"),
+          ("phi-inf", {"phi": [math.inf]}, DomainError, "phi contains"),
+          ("clipped-int", {"clipped": [0]}, DomainError, "bool"),
+          ("clipped-float", {"clipped": np.zeros(1)}, DomainError, "bool"),
+          ("spectra-negative", {"spectra": [[2.0, -1.0]]}, DomainError, "negative weight"),
+          ("spectra-sum", {"spectra": [[0.5, 0.0]]}, DomainError, "sums to"),
+          ("spectra-nan", {"spectra": [[math.nan, 1.0]]}, DomainError, "sums to"),
+          ("basis-not-unitary", {"basis": [[1.0, 1.0], [0.0, 1.0]]}, DomainError, "unitary"),
+          ("basis-nan", {"basis": [[math.nan, 0.0], [0.0, 1.0]]}, DomainError, "unitary"))),
     # serialize
     Rejection("matrix-entry-count", lambda: ser.matrix_from_json(
         {"rows": 2, "cols": 2, "re": [1.0, 2.0], "im": [0.0, 0.0]}), DimensionError),
