@@ -59,7 +59,7 @@ def _validate_env(spectra: np.ndarray, basis: np.ndarray) -> None:
         raise DomainError("basis is not unitary within 1e-9")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvState:
     """Environment state: spectrum {sigma_j} and eigenbasis-to-Fock unitary.
 
@@ -91,7 +91,7 @@ class EnvState:
         return float(np.dot(self.spectrum, np.arange(self.dim)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatteryConfig:
     """Truncation, environment, initial battery state and coupling rate."""
 

@@ -42,7 +42,7 @@ BOUND_TOL = 1e-9       # slack on the operator inequalities
 PSD_TOL = 1e-8         # slack on the direct Choi PSD check: lambda_min > -PSD_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedPointSpec:
     """Target observable ``a`` and reference unit vector ``v``.
 
@@ -155,7 +155,7 @@ def _validate_specs(a: np.ndarray, v):
     return a, v, t, e, np.array(scalar, dtype=bool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """N^2 x N^2 Choi matrix of a map on N x N observables.
 

@@ -153,7 +153,7 @@ def _stack_from_rows(dim: int, index: np.ndarray, which: np.ndarray, rows: np.nd
     return stack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionTrace:
     """Sampled expectation values <A(t)> growing linearly in time."""
 

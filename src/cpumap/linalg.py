@@ -14,6 +14,7 @@ import math
 import operator
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionError, DomainError, HermiticityError
 
@@ -168,19 +169,19 @@ def _psd_verdicts(stack: np.ndarray, tol: float) -> np.ndarray:
     has a Cholesky factorization, i.e. lambda_min(M) > -tol up to rounding.
 
     One factorization per instance costs a fraction of a full ``eigvalsh``,
-    and a failed one only fails its own instance.  Only the lower triangle is
-    read, as ``eigvalsh`` reads it.
+    and a failed one only fails its own instance.  The whole stack is
+    factored in one call of the gufunc behind ``np.linalg.cholesky``, which
+    fills every entry of a failed instance with NaN, so each verdict is read
+    from one entry, (n-1, n-1) (none at n = 0, which passes).  Only the lower
+    triangle is read, as ``eigvalsh`` reads it.
     """
-    n = stack.shape[-1]
-    verdicts = np.ones(stack.shape[0], dtype=bool)
-    for i, m in enumerate(stack):
-        shifted = m.copy()
-        shifted.flat[::n + 1] += tol
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            verdicts[i] = False
-    return verdicts
+    b, n = len(stack), stack.shape[-1]
+    shifted = stack.copy()
+    shifted.reshape(b, n * n)[:, ::n + 1] += tol
+    # np.linalg.cholesky raises on the invalid flag a failed instance sets; here its NaN is the verdict
+    with np.errstate(all="ignore"):
+        factor = _umath_linalg.cholesky_lo(shifted, signature="D->D")
+    return ~np.isnan(factor.reshape(b, n * n)[:, -1:]).any(axis=1)
 
 
 def ensure_density_matrix(rho) -> np.ndarray:

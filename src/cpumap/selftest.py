@@ -58,17 +58,25 @@ def _rng(*key: int) -> np.random.Generator:
 
 
 def _random_hermitian(rng, n: int) -> np.ndarray:
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    x = rng.normal(size=(2, n, n))
+    g = x[0] + 1j * x[1]
     return (g + g.conj().T) / 2.0
 
 
 def _random_unit(rng, n: int) -> np.ndarray:
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return _unit(rng.normal(size=2 * n))
+
+
+def _unit(x: np.ndarray) -> np.ndarray:
+    """The complex vector x[:n] + i x[n:] of a real 2n-vector, normalized."""
+    n = len(x) // 2
+    v = x[:n] + 1j * x[n:]
     return v / np.linalg.norm(v)
 
 
 def _random_density(rng, n: int) -> np.ndarray:
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    x = rng.normal(size=(2, n, n))
+    g = x[0] + 1j * x[1]
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -83,7 +91,8 @@ def _random_spectrum(rng, d: int) -> np.ndarray:
 
 def _random_env(rng, d: int) -> EnvState:
     sig = _random_spectrum(rng, d)
-    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    x = rng.normal(size=(2, d, d))
+    q, _ = np.linalg.qr(x[0] + 1j * x[1])
     return EnvState(dim=d, spectrum=sig, basis=q)
 
 
@@ -106,34 +115,69 @@ def _equivalence_draw(seed: int, n: int, idx: int) -> tuple[np.ndarray, np.ndarr
     kind = idx % 4
     for _ in range(100):
         if kind == 2:
-            alpha = float(rng.normal())
-            beta = abs(float(rng.normal())) + 0.5
-            v = _random_unit(rng, n)
-            a = alpha * np.eye(n) + beta * np.outer(v, v.conj())
+            a, v = _pencil_draw(rng, n)
         else:
             a = _random_hermitian(rng, n)
             if kind == 0:
                 v = _random_unit(rng, n)
             else:
-                top = np.linalg.eigh(a)[1][:, -1]
-                if kind == 1:
-                    v = top
-                else:
-                    mix = top + 0.15 * _random_unit(rng, n)
-                    v = mix / np.linalg.norm(mix)
-        t = float(np.real(np.trace(a)))
-        e = float(np.real(np.conj(v) @ a @ v))
-        if abs(t) < 1e-3 or abs(e) < 1e-3 or abs(e - t / n) < 1e-3:
-            continue
-        return a, v
+                v = _near_top(rng, np.linalg.eigh(a)[1][:, -1], kind)
+        if _well_separated(a, v, n):
+            return a, v
     raise RuntimeError(f"no valid instance for seed={seed} n={n} idx={idx}")
+
+
+def _pencil_draw(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One attempt of kind 2: alpha I + beta |v><v| with beta >= 0.5."""
+    x = rng.normal(size=2 + 2 * n)
+    alpha = float(x[0])
+    beta = abs(float(x[1])) + 0.5
+    v = _unit(x[2:])
+    return alpha * np.eye(n) + beta * np.outer(v, v.conj()), v
+
+
+def _near_top(rng, top: np.ndarray, kind: int) -> np.ndarray:
+    """v of kinds 1 and 3 from A's top eigenvector: the vector itself, or
+    the vector moved by 0.15 times a random unit and normalized."""
+    if kind == 1:
+        return top
+    mix = top + 0.15 * _random_unit(rng, len(top))
+    return mix / np.linalg.norm(mix)
+
+
+def _well_separated(a: np.ndarray, v: np.ndarray, n: int) -> bool:
+    """True iff tr(A), <v|A|v> and their difference from tr(A)/N all have
+    magnitude at least 1e-3."""
+    t = float(np.real(np.trace(a)))
+    e = float(np.real(np.conj(v) @ a @ v))
+    return not (abs(t) < 1e-3 or abs(e) < 1e-3 or abs(e - t / n) < 1e-3)
 
 
 def _equivalence_fields(seed: int, n: int, count: int):
     """The draws of ``equivalence_spec(seed, n, idx)`` for idx < count,
-    validated as one stack: ``_validate_specs``'s fields."""
-    draws = [_equivalence_draw(seed, n, idx) for idx in range(count)]
-    return _validate_specs(np.array([a for a, _ in draws]), np.array([v for _, v in draws]))
+    validated as one stack: ``_validate_specs``'s fields.
+
+    Every draw's first attempt is made here, with one stacked ``eigh`` for
+    the kinds 1 and 3; a draw whose first attempt is rejected is redone
+    whole by :func:`_equivalence_draw`.
+    """
+    rngs = [_rng(seed, n, idx) for idx in range(count)]
+    a = np.empty((count, n, n), dtype=complex)
+    v = np.empty((count, n), dtype=complex)
+    for idx, rng in enumerate(rngs):
+        if idx % 4 == 2:
+            a[idx], v[idx] = _pencil_draw(rng, n)
+        else:
+            a[idx] = _random_hermitian(rng, n)
+            if idx % 4 == 0:
+                v[idx] = _random_unit(rng, n)
+    vecs = np.linalg.eigh(a[1::2])[1]  # the odd indices are the kinds 1 and 3
+    for idx in range(1, count, 2):
+        v[idx] = _near_top(rngs[idx], vecs[idx // 2][:, -1], idx % 4)
+    for idx in range(count):
+        if not _well_separated(a[idx], v[idx], n):
+            a[idx], v[idx] = _equivalence_draw(seed, n, idx)
+    return _validate_specs(a, v)
 
 
 def _choi_batches(fields, n: int):
@@ -244,22 +288,29 @@ def _swap_oracle_arrays(d: int):
     rows, cols = np.nonzero(u)
     if not np.array_equal(rows, np.arange(d * d)):
         return None
-    # allocated while U is held: before or after it, runs took ~16k page faults, not ~600 (heap layout)
-    joint = np.empty((d * d, d * d), dtype=complex)
+    # zeros: the entries the partial trace does not read are never written, but it checks them
+    # all; J is never written whole, so this check's faults no longer follow where this array
+    # sits in the heap (about 500 a run with it allocated before U, while U is held or after)
+    joint = np.zeros((d * d, d * d), dtype=complex)
     return joint, cols.reshape(d, d).T, u[rows, cols].reshape(d, d).T
 
 
-def _swap_traced(joint, cols, vals):
-    """tr_2[U J U^dagger] for J in ``joint`` and a real U with one nonzero
-    per row, forming only the d^3 entries the partial trace reads.
+def _swap_traced(joint, cols, vals, left, right):
+    """tr_2[U J U^dagger] for J = left (x) right and a real U with one
+    nonzero per row, forming only the d^3 entries the partial trace reads.
 
     Entry (U J U^T)[(i, r), (j, r)] is the one term vals[(i, r)] *
     J[cols[(i, r)], cols[(j, r)]] * vals[(j, r)], the full product's entry
-    bit for bit.  The entries overwrite ``joint`` at (i r, j r), the only
-    ones :func:`partial_trace_second` reads, so it sums in its own order.
+    bit for bit, and each entry of J is gathered as the one product of an
+    entry of ``left`` and one of ``right`` that np.kron forms; J itself is
+    never formed, and a 1 x 1 ``right`` = [[1]] takes any J as ``left``.
+    The entries overwrite ``joint`` at (i r, j r), the only ones
+    :func:`partial_trace_second` reads, so it sums in its own order.
     """
     d = cols.shape[0]
-    blocks = vals[:, :, None] * joint[cols[:, :, None], cols[:, None, :]] * vals[:, None, :]  # [r, i, j]
+    outer, inner = np.divmod(cols, len(right))  # J's index c is (outer, inner) of left (x) right
+    entries = left[outer[:, :, None], outer[:, None, :]] * right[inner[:, :, None], inner[:, None, :]]
+    blocks = vals[:, :, None] * entries * vals[:, None, :]  # [r, i, j]
     np.einsum("irjr->rij", joint.reshape(d, d, d, d))[...] = blocks
     return partial_trace_second(joint, d, d)
 
@@ -270,15 +321,12 @@ def check_battery_oracle(seed: int):
         arrays = _swap_oracle_arrays(d)
         if arrays is None:  # no oracle at this d: its pairs are missing, so the line fails
             continue
-        joint = arrays[0]
         for idx in range(BATTERY_PAIRS_PER_DIM):
             rng = _rng(seed, 13, d, idx)
             env = _random_env(rng, d)
             rho = _random_density(rng, d)
             sigma = env.sigma_fock()
-            # rho (x) sigma, the product np.kron forms
-            np.multiply(rho[:, None, :, None], sigma[None, :, None, :], out=joint.reshape(d, d, d, d))
-            oracle = _swap_traced(*arrays)
+            oracle = _swap_traced(*arrays, rho, sigma)
             # the primal channel sum_k S_k^dagger rho S_k is the conjugate of the
             # dual kernel on the S_k^T at conj(rho), with no conjugated copy of the stack
             primal = _kraus_sum(env_kraus(env).stack.transpose(0, 2, 1), rho.conj()).conj()

@@ -40,7 +40,10 @@ from cpumap.selftest import (
     IDEMPOTENCE_OBSERVABLES,
     IDEMPOTENCE_PER_DIM,
     _equivalence_draw,
+    _equivalence_fields,
     _idempotence_residuals,
+    _pencil_draw,
+    _well_separated,
     equivalence_spec,
 )
 
@@ -51,8 +54,10 @@ from conftest import (
     primal_loop,
     psd_reference,
     random_density,
+    random_env,
     random_hermitian,
     random_spec,
+    random_spectrum,
     random_unit,
     rng_for,
 )
@@ -250,3 +255,89 @@ def test_batched_idempotence_residuals_equal_per_pair(seed):
             rng = rng_for(seed, 91, n, idx)
             for k in range(IDEMPOTENCE_OBSERVABLES):
                 assert residuals[k, idx] == idempotence_residual(z, random_hermitian(rng, n)), (n, idx, k)
+
+
+# --- the selftest's draws -----------------------------------------------------
+
+# each seeded draw helper against its old sequence, which took the real and
+# imaginary parts (and a pencil's alpha and beta) in separate normal() calls
+def two_calls(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def old_unit(rng, n):
+    v = two_calls(rng, n)
+    return v / np.linalg.norm(v)
+
+
+def old_hermitian(rng, n):
+    g = two_calls(rng, (n, n))
+    return (g + g.conj().T) / 2.0
+
+
+def old_density(rng, n):
+    g = two_calls(rng, (n, n))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def old_env(rng, d):
+    sig = random_spectrum(rng, d)
+    q, _ = np.linalg.qr(two_calls(rng, (d, d)))
+    return sig, q
+
+
+def old_pencil(rng, n):
+    alpha = float(rng.normal())
+    beta = abs(float(rng.normal())) + 0.5
+    v = old_unit(rng, n)
+    return alpha * np.eye(n) + beta * np.outer(v, v.conj()), v
+
+
+def env_arrays(rng, d):
+    env = random_env(rng, d)
+    return env.spectrum, env.basis
+
+
+DRAW_HELPERS = {
+    "unit": (random_unit, old_unit),
+    "hermitian": (random_hermitian, old_hermitian),
+    "density": (random_density, old_density),
+    "env": (env_arrays, old_env),
+    "pencil": (_pencil_draw, old_pencil),
+}
+
+
+def assert_same_arrays(got, want):
+    """Equal dtypes, shapes and bytes, of two arrays or two sequences of arrays."""
+    got, want = ([x] if isinstance(x, np.ndarray) else x for x in (got, want))
+    assert [(x.dtype, x.shape, x.tobytes()) for x in got] == [(x.dtype, x.shape, x.tobytes()) for x in want]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("helper", DRAW_HELPERS)
+def test_draw_helpers_keep_the_two_call_stream(helper, n):
+    new, old = DRAW_HELPERS[helper]
+    rng, ref = rng_for(965, n), rng_for(965, n)
+    for _ in range(3):  # each later draw continues the same stream
+        assert_same_arrays(new(rng, n), old(ref, n))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("n", EQUIVALENCE_DIMS)
+@pytest.mark.parametrize("seed", [1, 7, 42, 99])
+def test_equivalence_fields_equal_the_per_draw_path(seed, n):
+    per_draw = validate_draws([_equivalence_draw(seed, n, idx) for idx in range(EQUIVALENCE_PER_DIM)])
+    assert_same_arrays(_equivalence_fields(seed, n, EQUIVALENCE_PER_DIM), per_draw)
+
+
+def test_equivalence_fields_redo_a_draw_whose_first_attempt_is_rejected(monkeypatch):
+    # the first attempt of one draw of each kind is rejected, so each is drawn again from its seed
+    n, count, forced = 3, 12, [4, 5, 6, 7]
+    first = {_equivalence_draw(42, n, idx)[0].tobytes() for idx in forced}
+    unforced = _equivalence_fields(42, n, count)
+    monkeypatch.setattr("cpumap.selftest._well_separated",
+                        lambda a, v, n: a.tobytes() not in first and _well_separated(a, v, n))
+    got = _equivalence_fields(42, n, count)
+    assert_same_arrays(got, validate_draws([_equivalence_draw(42, n, idx) for idx in range(count)]))
+    assert np.flatnonzero(np.any(got[0] != unforced[0], axis=(1, 2))).tolist() == forced

@@ -177,6 +177,35 @@ def test_psd_verdicts_match_eigvalsh_reference(n):
     assert list(_psd_verdicts(np.array(matrices), PSD_TOL)) == expected
 
 
+def cholesky_loop_verdicts(stack, tol):
+    """The verdicts of one np.linalg.cholesky call per instance of M + tol I."""
+    verdicts = []
+    for m in stack:
+        shifted = m.copy()
+        shifted.flat[::len(m) + 1] += tol
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            verdicts.append(False)
+        else:
+            verdicts.append(True)
+    return verdicts
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_stacked_psd_verdicts_equal_a_cholesky_loop(n):
+    rng = rng_for(133, n)
+    # a zero matrix, lambda_min 1e-3 of PSD_TOL above and below -PSD_TOL, then each PSD kind
+    edges = [unitary_conjugate(rng, np.r_[-PSD_TOL * (1 + s), 1 + rng.random(n - 1)]) for s in (-1e-3, 1e-3)]
+    stack = np.array([np.zeros((n, n), dtype=complex), *edges, *(make(rng, n) for make in PSD_KINDS.values())])
+    want = cholesky_loop_verdicts(stack, PSD_TOL)
+    assert want[:3] == [True, True, False] and len(set(want)) == 2
+    assert [_psd_verdicts(m[None], PSD_TOL).tolist() for m in stack] == [[w] for w in want]  # B = 1
+    assert _psd_verdicts(stack, PSD_TOL).tolist() == want
+    assert _psd_verdicts(stack[::-1], PSD_TOL).tolist() == want[::-1]
+    assert _psd_verdicts(stack[:0], PSD_TOL).shape == (0,)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 16])
 def test_choi_psd_verdicts_match_eigvalsh_reference_on_both_sides(n):
     rng = rng_for(132, n)

@@ -3,7 +3,6 @@ fault in one side of one check.  A row replaces ``target`` with the faulty
 version while its check runs, and the check must return its ``line`` as a
 FAIL line instead of raising.  A new mutation is one more row here."""
 
-import dataclasses
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -14,7 +13,7 @@ from cpumap import (
 )
 from cpumap.battery import _env_split
 from cpumap.dual_map import _kraus_sum, _row_sum, _single_rows, _stack_from_rows
-from cpumap.linalg import _psd_verdicts
+from cpumap.linalg import _prevalidated, _psd_verdicts
 
 from conftest import random_env, rng_for
 
@@ -92,9 +91,16 @@ def row_sum_drops_row(position):
     return kernel
 
 
+def verdicts_from_first_slot(stack, tol):
+    """A stacked verdict kernel that reads instance 0's factor for every instance."""
+    return np.repeat(_psd_verdicts(stack[:1], tol), len(stack))
+
+
 def records_off_by_one(profile):
-    """Each record's environment takes the next point's spectrum row."""
-    return RECORDS.fget(dataclasses.replace(profile, spectra=np.roll(profile.spectra, -1, axis=0)))
+    """Each record's environment takes the next point's spectrum row (past
+    the constructor, which refuses spectra whose phi is not the phi column)."""
+    rolled = _prevalidated(metric.MetricProfile, **{**vars(profile), "spectra": np.roll(profile.spectra, -1, axis=0)})
+    return RECORDS.fget(rolled)
 
 
 MUTATIONS = [
@@ -134,6 +140,8 @@ MUTATIONS = [
              lambda *args, **kwargs: evolve_linear_euler(*args, **kwargs) * (1 + 1e-6),
              selftest.check_evolution, "euler-vs-closed-form"),
     Mutation("psd-tol-negated", "cpumap.selftest._psd_verdicts", lambda stack, tol: _psd_verdicts(stack, -tol),
+             selftest.check_equivalence, "positivity-equivalence"),
+    Mutation("psd-verdicts-from-first-slot", "cpumap.selftest._psd_verdicts", verdicts_from_first_slot,
              selftest.check_equivalence, "positivity-equivalence"),
 ]
 

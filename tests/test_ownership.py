@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cpumap import (
-    BatteryConfig, ChoiMatrix, EnvState, FixedPointSpec, KrausSet, MetricProfile, aligned_env, battery,
+    BatteryConfig, ChoiMatrix, EnvState, EvolutionTrace, FixedPointSpec, KrausSet, MetricProfile, aligned_env, battery,
     build_fixed_point_choi, build_profile, choi, choi_is_psd, dual_apply_number, dual_map, env_kraus, linalg, metric,
     phi, serialize as ser, unitality_residual,
 )
@@ -85,3 +85,25 @@ def test_every_aliasing_row_fails_when_the_helper_skips_its_copy(monkeypatch):
             check_owned(row, way)
             passed.append(f"{row}-{way}")
     assert not passed
+
+
+# id: a builder whose every call gives a new instance of one value.  The
+# generated == compared the array fields, which raised numpy's ambiguous-truth
+# ValueError beyond one entry, and the generated hash raised TypeError.
+EQUAL_VALUES = {
+    "FixedPointSpec": lambda: FixedPointSpec(a=SPEC.a, v=SPEC.v),
+    "ChoiMatrix": lambda: ChoiMatrix(dim=1, matrix=np.eye(1)),
+    "EnvState": lambda: EnvState(**vars(ENV)),
+    "BatteryConfig": lambda: BatteryConfig(d=4, env=ENV, rho0=np.eye(4) / 4),
+    "MetricParams": lambda: metric.MetricParams(**vars(PROFILE.params)),
+    "MetricProfile": lambda: build_profile(PROFILE.params),
+    "EvolutionTrace": lambda: EvolutionTrace(times=[0.0, 1.0], values=[0.0, 2.0], phi_fit=2.0),
+}
+
+
+@pytest.mark.parametrize("cls", EQUAL_VALUES)
+def test_array_holding_classes_compare_and_hash_by_identity(cls):
+    first, second = EQUAL_VALUES[cls](), EQUAL_VALUES[cls]()
+    assert type(first).__name__ == cls
+    assert first == first and first != second
+    assert hash(first) == hash(first) and len({first, second, first}) == 2

@@ -356,7 +356,12 @@ REJECTIONS = [
           ("spectra-sum", {"spectra": [[0.5, 0.0]]}, DomainError, "sums to"),
           ("spectra-nan", {"spectra": [[math.nan, 1.0]]}, DomainError, "sums to"),
           ("basis-not-unitary", {"basis": [[1.0, 1.0], [0.0, 1.0]]}, DomainError, "unitary"),
-          ("basis-nan", {"basis": [[math.nan, 0.0], [0.0, 1.0]]}, DomainError, "unitary"))),
+          ("basis-nan", {"basis": [[math.nan, 0.0], [0.0, 1.0]]}, DomainError, "unitary"),
+          # the columns once went unchecked against each other: records then reported an r off the
+          # grid and a phi that the environment does not reach
+          ("r-off-grid", {"r": [0.75]}, DomainError, "^profile column r differs from the grid of params$"),
+          ("phi-off-spectra", {"phi": [0.5]}, DomainError, "^profile column phi differs from the phi of its"),
+          ("basis-swaps-levels", {"basis": [[0.0, 1.0], [1.0, 0.0]]}, DomainError, "phi differs"))),
     # serialize
     Rejection("matrix-entry-count", lambda: ser.matrix_from_json(
         {"rows": 2, "cols": 2, "re": [1.0, 2.0], "im": [0.0, 0.0]}), DimensionError),
